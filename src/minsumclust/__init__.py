@@ -2,68 +2,30 @@
 
 A primal-dual pseudo-approximation solver with a dual-feasibility
 certificate, an exact brute-force oracle for small instances, and runtime
-verifiers for the solver's provable guarantees.
+verifiers for the solver's provable guarantees.  The phases of the solver
+stay importable from their own modules.
 """
 
-from .geometry import (
-    DistanceMode,
-    Instance,
-    InstanceError,
-    ScaledCluster,
-    best_medoid,
-    centroid,
-    cluster_cost,
-    floor_pow,
-    pair_distance,
-    scaled_cost,
-)
-from .dual import DualState, Phase1Output, detect_violation, next_event_increment, run_phase1
-from .conflicts import MetaAssignment, conflict_edge, run_phase2
-from .assembly import AssembledClustering, partition_evenly, run_phase3
-from .search import (
-    Branch,
-    ClusteringResult,
-    DualCertificate,
-    min_sum_clustering,
-    probe,
-    small_k_solver,
-)
-from .oracle import AuditReport, audit, brute_force_opt, verify_dual_feasible
 from .generators import GeneratorSpec, generate
+from .geometry import DistanceMode, Instance, InstanceError, cluster_cost
+from .oracle import AuditReport, OracleError, audit, brute_force_opt, verify_dual_feasible
+from .search import Branch, ClusteringResult, DualCertificate, min_sum_clustering
 
 __all__ = [
-    "AssembledClustering",
     "AuditReport",
     "Branch",
     "ClusteringResult",
     "DistanceMode",
     "DualCertificate",
-    "DualState",
     "GeneratorSpec",
     "Instance",
     "InstanceError",
-    "MetaAssignment",
-    "Phase1Output",
-    "ScaledCluster",
+    "OracleError",
     "audit",
-    "best_medoid",
     "brute_force_opt",
-    "centroid",
     "cluster_cost",
-    "conflict_edge",
-    "detect_violation",
-    "floor_pow",
     "generate",
     "min_sum_clustering",
-    "next_event_increment",
-    "pair_distance",
-    "partition_evenly",
-    "probe",
-    "run_phase1",
-    "run_phase2",
-    "run_phase3",
-    "scaled_cost",
-    "small_k_solver",
     "verify_dual_feasible",
 ]
 

@@ -30,6 +30,9 @@ def main(argv=None) -> int:
     except (InstanceError, FormatError, OracleError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:  # an internal check failed, AssignmentError too
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -52,6 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="exact optimum by exhaustive search")
     _instance_flags(p)
+    p.add_argument("--epsilon", type=float, default=1.0)
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("verify", help="re-check a result file against its input")
@@ -85,8 +89,6 @@ def _instance_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", choices=[m.value for m in DistanceMode], default="sqeuclid")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--nprime", type=int, required=True)
-    if not any(a.dest == "epsilon" for a in p._actions):
-        p.add_argument("--epsilon", type=float, default=1.0)
 
 
 def _cmd_cluster(args) -> int:
@@ -176,8 +178,6 @@ def _ints(text: str) -> list[int]:
 
 
 def _cmd_bench(args) -> int:
-    from .oracle import AuditReport  # noqa: F401  (re-exported for reports)
-
     failures = 0
     print("seed family   mode      n  k  n'  eps   cost          opt           ratio    ok")
     for seed in range(args.seeds):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Instance, ScaledCluster
+from .geometry import DistanceMode, Instance, ScaledCluster, scale_exponent
 from .dual import Phase1Output
 
 
@@ -62,22 +62,11 @@ def conflict_witnesses(
     return [idx[i] for i in hits]
 
 
-def conflict_edge(
-    a: ScaledCluster,
-    b: ScaledCluster,
-    alpha: np.ndarray,
-    dmat: np.ndarray,
-    base: int,
-    tau: float,
-) -> bool:
-    """True iff a shared point strictly overpays both scaled distances."""
-    return bool(conflict_witnesses(a, b, alpha, dmat, base, tau))
-
-
 def _resolution_tolerance(inst: Instance, alpha: np.ndarray, base: int) -> float:
-    from .geometry import floor_pow
-
-    scale = float(alpha.max(initial=0.0)) + floor_pow(base, inst.n) * inst.max_distance()
+    scale = (
+        float(alpha.max(initial=0.0))
+        + base ** scale_exponent(base, inst.n) * inst.max_distance()
+    )
     return 1e-9 * scale
 
 
@@ -187,8 +176,6 @@ def check_connection_factors(
     true metric, where the triangle inequality is not squared away) of its
     scaled connection cost to the part's center in its dual value.
     """
-    from .geometry import DistanceMode
-
     factor = 3.0 if inst.mode is DistanceMode.EXPLICIT_METRIC else 9.0
     dmat = inst.distances()
     tau = _resolution_tolerance(inst, alpha, base)

@@ -17,11 +17,11 @@ runs on the few pairs that can actually fire.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Instance, ScaledCluster, floor_pow, scale_exponent
+from .geometry import Instance, ScaledCluster, scale_exponent
 
 # Bisection for event times stops when the bracket shrinks below this
 # fraction of its initial width.
@@ -34,7 +34,7 @@ def tightness_tolerance(inst: Instance, lam: float, base: int) -> float:
     Scaled by the largest possible single-constraint right-hand side so that
     event ordering stays stable across instance magnitudes.
     """
-    rhs_scale = inst.n * floor_pow(base, inst.n) * inst.max_distance()
+    rhs_scale = inst.n * base ** scale_exponent(base, inst.n) * inst.max_distance()
     return 1e-9 * (lam + rhs_scale)
 
 
@@ -52,6 +52,7 @@ class DualState:
     lam: float
     base: int
     tau: float = 0.0
+    _scaled: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
 
     @classmethod
     def fresh(cls, inst: Instance, lam: float, base: int) -> "DualState":
@@ -73,12 +74,10 @@ class DualState:
         return self.inst.distances()
 
     def scaled_dists(self, exp: int) -> np.ndarray:
-        """base**exp times the distance matrix, cached on the instance."""
-        key = ("scaled", self.base, exp)
-        mat = self.inst._cache.get(key)
+        """base**exp times the distance matrix, computed once per state."""
+        mat = self._scaled.get(exp)
         if mat is None:
-            mat = float(self.base**exp) * self.dmat
-            self.inst._cache[key] = mat
+            mat = self._scaled[exp] = float(self.base**exp) * self.dmat
         return mat
 
     def max_exp(self) -> int:
@@ -115,22 +114,6 @@ class NewTight:
     members: set[int]
     center: int
     scale_exp: int
-
-
-@dataclass
-class Violation:
-    members: set[int]
-    center: int
-    scale_exp: int
-
-
-def candidate_set(state: DualState, y: int, exp: int, shift: float = 0.0) -> list[int]:
-    """Members of C(y, exp) sorted by decreasing margin, ties by index."""
-    alpha = state.raised_alpha(shift)
-    margins = alpha - state.scaled_dists(exp)[y]
-    members = np.flatnonzero(margins >= 0.0)
-    order = members[np.lexsort((members, -margins[members]))]
-    return [int(i) for i in order]
 
 
 def _pair_scan(
@@ -226,30 +209,6 @@ def _screen(
                 quiet_for = min(quiet_for, float(quiet.min()) / rate)
     candidates.sort()
     return candidates, quiet_for
-
-
-def detect_violation(
-    state: DualState,
-    lam: float | None = None,
-    require_active: bool = True,
-    tau: float | None = None,
-    shift: float = 0.0,
-) -> Violation | None:
-    """First tight-or-violated dual constraint in scan order, if any.
-
-    With ``require_active=False`` this is the dual feasibility checker: it
-    reports a constraint whose left side reaches the right side minus tau.
-    The returned set is the shortest qualifying prefix for its (y, exp)
-    pair.
-    """
-    lam = state.lam if lam is None else float(lam)
-    tau = state.tau if tau is None else float(tau)
-    candidates, _ = _screen(state, lam, tau, shift)
-    for y, exp in candidates:
-        _, minimal = _pair_scan(state, lam, y, exp, require_active, tau, shift)
-        if minimal is not None:
-            return Violation(set(minimal), y, exp)
-    return None
 
 
 def worst_slack(state: DualState, lam: float | None = None, shift: float = 0.0) -> float:

@@ -102,14 +102,6 @@ class Instance:
             self._cache["maxd"] = d
         return d
 
-    def spread(self) -> float:
-        """Ratio of largest to smallest nonzero distance (diagnostic only)."""
-        dmat = self.distances()
-        nonzero = dmat[dmat > 0.0]
-        if nonzero.size == 0:
-            return 1.0
-        return float(nonzero.max() / nonzero.min())
-
 
 def _validated_metric(mat: np.ndarray) -> np.ndarray:
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
@@ -138,7 +130,7 @@ def _validated_metric(mat: np.ndarray) -> np.ndarray:
 class ScaledCluster:
     """A candidate cluster carrying its frozen scale bookkeeping.
 
-    ``scale_exp`` is the exponent j with base**j = floor_pow(base, |members|)
+    ``scale_exp`` is the exponent j = scale_exponent(base, |members|)
     recorded when the cluster first became tight; it is deliberately never
     recomputed when members are added later.  ``center`` is a point index and
     need not remain a member once downstream phases reassign points.
@@ -150,14 +142,6 @@ class ScaledCluster:
     created: int = 0
 
 
-def pair_distance(inst: Instance, i: int, j: int) -> float:
-    """Distance between points i and j under the instance's model."""
-    n = inst.n
-    if not (0 <= i < n and 0 <= j < n):
-        raise IndexError(f"point index out of range: {i}, {j}")
-    return float(inst.distances()[i, j])
-
-
 def cluster_cost(inst: Instance, members) -> float:
     """Exact min-sum cost of a cluster: half the sum over ordered pairs."""
     idx = _member_index(inst, members)
@@ -165,48 +149,8 @@ def cluster_cost(inst: Instance, members) -> float:
     return float(sub.sum() / 2.0)
 
 
-def centroid(inst: Instance, members) -> np.ndarray:
-    """Coordinate mean of the members (squared-Euclidean mode only)."""
-    if inst.mode is not DistanceMode.SQEUCLIDEAN:
-        raise InstanceError("centroid requires coordinate (sqeuclid) mode")
-    idx = _member_index(inst, members)
-    return inst.points[idx].mean(axis=0)
-
-
-def centroid_cost(inst: Instance, members) -> float:
-    """Sum of squared distances from the members to their coordinate mean."""
-    if inst.mode is not DistanceMode.SQEUCLIDEAN:
-        raise InstanceError("centroid_cost requires coordinate (sqeuclid) mode")
-    idx = _member_index(inst, members)
-    diff = inst.points[idx] - inst.points[idx].mean(axis=0)
-    return float((diff * diff).sum())
-
-
-def best_medoid(inst: Instance, members) -> tuple[int, float]:
-    """Member minimizing the summed distance to the cluster, with that sum.
-
-    Ties resolve to the lowest point index.
-    """
-    idx = _member_index(inst, members)
-    sums = inst.distances()[np.ix_(idx, idx)].sum(axis=1)
-    pos = int(np.argmin(sums))
-    return int(idx[pos]), float(sums[pos])
-
-
-def floor_pow(base: int, m: int) -> int:
-    """Largest power of ``base`` that is <= m, by integer multiplication."""
-    if base < 2:
-        raise ValueError("base must be at least 2")
-    if m < 1:
-        raise ValueError("m must be positive")
-    p = 1
-    while p * base <= m:
-        p *= base
-    return p
-
-
 def scale_exponent(base: int, m: int) -> int:
-    """Exponent j such that base**j = floor_pow(base, m)."""
+    """Largest j with base**j <= m, found by integer multiplication."""
     if base < 2:
         raise ValueError("base must be at least 2")
     if m < 1:
@@ -217,12 +161,6 @@ def scale_exponent(base: int, m: int) -> int:
         p *= base
         j += 1
     return j
-
-
-def scaled_cost(inst: Instance, members, center: int, exp: int, base: int) -> float:
-    """base**exp times the summed distance from the members to ``center``."""
-    idx = _member_index(inst, members)
-    return float(base**exp * inst.distances()[idx, center].sum())
 
 
 def _member_index(inst: Instance, members) -> np.ndarray:

@@ -92,6 +92,8 @@ def save_result(result: ClusteringResult, path) -> None:
 
 
 def load_result(path) -> ClusteringResult:
+    """Read a result file, checking its point indices and certificate
+    lengths against the n in its own header."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [line.rstrip("\n") for line in fh if line.strip()]
     if not lines or lines[0] != RESULT_HEADER:
@@ -99,7 +101,7 @@ def load_result(path) -> ClusteringResult:
     scalars: dict[str, str] = {}
     clusters: list[set[int]] = []
     outliers: set[int] = set()
-    certificates: list[DualCertificate] = []
+    certificates: list[list[float]] = []
     for line in lines[1:]:
         key, _, rest = line.partition(" ")
         if key == "cluster":
@@ -107,12 +109,12 @@ def load_result(path) -> ClusteringResult:
         elif key == "outliers":
             outliers = {int(v) for v in rest.split()}
         elif key == "certificate":
-            vals = [float(v) for v in rest.split()]
-            certificates.append(DualCertificate(vals[0], np.asarray(vals[1:])))
+            certificates.append([float(v) for v in rest.split()])
         else:
             scalars[key] = rest
     try:
-        return ClusteringResult(
+        n = int(scalars["n"])
+        result = ClusteringResult(
             clusters=clusters,
             outliers=outliers,
             total_cost=float(scalars["total_cost"]),
@@ -124,14 +126,24 @@ def load_result(path) -> ClusteringResult:
             c_eps=float(scalars["c_eps"]),
             exact=scalars["exact"] == "1",
             mode=DistanceMode(scalars["mode"]),
-            n=int(scalars["n"]),
+            n=n,
             k=int(scalars["k"]),
             n_prime=int(scalars["n_prime"]),
             epsilon=float(scalars["epsilon"]),
-            certificates=certificates,
         )
     except KeyError as exc:
         raise FormatError(f"{path}: missing field {exc}") from None
+    for members in [*clusters, outliers]:
+        bad = [i for i in members if not 0 <= i < n]
+        if bad:
+            raise FormatError(f"{path}: point index {min(bad)} outside [0, {n})")
+    for vals in certificates:
+        if len(vals) != n + 1:
+            raise FormatError(
+                f"{path}: certificate holds {len(vals)} numbers, expected n + 1 = {n + 1}"
+            )
+        result.certificates.append(DualCertificate(vals[0], np.asarray(vals[1:])))
+    return result
 
 
 def save_plot_data(inst: Instance, result: ClusteringResult, path) -> None:

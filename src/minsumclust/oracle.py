@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .assembly import check_size_windows
+from .conflicts import check_assignment_counts, check_connection_factors
 from .dual import DualState, tightness_tolerance, worst_slack, check_dual_support
 from .geometry import EQ_REL_TOL, Instance, cluster_cost, scale_exponent
 from .search import ClusteringResult, approx_bound
@@ -50,17 +52,8 @@ def brute_force_opt(inst: Instance) -> tuple[list[set[int]], float]:
             f"instance too large for exhaustive search (n={inst.n}, k={inst.k})"
         )
     n, k = inst.n, inst.k
-    dmat = inst.distances()
     full = 1 << n
-
-    # point_sum[x, m] = total distance from x to the points in mask m
-    point_sum = np.zeros((n, full))
-    cost = np.zeros(full)
-    for m in range(1, full):
-        low = (m & -m).bit_length() - 1
-        rest = m ^ (m & -m)
-        point_sum[:, m] = point_sum[:, rest] + dmat[:, low]
-        cost[m] = cost[rest] + point_sum[low, rest]
+    _, cost = _subset_tables(inst.distances())
 
     inf = np.inf
     layer = np.full(full, inf)
@@ -108,6 +101,25 @@ def brute_force_opt(inst: Instance) -> tuple[list[set[int]], float]:
     return clusters, best_cost
 
 
+def _subset_tables(dmat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sums over every subset of the points, indexed by bit mask.
+
+    point_sum[x, m] is the total distance from x to the points in mask m, and
+    cost[m] the min-sum cost of mask m.  Each mask's sums extend those of the
+    mask without its lowest member.
+    """
+    n = dmat.shape[0]
+    full = 1 << n
+    point_sum = np.zeros((n, full))
+    cost = np.zeros(full)
+    for m in range(1, full):
+        low = (m & -m).bit_length() - 1
+        rest = m ^ (m & -m)
+        point_sum[:, m] = point_sum[:, rest] + dmat[:, low]
+        cost[m] = cost[rest] + point_sum[low, rest]
+    return point_sum, cost
+
+
 def verify_dual_feasible(
     inst: Instance,
     alpha: np.ndarray,
@@ -144,20 +156,15 @@ def _exhaustive_worst_slack(
     inst: Instance, alpha: np.ndarray, lam: float, base: int
 ) -> float:
     n = inst.n
-    dmat = inst.distances()
     full = 1 << n
-    point_sum = np.zeros((n, full))
+    point_sum, _ = _subset_tables(inst.distances())
     alpha_sum = np.zeros(full)
-    for m in range(1, full):
-        low = (m & -m).bit_length() - 1
-        rest = m ^ (m & -m)
-        point_sum[:, m] = point_sum[:, rest] + dmat[:, low]
-        alpha_sum[m] = alpha_sum[rest] + alpha[low]
 
     worst = -np.inf
     members_of = [np.flatnonzero([(m >> i) & 1 for i in range(n)]) for m in range(full)]
     for m in range(1, full):
         members = members_of[m]
+        alpha_sum[m] = alpha_sum[m ^ (m & -m)] + alpha[members[0]]
         scale = base ** scale_exponent(base, len(members))
         cheapest = float(point_sum[members, m].min())
         slack = alpha_sum[m] - lam - scale * cheapest
@@ -275,9 +282,6 @@ def audit(
 def _audit_internals(
     inst: Instance, result: ClusteringResult, report: AuditReport
 ) -> None:
-    from .assembly import check_size_windows
-    from .conflicts import check_assignment_counts, check_connection_factors
-
     out = result.outcome
     tau = tightness_tolerance(inst, out.lam, result.base)
     report.invariant_failures.extend(

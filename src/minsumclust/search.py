@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .assembly import AssembledCluster, AssembledClustering, run_phase3
+from .assembly import AssembledCluster, AssembledClustering, partition_evenly, run_phase3
 from .conflicts import MetaAssignment, run_phase2
 from .dual import Phase1Output, run_phase1
 from .geometry import DistanceMode, Instance, cluster_cost
@@ -148,8 +148,6 @@ def min_sum_clustering(
 
     lam_top = float(inst.distances().sum())
     if lam_top <= 0.0:
-        from .assembly import partition_evenly
-
         clusters = partition_evenly(range(n_prime), min(k, n_prime))
         return _direct_result(inst, clusters, Branch.DEGENERATE, base)
 

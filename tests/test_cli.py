@@ -1,0 +1,113 @@
+"""Command line, run in-process through ``main``: gen -> cluster -> verify,
+clean exit codes on internal errors, and tampered result files."""
+
+from types import SimpleNamespace
+
+import pytest
+
+from minsumclust import cli
+from minsumclust.conflicts import AssignmentError
+
+SUBCOMMANDS = ["gen", "cluster", "verify", "oracle", "bench"]
+# k > 4 / epsilon, so the primal-dual branch runs and certificates are saved
+CLUSTER_FLAGS = ["--k", "5", "--nprime", "11", "--epsilon", "1"]
+
+
+def run(capsys, *argv):
+    code = cli.main([str(a) for a in argv])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.fixture(scope="module", params=["sqeuclid", "metric"])
+def solved(request, tmp_path_factory):
+    """An instance file and its result file, written by gen and cluster."""
+    mode = request.param
+    family = "box" if mode == "sqeuclid" else "metric"
+    tmp = tmp_path_factory.mktemp(mode)
+    data, result = tmp / "data.csv", tmp / "result.txt"
+    assert cli.main(["gen", "--family", family, "--seed", "3", "--n", "12",
+                     "--output", str(data)]) == 0
+    assert cli.main(["cluster", "--input", str(data), "--mode", mode, *CLUSTER_FLAGS,
+                     "--output", str(result)]) == 0
+    return SimpleNamespace(mode=mode, data=data, result=result)
+
+
+def tampered(solved, tmp_path, key, change):
+    """A copy of the solved result file whose first ``key`` line is
+    replaced by ``change(line)``."""
+    lines = solved.result.read_text().splitlines()
+    pos = next(i for i, line in enumerate(lines) if line.split(" ", 1)[0] == key)
+    lines[pos] = change(lines[pos])
+    path = tmp_path / "tampered.txt"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("sub", SUBCOMMANDS)
+def test_help_for_every_subcommand(sub, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([sub, "--help"])
+    assert exc.value.code == 0
+    assert "usage" in capsys.readouterr().out
+
+
+def test_gen_cluster_verify(solved, capsys):
+    code, out, _ = run(capsys, "verify", "--input", solved.data, "--result", solved.result)
+    assert code == 0
+    assert "audit PASS" in out
+    assert "certificate" in solved.result.read_text()
+
+
+def test_oracle_reports_the_optimum(solved, capsys):
+    code, out, _ = run(capsys, "oracle", "--input", solved.data, "--mode", solved.mode,
+                       "--k", 2, "--nprime", 11)
+    assert code == 0
+    assert out.startswith("opt_cost ")
+
+
+@pytest.mark.parametrize("error", [RuntimeError("planted"), AssignmentError("planted")])
+def test_internal_error_exits_one(solved, error, monkeypatch, capsys, tmp_path):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "min_sum_clustering", fail)
+    code, _, err = run(capsys, "cluster", "--input", solved.data, *CLUSTER_FLAGS,
+                       "--output", tmp_path / "out.txt")
+    assert code == 1
+    assert err == "error: planted\n"
+
+
+def test_edited_cost_fails_the_audit(solved, tmp_path, capsys):
+    path = tampered(solved, tmp_path, "total_cost",
+                    lambda line: f"total_cost {float(line.split()[1]) * 1.5!r}")
+    code, out, _ = run(capsys, "verify", "--input", solved.data, "--result", path)
+    assert code == 1
+    assert "disagrees with recomputation" in out
+
+
+def test_raised_alpha_fails_the_audit(solved, tmp_path, capsys):
+    def raise_alpha(line):
+        vals = line.split()
+        vals[2] = repr(float(vals[2]) + 1e6)
+        return " ".join(vals)
+
+    path = tampered(solved, tmp_path, "certificate", raise_alpha)
+    code, out, _ = run(capsys, "verify", "--input", solved.data, "--result", path)
+    assert code == 1
+    assert "dual_feasible NO" in out
+
+
+@pytest.mark.parametrize("key, change, message", [
+    ("cluster", lambda line: line + " 12", "point index 12 outside [0, 12)"),
+    ("outliers", lambda line: line + " -1", "point index -1 outside [0, 12)"),
+    ("certificate", lambda line: "certificate", "certificate holds 0 numbers"),
+    ("certificate", lambda line: line.rsplit(" ", 1)[0], "certificate holds 12 numbers"),
+    ("certificate", lambda line: line + " 0", "certificate holds 14 numbers"),
+], ids=["cluster-index", "outlier-index", "empty-certificate", "short-certificate",
+        "long-certificate"])
+def test_malformed_result_exits_two(solved, key, change, message, tmp_path, capsys):
+    path = tampered(solved, tmp_path, key, change)
+    code, _, err = run(capsys, "verify", "--input", solved.data, "--result", path)
+    assert code == 2
+    assert err.startswith("error: ") and message in err

@@ -6,8 +6,9 @@ import pytest
 from minsumclust.conflicts import (
     AssignmentError,
     check_assignment_counts,
+    _resolution_tolerance,
     check_connection_factors,
-    conflict_edge,
+    conflict_witnesses,
     run_phase2,
 )
 from minsumclust.dual import run_phase1
@@ -26,19 +27,20 @@ def line_instance(*xs, k=1, n_prime=None, eps=1.0):
 
 
 class TestConflictEdge:
+    # two clusters conflict iff they have a witness
     def test_disjoint_clusters_never_conflict(self):
         inst = line_instance(0.0, 1.0, 5.0, 6.0)
         a = ScaledCluster({0, 1}, 1, 0)
         b = ScaledCluster({2, 3}, 1, 2)
         alpha = np.full(4, 100.0)
-        assert not conflict_edge(a, b, alpha, inst.distances(), 2, 0.0)
+        assert not conflict_witnesses(a, b, alpha, inst.distances(), 2, 0.0)
 
     def test_tight_payment_is_not_strict(self):
         inst = line_instance(0.0, 0.0)
         a = ScaledCluster({0}, 0, 0)
         b = ScaledCluster({0}, 0, 1)
         alpha = np.zeros(2)
-        assert not conflict_edge(a, b, alpha, inst.distances(), 2, 1e-12)
+        assert not conflict_witnesses(a, b, alpha, inst.distances(), 2, 1e-12)
 
     def test_strict_overpayment_conflicts(self):
         inst = line_instance(0.0, 1.0, 2.0)
@@ -47,7 +49,7 @@ class TestConflictEdge:
         b = ScaledCluster({1, 2}, 1, 2)
         alpha = np.array([0.0, 5.0, 0.0])
         d = np.array([[0.0, 1.0, 4.0], [1.0, 0.0, 1.0], [4.0, 1.0, 0.0]])
-        assert conflict_edge(a, b, alpha, d, 2, 1e-12)
+        assert conflict_witnesses(a, b, alpha, d, 2, 1e-12) == [1]
 
 
 class TestRunPhase2:
@@ -146,9 +148,7 @@ class TestRunPhase2:
         for ma in out:
             if not ma.anchor_is_overflow and all(ma.anchor is not a for a in anchors):
                 anchors.append(ma.anchor)
-        from minsumclust.conflicts import _resolution_tolerance
-
         tau = _resolution_tolerance(inst, p1.alpha, base)
         for i, a in enumerate(anchors):
             for b in anchors[i + 1 :]:
-                assert not conflict_edge(a, b, p1.alpha, inst.distances(), base, tau)
+                assert not conflict_witnesses(a, b, p1.alpha, inst.distances(), base, tau)

@@ -1,4 +1,8 @@
-"""Dual ascent: candidate lists, tightness detection, events, full phase run."""
+"""Dual ascent: candidate lists, tightness detection, events, full phase run.
+
+Candidate lists and tightness are observed through ``next_event_increment``,
+the one entry into the ascent's event engine short of a full phase run.
+"""
 
 import itertools
 
@@ -9,9 +13,7 @@ from minsumclust.dual import (
     DualState,
     JoinExisting,
     NewTight,
-    candidate_set,
     check_dual_support,
-    detect_violation,
     next_event_increment,
     run_phase1,
     tightness_tolerance,
@@ -21,7 +23,6 @@ from minsumclust.geometry import (
     DistanceMode,
     Instance,
     ScaledCluster,
-    floor_pow,
     scale_exponent,
 )
 
@@ -64,44 +65,57 @@ def enumerate_violation(inst, alpha, active, lam, base, tau, require_active=True
 
 
 class TestCandidateSet:
+    # C(y, j) holds the points x with alpha_x >= base**j * d(x, y), sorted
+    # by decreasing margin; a tight set is the shortest qualifying prefix.
+
     def test_zero_duals_keep_colocated_points(self):
+        # d(0, 1) = 0 keeps point 1 in C(0, 1) from the start, so the pair
+        # fires once 2t reaches lambda, before any singleton at t = 1
         inst = line_instance(0.0, 0.0, 1.0)
-        state = state_for(inst, 0.0, 2)
-        assert candidate_set(state, 0, 0) == [0, 1]
+        state = state_for(inst, 1.0, 2)
+        t, event = next_event_increment(state)
+        assert t == pytest.approx(0.5)
+        assert event == NewTight(members={0, 1}, center=0, scale_exp=1)
 
     def test_huge_duals_keep_everyone_sorted(self):
+        # margins from y=0 at scale 1: 100, 98, 82; lambda 190 needs the two
+        # largest, and lambda 250 all three
         inst = line_instance(0.0, 1.0, 3.0)
-        state = state_for(inst, 0.0, 2, alpha=[100.0, 100.0, 100.0])
-        # margins from y=0 at scale 1: 100, 98, 82
-        assert candidate_set(state, 0, 1) == [0, 1, 2]
+        state = state_for(inst, 190.0, 2, alpha=[100.0, 100.0, 100.0])
+        assert next_event_increment(state) == (0.0, NewTight({0, 1}, 0, 1))
+        state = state_for(inst, 250.0, 2, alpha=[100.0, 100.0, 100.0])
+        assert next_event_increment(state) == (0.0, NewTight({0, 1, 2}, 0, 1))
 
     def test_membership_threshold(self):
+        # point 2 fails: alpha 0 < 2 * 9, so {0, 1} fires alone at 8 + 2t = 9
         inst = line_instance(0.0, 1.0, 3.0)
-        state = state_for(inst, 0.0, 2, alpha=[5.0, 5.0, 0.0])
-        # point 2 fails: alpha 0 < 2 * 9
-        assert candidate_set(state, 0, 1) == [0, 1]
+        state = state_for(inst, 9.0, 2, alpha=[5.0, 5.0, 0.0])
+        t, event = next_event_increment(state)
+        assert t == pytest.approx(0.5)
+        assert event == NewTight(members={0, 1}, center=0, scale_exp=1)
 
 
 class TestDetectViolation:
+    # A constraint that is tight or violated now fires at increment zero.
+
     def test_zero_lambda_returns_first_singleton(self):
         inst = line_instance(0.0, 1.0, 2.0)
         state = state_for(inst, 0.0, 2)
-        v = detect_violation(state)
-        assert v is not None
-        assert (v.members, v.center, v.scale_exp) == ({0}, 0, 0)
+        assert next_event_increment(state) == (0.0, NewTight({0}, 0, 0))
 
     def test_large_lambda_yields_nothing(self):
         inst = line_instance(0.0, 1.0, 3.0)
         maxd = inst.max_distance()
         lam = inst.n * inst.n * maxd * 1.01
         state = state_for(inst, lam, 2, alpha=np.full(3, maxd))
-        assert detect_violation(state, lam) is None
+        t, _ = next_event_increment(state, lam)
+        assert t > 0.0
 
     def test_reported_pair_violation(self):
         inst = line_instance(0.0, 0.1, 5.0)
         state = state_for(inst, 1.0, 2, alpha=[0.6, 0.6, 0.0])
-        v = detect_violation(state, 1.0)
-        assert v is not None
+        t, v = next_event_increment(state, 1.0)
+        assert t == 0.0
         assert v.members == {0, 1} and v.center == 0 and v.scale_exp == 1
         # lhs 1.2 against rhs 1 + 2 * 0.01
         lhs = 0.6 + 0.6
@@ -132,11 +146,12 @@ class TestDetectViolation:
             active[0] = True
         tau = tightness_tolerance(inst, lam, base)
         state = state_for(inst, lam, base, alpha=alpha, active=active)
-        got = detect_violation(state, lam)
+        t, got = next_event_increment(state, lam)
         want = enumerate_violation(inst, alpha, active, lam, base, tau)
-        assert (got is None) == (want is None)
-        if got is not None:
+        assert (t == 0.0) == (want is not None)
+        if t == 0.0:
             # the reported constraint must genuinely be tight or violated
+            assert isinstance(got, NewTight)
             lhs = alpha[sorted(got.members)].sum()
             rhs = lam + base**got.scale_exp * sum(
                 inst.distances()[x, got.center] for x in got.members

@@ -8,15 +8,10 @@ from minsumclust.geometry import (
     DistanceMode,
     Instance,
     InstanceError,
-    best_medoid,
-    centroid,
-    centroid_cost,
     cluster_cost,
-    floor_pow,
-    pair_distance,
     scale_exponent,
-    scaled_cost,
 )
+from minsumclust.oracle import verify_dual_feasible
 
 
 def line(*xs, k=1, n_prime=None, eps=1.0):
@@ -30,23 +25,31 @@ def line(*xs, k=1, n_prime=None, eps=1.0):
     )
 
 
+def centred_sum(inst, members):
+    """Reference: summed squared distance from the members to their mean."""
+    pts = inst.points[sorted(members)]
+    diff = pts - pts.mean(axis=0)
+    return float((diff * diff).sum())
+
+
 class TestPairDistance:
     def test_one_dimensional(self):
         inst = line(0.0, 2.0)
-        assert pair_distance(inst, 0, 1) == 4.0
+        assert inst.distances()[0, 1] == 4.0
 
     def test_self_distance_is_zero(self):
         inst = line(0.0, 2.0)
-        assert pair_distance(inst, 0, 0) == 0.0
+        assert inst.distances()[0, 0] == 0.0
 
     def test_metric_lookup(self):
         mat = np.array([[0.0, 3.0], [3.0, 0.0]])
         inst = Instance(mode="metric", k=1, n_prime=2, epsilon=1.0, dist_matrix=mat)
-        assert pair_distance(inst, 0, 1) == 3.0
+        assert inst.distances()[0, 1] == 3.0
 
     def test_out_of_range(self):
+        # a pair's cluster cost is its distance; an index past n is rejected
         with pytest.raises(IndexError):
-            pair_distance(line(0.0, 2.0), 0, 5)
+            cluster_cost(line(0.0, 2.0), {0, 5})
 
     @given(st.integers(0, 5), st.integers(0, 5), st.integers(0, 2**31))
     @settings(max_examples=50)
@@ -56,8 +59,9 @@ class TestPairDistance:
             mode="sqeuclid", k=1, n_prime=6, epsilon=1.0,
             points=rng.normal(size=(6, 3)),
         )
-        assert pair_distance(inst, i, j) == pair_distance(inst, j, i)
-        assert pair_distance(inst, i, j) >= 0.0
+        d = inst.distances()
+        assert d[i, j] == d[j, i]
+        assert d[i, j] >= 0.0
 
 
 class TestClusterCost:
@@ -85,112 +89,94 @@ class TestClusterCost:
         )
         members = set(range(size))
         pairwise = cluster_cost(inst, members)
-        centered = size * centroid_cost(inst, members)
+        centered = size * centred_sum(inst, members)
         assert pairwise == pytest.approx(centered, rel=1e-9)
 
 
 class TestCentroid:
-    def test_midpoint(self):
-        inst = Instance(
-            mode="sqeuclid", k=1, n_prime=2, epsilon=1.0,
-            points=np.array([[0.0, 0.0], [2.0, 0.0]]),
-        )
-        assert np.allclose(centroid(inst, {0, 1}), [1.0, 0.0])
-
-    def test_identity_on_singleton(self):
-        inst = Instance(
-            mode="sqeuclid", k=1, n_prime=1, epsilon=1.0,
-            points=np.array([[1.0, 1.0]]),
-        )
-        assert np.allclose(centroid(inst, {0}), [1.0, 1.0])
-
-    def test_one_dimensional_mean(self):
-        assert centroid(line(0.0, 0.0, 3.0), {0, 1, 2})[0] == pytest.approx(1.0)
-
-    def test_rejected_for_metric(self):
-        mat = np.zeros((2, 2))
-        inst = Instance(mode="metric", k=1, n_prime=2, epsilon=1.0, dist_matrix=mat)
-        with pytest.raises(InstanceError):
-            centroid(inst, {0, 1})
-
     @given(st.integers(0, 2**31))
     @settings(max_examples=40)
     def test_minimizes_summed_squared_distance(self, seed):
+        # the mean minimizes the summed squared distance, so no center c
+        # gives |C| * sum |x - c|^2 below the cost
         rng = np.random.default_rng(seed)
         inst = Instance(
             mode="sqeuclid", k=1, n_prime=8, epsilon=1.0,
             points=rng.normal(size=(8, 2)),
         )
         members = set(range(8))
-        mean = centroid(inst, members)
-        best = centroid_cost(inst, members)
+        mean = inst.points.mean(axis=0)
+        cost = cluster_cost(inst, members)
         for _ in range(10):
             other = mean + rng.normal(scale=0.1, size=2)
             diff = inst.points - other
-            assert (diff * diff).sum() >= best - 1e-12
+            assert 8 * (diff * diff).sum() >= cost - 1e-12
 
 
 class TestBestMedoid:
-    def test_middle_point(self):
-        assert best_medoid(line(0.0, 1.0, 2.0), {0, 1, 2}) == (1, 2.0)
-
-    def test_singleton(self):
-        assert best_medoid(line(5.0), {0}) == (0, 0.0)
-
-    def test_tie_breaks_to_lowest_index(self):
-        idx, total = best_medoid(line(0.0, 0.0, 3.0), {0, 1, 2})
-        assert idx == 0 and total == 9.0
-        # factor-two guarantee against the mean-centered cost (here 6)
-        assert total <= 2 * 6.0
-
     @given(st.integers(0, 2**31), st.integers(1, 30))
     @settings(max_examples=60, deadline=None)
     def test_within_twice_centroid_cost(self, seed, size):
+        # the best member's summed distance to the cluster is at most twice
+        # the centred sum, which is cost / |C|
         rng = np.random.default_rng(seed)
         inst = Instance(
             mode="sqeuclid", k=1, n_prime=size, epsilon=1.0,
             points=rng.normal(scale=2.0, size=(size, 2)),
         )
-        members = set(range(size))
-        _, total = best_medoid(inst, members)
-        assert total <= 2.0 * centroid_cost(inst, members) + 1e-12
+        medoid_sum = inst.distances().sum(axis=1).min()
+        cost = cluster_cost(inst, set(range(size)))
+        assert medoid_sum <= 2.0 * cost / size + 1e-12
 
 
 class TestFloorPow:
+    # base ** scale_exponent(base, m) is the largest power of base <= m
+
     def test_examples(self):
-        assert floor_pow(2, 5) == 4
-        assert floor_pow(2, 1) == 1
-        assert floor_pow(3, 9) == 9
+        assert 2 ** scale_exponent(2, 5) == 4
+        assert 2 ** scale_exponent(2, 1) == 1
+        assert 3 ** scale_exponent(3, 9) == 9
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
-            floor_pow(2, 0)
+            scale_exponent(2, 0)
 
     @given(st.sampled_from([2, 3, 5]), st.integers(1, 10**6))
     @settings(max_examples=300)
     def test_bracketing(self, base, m):
-        p = floor_pow(base, m)
+        p = base ** scale_exponent(base, m)
         assert p <= m < base * p
-        assert base ** scale_exponent(base, m) == p
 
 
 class TestScaledCost:
+    # The scaled cost base**j * sum of d(x, y) over a set is the right side
+    # of its dual constraint at center y, less lambda; the worst slack that
+    # verify_dual_feasible reports is the largest alpha sum minus both.
+
     def test_three_points(self):
+        # the whole set at center 1: 2 * (1 + 0 + 1) = 4
         inst = line(0.0, 1.0, 2.0)
-        assert scaled_cost(inst, {0, 1, 2}, 1, 1, 2) == pytest.approx(4.0)
+        for exhaustive in (False, True):
+            _, worst = verify_dual_feasible(inst, np.full(3, 10.0), 0.0, 2, exhaustive)
+            assert worst == 30.0 - 4.0
 
     def test_singleton(self):
-        assert scaled_cost(line(7.0), {0}, 0, 0, 2) == 0.0
+        for exhaustive in (False, True):
+            _, worst = verify_dual_feasible(line(7.0), np.array([3.0]), 1.0, 2, exhaustive)
+            assert worst == 3.0 - 1.0
 
     def test_with_far_point(self):
-        # 4 * (1 + 0 + 1 + 81)
+        # four points take scale 2**2; center 2 costs 4 * (4 + 1 + 0 + 64),
+        # less than center 1's 4 * (1 + 0 + 1 + 81) = 332
         inst = line(0.0, 1.0, 2.0, 10.0)
-        assert scaled_cost(inst, {0, 1, 2, 3}, 1, 2, 2) == pytest.approx(332.0)
+        for exhaustive in (False, True):
+            _, worst = verify_dual_feasible(inst, np.full(4, 1000.0), 0.0, 2, exhaustive)
+            assert worst == 4000.0 - 276.0
 
     @given(st.integers(0, 2**31), st.integers(1, 40))
     @settings(max_examples=60, deadline=None)
     def test_mean_centered_variant_brackets_cost(self, seed, size):
-        # floor_pow(b, |Y|) * centered sum lies in (cost / b, cost]
+        # floor power of |Y| times the centred sum lies in (cost / b, cost]
         rng = np.random.default_rng(seed)
         inst = Instance(
             mode="sqeuclid", k=1, n_prime=size, epsilon=1.0,
@@ -199,7 +185,7 @@ class TestScaledCost:
         members = set(range(size))
         cost = cluster_cost(inst, members)
         for base in (2, 3):
-            variant = floor_pow(base, size) * centroid_cost(inst, members)
+            variant = base ** scale_exponent(base, size) * centred_sum(inst, members)
             assert variant <= cost + 1e-12
             assert variant > cost / base - 1e-12 or cost == 0.0
 
