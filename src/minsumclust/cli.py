@@ -2,8 +2,7 @@
 
 Subcommands: ``cluster`` (solve an instance file), ``oracle`` (exact
 optimum for small instances), ``verify`` (re-check a saved result against
-its input), ``gen`` (write seeded instance files), ``bench`` (seeded
-end-to-end runs with oracle ratios).
+its input) and ``gen`` (write seeded instance files).
 
 Exit codes: 0 success, 1 invariant or audit failure, 2 input error.
 """
@@ -76,11 +75,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", default="1,1", help="box: side lengths")
     p.add_argument("--embed-dim", type=int, default=3, help="metric: embedding dimension")
     p.set_defaults(func=_cmd_gen)
-
-    p = sub.add_parser("bench", help="seeded end-to-end runs with oracle ratios")
-    p.add_argument("--suite", choices=["small"], default="small")
-    p.add_argument("--seeds", type=int, default=10, metavar="M")
-    p.set_defaults(func=_cmd_bench)
     return parser
 
 
@@ -175,55 +169,6 @@ def _floats(text: str) -> list[float]:
 
 def _ints(text: str) -> list[int]:
     return [int(v) for v in text.replace(",", " ").split()]
-
-
-def _cmd_bench(args) -> int:
-    failures = 0
-    print("seed family   mode      n  k  n'  eps   cost          opt           ratio    ok")
-    for seed in range(args.seeds):
-        inst, label = _bench_instance(seed)
-        result = min_sum_clustering(inst)
-        _, opt = brute_force_opt(inst)
-        report = audit(inst, result, oracle_opt=opt)
-        ok = report.ok
-        failures += 0 if ok else 1
-        ratio = report.cost_ratio if report.cost_ratio is not None else float("nan")
-        print(
-            f"{seed:4d} {label:8s} {inst.mode.value:8s} {inst.n:3d} {inst.k:2d} "
-            f"{inst.n_prime:3d} {inst.epsilon:4.2f}  {result.total_cost:<13.6g} "
-            f"{opt:<13.6g} {ratio:<8.4g} {'yes' if ok else 'NO'}"
-        )
-    print(f"{args.seeds - failures}/{args.seeds} runs passed")
-    return 0 if failures == 0 else 1
-
-
-def _bench_instance(seed: int):
-    """Small, varied seeded instances for the bench suite."""
-    import numpy as np
-
-    rng = np.random.default_rng(1000 + seed)
-    n = int(rng.integers(6, 11))
-    k = int(rng.integers(2, 4))
-    n_prime = n - int(rng.integers(0, 3))
-    epsilon = [0.5, 1.0][seed % 2]
-    family = FAMILIES[seed % len(FAMILIES)]
-    if family == "rings":
-        params = {"radii": [1.0, 4.0], "counts": [n // 2, n - n // 2], "noise": 0.1}
-    elif family == "gauss":
-        params = {
-            "centers": [[0.0, 0.0], [5.0, 1.0]],
-            "spreads": [0.6, 0.6],
-            "counts": [n // 2, n - n // 2],
-        }
-    elif family == "box":
-        params = {"n": n, "dims": [2.0, 2.0]}
-    else:
-        params = {"n": n, "embed_dim": 3}
-    spec = GeneratorSpec(
-        family=family, seed=seed, params=params, k=k,
-        n_prime=max(k, n_prime), epsilon=epsilon,
-    )
-    return generate(spec), family
 
 
 if __name__ == "__main__":

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DistanceMode, Instance, ScaledCluster, scale_exponent
-from .dual import Phase1Output
+from .geometry import DistanceMode, Instance, ScaledCluster, resolution_tolerance
 
 
 @dataclass
@@ -62,14 +61,6 @@ def conflict_witnesses(
     return [idx[i] for i in hits]
 
 
-def _resolution_tolerance(inst: Instance, alpha: np.ndarray, base: int) -> float:
-    scale = (
-        float(alpha.max(initial=0.0))
-        + base ** scale_exponent(base, inst.n) * inst.max_distance()
-    )
-    return 1e-9 * scale
-
-
 def run_phase2(
     inst: Instance,
     alpha: np.ndarray,
@@ -88,7 +79,7 @@ def run_phase2(
     cluster (lowest indices first) top the total up to exactly n'.
     """
     dmat = inst.distances()
-    tau = _resolution_tolerance(inst, alpha, base)
+    tau = resolution_tolerance(inst, alpha, base)
     order = sorted(range(len(clusters)), key=lambda i: (-clusters[i].scale_exp, i))
 
     anchors: list[ScaledCluster] = []
@@ -178,7 +169,7 @@ def check_connection_factors(
     """
     factor = 3.0 if inst.mode is DistanceMode.EXPLICIT_METRIC else 9.0
     dmat = inst.distances()
-    tau = _resolution_tolerance(inst, alpha, base)
+    tau = resolution_tolerance(inst, alpha, base)
     failures = []
     for ma in assignments:
         idx = sorted(ma.part)
@@ -192,9 +183,7 @@ def check_connection_factors(
     return failures
 
 
-def check_assignment_counts(
-    phase1: Phase1Output, assignments: list[MetaAssignment], n_prime: int
-) -> list[str]:
+def check_assignment_counts(assignments: list[MetaAssignment], n_prime: int) -> list[str]:
     """Parts must be pairwise disjoint and cover exactly n' points."""
     failures = []
     seen: set[int] = set()

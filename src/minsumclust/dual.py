@@ -21,21 +21,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Instance, ScaledCluster, scale_exponent
+from .geometry import Instance, ScaledCluster, scale_exponent, tightness_tolerance
 
 # Bisection for event times stops when the bracket shrinks below this
 # fraction of its initial width.
 EVENT_TIME_REL_TOL = 1e-12
-
-
-def tightness_tolerance(inst: Instance, lam: float, base: int) -> float:
-    """Absolute slack below which a constraint counts as tight.
-
-    Scaled by the largest possible single-constraint right-hand side so that
-    event ordering stays stable across instance magnitudes.
-    """
-    rhs_scale = inst.n * base ** scale_exponent(base, inst.n) * inst.max_distance()
-    return 1e-9 * (lam + rhs_scale)
 
 
 @dataclass
@@ -117,13 +107,7 @@ class NewTight:
 
 
 def _pair_scan(
-    state: DualState,
-    lam: float,
-    y: int,
-    exp: int,
-    require_active: bool,
-    tau: float,
-    shift: float = 0.0,
+    state: DualState, y: int, exp: int, require_active: bool, shift: float = 0.0
 ) -> tuple[float | None, list[int] | None]:
     """Exact scan of one (y, exp) family.
 
@@ -154,7 +138,7 @@ def _pair_scan(
     ordered = np.concatenate([np.asarray(forced, dtype=np.intp), rest])
     sums = np.cumsum(margins[ordered])
     best = float(sums[size_hi - 1])
-    threshold = lam - tau
+    threshold = state.lam - state.tau
     if best < threshold:
         return best, None
     size_min = max(size_lo, len(forced))
@@ -185,16 +169,14 @@ def _margin_bounds(state: DualState, shift: float = 0.0) -> list[np.ndarray]:
     return bounds
 
 
-def _screen(
-    state: DualState, lam: float, tau: float, shift: float
-) -> tuple[list[tuple[int, int]], float]:
+def _screen(state: DualState, shift: float) -> tuple[list[tuple[int, int]], float]:
     """Screen all (y, exp) pairs at the given shift.
 
     Returns the pairs whose upper bound reaches lam - tau, in scan order
     (ascending y, then exp), plus a safe lower bound on the extra uniform
     increase needed before any of the remaining, quiet pairs could fire.
     """
-    threshold = lam - tau
+    threshold = state.lam - state.tau
     n_active = int(state.active.sum())
     candidates: list[tuple[int, int]] = []
     quiet_for = np.inf
@@ -211,14 +193,13 @@ def _screen(
     return candidates, quiet_for
 
 
-def worst_slack(state: DualState, lam: float | None = None, shift: float = 0.0) -> float:
+def worst_slack(state: DualState, shift: float = 0.0) -> float:
     """Exact maximum of (margin sum - lam) over the scan family.
 
     Nonpositive values mean every dual constraint holds; values above the
     tightness tolerance mean a genuine violation.  The screen bounds are
     refined in decreasing order until the running maximum is certified.
     """
-    lam = state.lam if lam is None else float(lam)
     bounds = _margin_bounds(state, shift)
     flat_bound = np.concatenate(bounds)
     n = state.inst.n
@@ -229,12 +210,10 @@ def worst_slack(state: DualState, lam: float | None = None, shift: float = 0.0) 
     for pos in order:
         if flat_bound[pos] <= best:
             break
-        exact, _ = _pair_scan(
-            state, lam, int(ys[pos]), int(exps[pos]), False, tau=-np.inf, shift=shift
-        )
+        exact, _ = _pair_scan(state, int(ys[pos]), int(exps[pos]), False, shift)
         if exact is not None and exact > best:
             best = exact
-    return best - lam
+    return best - state.lam
 
 
 class _JoinIndex:
@@ -268,9 +247,7 @@ class _JoinIndex:
         return float(gaps[x]), x, int(self.cluster[x])
 
 
-def _fire_time(
-    state: DualState, lam: float, y: int, exp: int, tau: float, hi: float
-) -> float | None:
+def _fire_time(state: DualState, y: int, exp: int, hi: float) -> float | None:
     """Smallest uniform increment in [0, hi] at which (y, exp) fires.
 
     Bisection on the increment; the margin sum is nondecreasing in it.
@@ -278,7 +255,7 @@ def _fire_time(
     """
 
     def fires(shift: float) -> bool:
-        _, minimal = _pair_scan(state, lam, y, exp, True, tau, shift)
+        _, minimal = _pair_scan(state, y, exp, True, shift)
         return minimal is not None
 
     if fires(0.0):
@@ -297,11 +274,7 @@ def _fire_time(
 
 
 def _next_event(
-    state: DualState,
-    lam: float,
-    joins: _JoinIndex,
-    tau: float,
-    quiet_until: float | None,
+    state: DualState, joins: _JoinIndex, quiet_until: float | None
 ) -> tuple[float, JoinExisting | NewTight, float | None]:
     """Locate the next pause point of the uniform ascent.
 
@@ -311,7 +284,7 @@ def _next_event(
     point index wins, among tight constraints the scan order does.
     """
     if not state.active.any():
-        raise ValueError("no active points")
+        raise RuntimeError("no active points")
     current = float(state.alpha[state.active].max())
     join = joins.earliest(state)
     join_t = join[0] if join is not None else np.inf
@@ -323,16 +296,16 @@ def _next_event(
 
     # Some active singleton constraint fires once its dual reaches lam, so
     # the next tight time is at most max(0, lam - current).
-    cap = max(0.0, lam - current)
+    cap = max(0.0, state.lam - current)
     probe = min(join_t, cap)
-    candidates, quiet_for = _screen(state, lam, tau, probe)
+    candidates, quiet_for = _screen(state, probe)
 
     best_t: float | None = None
     best_pair: tuple[int, int] | None = None
     rejected = False
     for y, exp in candidates:
         limit = probe if best_t is None else best_t
-        t = _fire_time(state, lam, y, exp, tau, limit)
+        t = _fire_time(state, y, exp, limit)
         if t is None:
             rejected = True
         elif best_t is None or t < best_t:
@@ -349,25 +322,20 @@ def _next_event(
     if join is not None and join_t <= best_t:
         return join_t, JoinExisting(join[1], join[2]), quiet_until
     y, exp = best_pair
-    _, minimal = _pair_scan(state, lam, y, exp, True, tau, best_t)
+    _, minimal = _pair_scan(state, y, exp, True, best_t)
     if minimal is None:
         raise RuntimeError("tight constraint vanished at its own fire time")
     return best_t, NewTight(set(minimal), y, exp), None
 
 
 def next_event_increment(
-    state: DualState,
-    lam: float | None = None,
-    clusters: list[ScaledCluster] = (),
-    tau: float | None = None,
+    state: DualState, clusters: list[ScaledCluster] = ()
 ) -> tuple[float, JoinExisting | NewTight]:
     """Next pause of the ascent against the given candidate clusters."""
-    lam = state.lam if lam is None else float(lam)
-    tau = state.tau if tau is None else float(tau)
     joins = _JoinIndex(state)
     for i, c in enumerate(clusters):
         joins.add(state, i, c)
-    t, event, _ = _next_event(state, lam, joins, tau, None)
+    t, event, _ = _next_event(state, joins, None)
     return t, event
 
 
@@ -388,7 +356,7 @@ def run_phase1(inst: Instance, lam: float, base: int) -> Phase1Output:
     active_count = inst.n
 
     while active_count > target:
-        t, event, quiet_until = _next_event(state, lam, joins, state.tau, quiet_until)
+        t, event, quiet_until = _next_event(state, joins, quiet_until)
         if t > 0.0:
             state.alpha[state.active] += t
         if isinstance(event, JoinExisting):
@@ -410,18 +378,19 @@ def run_phase1(inst: Instance, lam: float, base: int) -> Phase1Output:
             active_count -= len(newly)
             joins.add(state, len(clusters) - 1, cluster)
 
-    _check_phase1(state, lam)
+    _check_phase1(state)
     return Phase1Output(alpha=state.alpha.copy(), clusters=clusters, overflow=overflow)
 
 
-def _check_phase1(state: DualState, lam: float) -> None:
-    """Postconditions of the ascent; failures indicate an internal bug."""
-    if state.active.any():
-        gamma = float(state.alpha.max())
-        worst = float(np.abs(state.alpha[state.active] - gamma).max())
-        if worst > state.tau + 1e-12 * max(1.0, gamma):
-            raise RuntimeError("active duals diverged from the uniform value")
-    slack = worst_slack(state, lam)
+def _check_phase1(state: DualState) -> None:
+    """Postconditions of the ascent; failures indicate an internal bug.
+
+    Active duals rise from zero by the same increments, so they are equal bit
+    for bit, and no frozen dual exceeds them.
+    """
+    if (state.alpha[state.active] != state.alpha.max()).any():
+        raise RuntimeError("active duals diverged from the uniform value")
+    slack = worst_slack(state)
     if slack > state.tau:
         raise RuntimeError(f"dual constraint violated by {slack:.3e} after ascent")
 

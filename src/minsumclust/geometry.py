@@ -1,4 +1,5 @@
-"""Distance models, exact min-sum cluster costs, and power-of-b scale arithmetic.
+"""Distance models, exact min-sum cluster costs, power-of-b scale arithmetic,
+and the numeric tolerances of the whole package.
 
 Everything here is a pure function over an immutable :class:`Instance`; the
 distance matrix is computed once and cached, so repeated calls are cheap and
@@ -12,10 +13,38 @@ from enum import Enum
 
 import numpy as np
 
-# Load-time tolerance for matrix sanity checks (symmetry, triangle inequality).
+# ---------------------------------------------------------------- tolerances
+# Every numeric tolerance of the package is decided in this block.
+#
+# Two derived floats agree when they differ by at most REL_TOL times the
+# largest magnitude in the comparison.  A float bound compared with an
+# integer count, or rounded to one, gets the absolute slack REL_TOL.
+REL_TOL = 1e-9
+# Checks on explicit distance matrices from outside the program (symmetry,
+# zero diagonal, sign, triangle inequality), relative to the largest entry.
 MATRIX_REL_TOL = 1e-6
-# Relative tolerance for float equality throughout the package.
-EQ_REL_TOL = 1e-9
+
+
+def tightness_tolerance(inst: Instance, lam: float, base: int) -> float:
+    """Absolute slack below which a dual constraint counts as tight.
+
+    REL_TOL of the largest right-hand side one constraint can have (lam plus
+    n points at the largest scaled distance), so event ordering stays stable
+    across instance magnitudes.
+    """
+    return REL_TOL * (lam + _largest_scaled_distance(inst, base, inst.n))
+
+
+def resolution_tolerance(inst: Instance, alpha: np.ndarray, base: int) -> float:
+    """Absolute slack of conflict resolution's comparisons of duals against
+    scaled distances: REL_TOL of the largest value either side can take."""
+    return REL_TOL * (float(alpha.max(initial=0.0)) + _largest_scaled_distance(inst, base))
+
+
+def _largest_scaled_distance(inst: Instance, base: int, copies: int = 1) -> float:
+    """``copies`` times the largest distance scaled by base**j, j the top
+    scale exponent of n points; the integer product is formed first."""
+    return copies * base ** scale_exponent(base, inst.n) * inst.max_distance()
 
 
 class DistanceMode(str, Enum):
@@ -108,8 +137,7 @@ def _validated_metric(mat: np.ndarray) -> np.ndarray:
         raise InstanceError("distance matrix must be square and nonempty")
     if not np.all(np.isfinite(mat)):
         raise InstanceError("distance matrix contains non-finite values")
-    scale = float(np.abs(mat).max()) if mat.size else 0.0
-    tol = MATRIX_REL_TOL * max(scale, 1e-300)
+    tol = MATRIX_REL_TOL * float(np.abs(mat).max())
     if np.abs(mat - mat.T).max() > tol:
         raise InstanceError("distance matrix is not symmetric")
     if np.abs(np.diagonal(mat)).max() > tol:

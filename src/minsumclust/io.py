@@ -6,6 +6,8 @@ doubles exactly, so saving and re-loading a result preserves all values.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .geometry import DistanceMode, Instance, InstanceError
@@ -92,8 +94,9 @@ def save_result(result: ClusteringResult, path) -> None:
 
 
 def load_result(path) -> ClusteringResult:
-    """Read a result file, checking its point indices and certificate
-    lengths against the n in its own header."""
+    """Read a result file, checking that every number parses and is finite,
+    and its point indices and certificate lengths against the n in its own
+    header."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [line.rstrip("\n") for line in fh if line.strip()]
     if not lines or lines[0] != RESULT_HEADER:
@@ -105,31 +108,31 @@ def load_result(path) -> ClusteringResult:
     for line in lines[1:]:
         key, _, rest = line.partition(" ")
         if key == "cluster":
-            clusters.append({int(v) for v in rest.split()})
+            clusters.append({_number(path, v, int) for v in rest.split()})
         elif key == "outliers":
-            outliers = {int(v) for v in rest.split()}
+            outliers = {_number(path, v, int) for v in rest.split()}
         elif key == "certificate":
-            certificates.append([float(v) for v in rest.split()])
+            certificates.append([_number(path, v) for v in rest.split()])
         else:
             scalars[key] = rest
     try:
-        n = int(scalars["n"])
+        n = _number(path, scalars["n"], int)
         result = ClusteringResult(
             clusters=clusters,
             outliers=outliers,
-            total_cost=float(scalars["total_cost"]),
-            lambda_low=float(scalars["lambda_low"]),
-            lambda_high=float(scalars["lambda_high"]),
-            rho1=float(scalars["rho1"]),
+            total_cost=_number(path, scalars["total_cost"]),
+            lambda_low=_number(path, scalars["lambda_low"]),
+            lambda_high=_number(path, scalars["lambda_high"]),
+            rho1=_number(path, scalars["rho1"]),
             branch=Branch(scalars["branch"]),
-            base=int(scalars["b"]),
-            c_eps=float(scalars["c_eps"]),
+            base=_number(path, scalars["b"], int),
+            c_eps=_number(path, scalars["c_eps"]),
             exact=scalars["exact"] == "1",
             mode=DistanceMode(scalars["mode"]),
             n=n,
-            k=int(scalars["k"]),
-            n_prime=int(scalars["n_prime"]),
-            epsilon=float(scalars["epsilon"]),
+            k=_number(path, scalars["k"], int),
+            n_prime=_number(path, scalars["n_prime"], int),
+            epsilon=_number(path, scalars["epsilon"]),
         )
     except KeyError as exc:
         raise FormatError(f"{path}: missing field {exc}") from None
@@ -144,6 +147,17 @@ def load_result(path) -> ClusteringResult:
             )
         result.certificates.append(DualCertificate(vals[0], np.asarray(vals[1:])))
     return result
+
+
+def _number(path, text: str, kind=float):
+    """``text`` read as a finite float, or as an int with ``kind=int``."""
+    try:
+        value = kind(text)
+    except ValueError:
+        raise FormatError(f"{path}: cannot read {text!r} as {kind.__name__}") from None
+    if not math.isfinite(value):
+        raise FormatError(f"{path}: non-finite number {text!r}")
+    return value
 
 
 def save_plot_data(inst: Instance, result: ClusteringResult, path) -> None:

@@ -16,8 +16,8 @@ import numpy as np
 
 from .assembly import check_size_windows
 from .conflicts import check_assignment_counts, check_connection_factors
-from .dual import DualState, tightness_tolerance, worst_slack, check_dual_support
-from .geometry import EQ_REL_TOL, Instance, cluster_cost, scale_exponent
+from .dual import DualState, worst_slack, check_dual_support
+from .geometry import REL_TOL, Instance, cluster_cost, scale_exponent, tightness_tolerance
 from .search import ClusteringResult, approx_bound
 
 # Exhaustive feasibility checking enumerates all subsets; keep it honest.
@@ -148,7 +148,7 @@ def verify_dual_feasible(
             base=int(base),
             tau=tau,
         )
-        worst = worst_slack(state, lam)
+        worst = worst_slack(state)
     return worst <= tau, worst
 
 
@@ -240,21 +240,27 @@ def audit(
         fail(f"{len(result.clusters)} clusters exceed k = {inst.k}")
     clustered = len(seen)
     lower = (1.0 - inst.epsilon) * inst.n_prime
-    if clustered > inst.n_prime or clustered < lower - 1e-9:
+    if clustered > inst.n_prime or clustered < lower - REL_TOL:
         fail(
             f"clustered {clustered} points outside "
             f"[{lower:.2f}, {inst.n_prime}]"
         )
 
     recomputed = sum(cluster_cost(inst, c) for c in result.clusters)
-    scale = max(abs(recomputed), abs(result.total_cost), 1e-300)
-    if abs(recomputed - result.total_cost) > EQ_REL_TOL * scale:
+    scale = max(abs(recomputed), abs(result.total_cost))
+    if not math.isfinite(result.total_cost):
+        fail(f"stored cost {result.total_cost!r} is not finite")
+    elif abs(recomputed - result.total_cost) > REL_TOL * scale:
         fail(
             f"stored cost {result.total_cost!r} disagrees with recomputation "
             f"{recomputed!r}"
         )
 
     for cert in result.certificates:
+        if not (math.isfinite(cert.lam) and np.isfinite(cert.alpha).all()):
+            report.dual_feasible = False
+            fail(f"dual certificate at lambda {cert.lam:.6g} holds a non-finite number")
+            continue
         feasible, slack = verify_dual_feasible(
             inst, cert.alpha, cert.lam, result.base, exhaustive=False
         )
@@ -270,7 +276,7 @@ def audit(
         if oracle_opt > 0.0:
             report.cost_ratio = result.total_cost / oracle_opt
         else:
-            report.cost_ratio = 1.0 if result.total_cost <= 1e-12 else np.inf
+            report.cost_ratio = 1.0 if result.total_cost == 0.0 else np.inf
         bound = approx_bound(inst.epsilon, result.base)
         if report.cost_ratio > bound:
             fail(
@@ -288,7 +294,7 @@ def _audit_internals(
         check_dual_support(inst, out.phase1.alpha, out.phase1.clusters, result.base, tau)
     )
     report.invariant_failures.extend(
-        check_assignment_counts(out.phase1, out.assignments, inst.n_prime)
+        check_assignment_counts(out.assignments, inst.n_prime)
     )
     report.invariant_failures.extend(
         check_connection_factors(inst, out.assignments, out.phase1.alpha, result.base)

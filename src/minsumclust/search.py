@@ -19,7 +19,7 @@ import numpy as np
 from .assembly import AssembledCluster, AssembledClustering, partition_evenly, run_phase3
 from .conflicts import MetaAssignment, run_phase2
 from .dual import Phase1Output, run_phase1
-from .geometry import DistanceMode, Instance, cluster_cost
+from .geometry import REL_TOL, DistanceMode, Instance, cluster_cost
 
 
 class Branch(str, Enum):
@@ -72,7 +72,6 @@ class ClusteringResult:
     n_prime: int
     epsilon: float
     certificates: list[DualCertificate] = field(default_factory=list)
-    probes: list[ProbeOutcome] = field(default_factory=list, repr=False)
     outcome: ProbeOutcome | None = field(default=None, repr=False)
 
     def clustered_count(self) -> int:
@@ -81,7 +80,7 @@ class ClusteringResult:
 
 def scale_base(epsilon: float) -> int:
     """Integer scale base: at least 2 and at least (1 + eps) / eps."""
-    return max(2, math.ceil((1.0 + epsilon) / epsilon - 1e-12))
+    return max(2, math.ceil((1.0 + epsilon) / epsilon - REL_TOL))
 
 
 def cost_constant(base: int) -> float:
@@ -111,7 +110,7 @@ def probe(inst: Instance, lam: float, base: int) -> ProbeOutcome:
     removed = False
     if clusters:
         smallest = min(range(len(clusters)), key=lambda i: (len(clusters[i].points), i))
-        if len(clusters[smallest].points) <= inst.epsilon * inst.n_prime / 3.0 + 1e-9:
+        if len(clusters[smallest].points) <= inst.epsilon * inst.n_prime / 3.0 + REL_TOL:
             del clusters[smallest]
             removed = True
     return ProbeOutcome(
@@ -155,32 +154,25 @@ def min_sum_clustering(
         return small_k_solver(inst, seed=seed)
 
     delta = 2.0 / ((n + k) * lam_top)
-    probes: list[ProbeOutcome] = []
-
-    def run(lam: float) -> ProbeOutcome:
-        out = probe(inst, lam, base)
-        probes.append(out)
-        return out
-
-    low = (0.0, run(0.0))
+    low = (0.0, probe(inst, 0.0, base))
     if low[1].k_prime <= k:
-        return _from_probe(inst, low[1], Branch.BIPOINT_HIGH, base, probes)
-    high = (lam_top, run(lam_top))
+        return _from_probe(inst, low[1], Branch.BIPOINT_HIGH, base)
+    high = (lam_top, probe(inst, lam_top, base))
     if high[1].k_prime > k:
         raise RuntimeError(
             "opening cost equal to the total pairwise cost still produced "
             f"{high[1].k_prime + 1} clusters"
         )
     if high[1].k_prime == k:
-        return _from_probe(inst, high[1], Branch.BIPOINT_HIGH, base, probes)
+        return _from_probe(inst, high[1], Branch.BIPOINT_HIGH, base)
 
     while high[0] - low[0] > delta:
         mid = (low[0] + high[0]) / 2.0
         if not low[0] < mid < high[0]:
             break  # float resolution exhausted before reaching delta
-        out = run(mid)
+        out = probe(inst, mid, base)
         if out.k_prime == k:
-            return _from_probe(inst, out, Branch.BIPOINT_HIGH, base, probes)
+            return _from_probe(inst, out, Branch.BIPOINT_HIGH, base)
         if out.k_prime > k:
             low = (mid, out)
         else:
@@ -214,7 +206,6 @@ def min_sum_clustering(
         lambda_high=high[0],
         rho1=rho1,
         certificates=certificates,
-        probes=probes,
         outcome=outcome,
         exact=False,
     )
@@ -238,11 +229,7 @@ def _split_to_k(clusters: list[set[int]], k: int) -> list[set[int]]:
 
 
 def _from_probe(
-    inst: Instance,
-    out: ProbeOutcome,
-    branch: Branch,
-    base: int,
-    probes: list[ProbeOutcome],
+    inst: Instance, out: ProbeOutcome, branch: Branch, base: int
 ) -> ClusteringResult:
     return _assemble_result(
         inst,
@@ -253,7 +240,6 @@ def _from_probe(
         lambda_high=out.lam,
         rho1=1.0,
         certificates=[DualCertificate(out.lam, out.phase1.alpha)],
-        probes=probes,
         outcome=out,
         exact=False,
     )
@@ -271,7 +257,6 @@ def _direct_result(
         lambda_high=0.0,
         rho1=1.0,
         certificates=[],
-        probes=[],
         outcome=None,
         exact=True,
     )
@@ -287,7 +272,6 @@ def _assemble_result(
     lambda_high: float,
     rho1: float,
     certificates: list[DualCertificate],
-    probes: list[ProbeOutcome],
     outcome: ProbeOutcome | None,
     exact: bool,
 ) -> ClusteringResult:
@@ -311,7 +295,6 @@ def _assemble_result(
         n_prime=inst.n_prime,
         epsilon=inst.epsilon,
         certificates=certificates,
-        probes=probes,
         outcome=outcome,
     )
 
@@ -338,7 +321,7 @@ def _local_search(inst: Instance, seed: int, restarts: int = 20) -> list[set[int
     dmat = inst.distances()
     n, k, n_prime = inst.n, inst.k, inst.n_prime
     rng = np.random.default_rng(seed)
-    tol = 1e-12 * max(1.0, float(dmat.max()))
+    tol = REL_TOL * max(1.0, float(dmat.max()))
     best_cost = np.inf
     best_labels: np.ndarray | None = None
 

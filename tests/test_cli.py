@@ -8,7 +8,7 @@ import pytest
 from minsumclust import cli
 from minsumclust.conflicts import AssignmentError
 
-SUBCOMMANDS = ["gen", "cluster", "verify", "oracle", "bench"]
+SUBCOMMANDS = ["gen", "cluster", "verify", "oracle"]
 # k > 4 / epsilon, so the primal-dual branch runs and certificates are saved
 CLUSTER_FLAGS = ["--k", "5", "--nprime", "11", "--epsilon", "1"]
 
@@ -104,8 +104,15 @@ def test_raised_alpha_fails_the_audit(solved, tmp_path, capsys):
     ("certificate", lambda line: "certificate", "certificate holds 0 numbers"),
     ("certificate", lambda line: line.rsplit(" ", 1)[0], "certificate holds 12 numbers"),
     ("certificate", lambda line: line + " 0", "certificate holds 14 numbers"),
+    ("total_cost", lambda line: "total_cost nan", "non-finite number 'nan'"),
+    ("total_cost", lambda line: "total_cost inf", "non-finite number 'inf'"),
+    ("certificate", lambda line: " ".join([*line.split()[:2], "nan", *line.split()[3:]]),
+     "non-finite number 'nan'"),
+    ("cluster", lambda line: line + " x", "cannot read 'x' as int"),
+    ("rho1", lambda line: "rho1 1..0", "cannot read '1..0' as float"),
 ], ids=["cluster-index", "outlier-index", "empty-certificate", "short-certificate",
-        "long-certificate"])
+        "long-certificate", "nan-cost", "inf-cost", "nan-alpha", "bad-index",
+        "bad-number"])
 def test_malformed_result_exits_two(solved, key, change, message, tmp_path, capsys):
     path = tampered(solved, tmp_path, key, change)
     code, _, err = run(capsys, "verify", "--input", solved.data, "--result", path)

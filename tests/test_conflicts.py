@@ -6,13 +6,12 @@ import pytest
 from minsumclust.conflicts import (
     AssignmentError,
     check_assignment_counts,
-    _resolution_tolerance,
     check_connection_factors,
     conflict_witnesses,
     run_phase2,
 )
 from minsumclust.dual import run_phase1
-from minsumclust.geometry import DistanceMode, Instance, ScaledCluster
+from minsumclust.geometry import DistanceMode, Instance, ScaledCluster, resolution_tolerance
 
 
 def line_instance(*xs, k=1, n_prime=None, eps=1.0):
@@ -132,7 +131,7 @@ class TestRunPhase2:
         lam = float(rng.uniform(0.05, 1.5))
         p1 = run_phase1(inst, lam, base)
         out = run_phase2(inst, p1.alpha, p1.clusters, p1.overflow, n_prime, base)
-        assert check_assignment_counts(p1, out, n_prime) == []
+        assert check_assignment_counts(out, n_prime) == []
         assert check_connection_factors(inst, out, p1.alpha, base) == []
 
     def test_anchors_form_independent_set(self):
@@ -148,7 +147,7 @@ class TestRunPhase2:
         for ma in out:
             if not ma.anchor_is_overflow and all(ma.anchor is not a for a in anchors):
                 anchors.append(ma.anchor)
-        tau = _resolution_tolerance(inst, p1.alpha, base)
+        tau = resolution_tolerance(inst, p1.alpha, base)
         for i, a in enumerate(anchors):
             for b in anchors[i + 1 :]:
                 assert not conflict_witnesses(a, b, p1.alpha, inst.distances(), base, tau)

@@ -16,7 +16,6 @@ from minsumclust.dual import (
     check_dual_support,
     next_event_increment,
     run_phase1,
-    tightness_tolerance,
     worst_slack,
 )
 from minsumclust.geometry import (
@@ -24,6 +23,7 @@ from minsumclust.geometry import (
     Instance,
     ScaledCluster,
     scale_exponent,
+    tightness_tolerance,
 )
 
 
@@ -108,13 +108,13 @@ class TestDetectViolation:
         maxd = inst.max_distance()
         lam = inst.n * inst.n * maxd * 1.01
         state = state_for(inst, lam, 2, alpha=np.full(3, maxd))
-        t, _ = next_event_increment(state, lam)
+        t, _ = next_event_increment(state)
         assert t > 0.0
 
     def test_reported_pair_violation(self):
         inst = line_instance(0.0, 0.1, 5.0)
         state = state_for(inst, 1.0, 2, alpha=[0.6, 0.6, 0.0])
-        t, v = next_event_increment(state, 1.0)
+        t, v = next_event_increment(state)
         assert t == 0.0
         assert v.members == {0, 1} and v.center == 0 and v.scale_exp == 1
         # lhs 1.2 against rhs 1 + 2 * 0.01
@@ -146,7 +146,7 @@ class TestDetectViolation:
             active[0] = True
         tau = tightness_tolerance(inst, lam, base)
         state = state_for(inst, lam, base, alpha=alpha, active=active)
-        t, got = next_event_increment(state, lam)
+        t, got = next_event_increment(state)
         want = enumerate_violation(inst, alpha, active, lam, base, tau)
         assert (t == 0.0) == (want is not None)
         if t == 0.0:
@@ -189,7 +189,7 @@ class TestNextEvent:
     def test_requires_active_points(self):
         inst = line_instance(0.0, 1.0)
         state = state_for(inst, 1.0, 2, active=[False, False])
-        with pytest.raises(ValueError):
+        with pytest.raises(RuntimeError, match="no active points"):
             next_event_increment(state)
 
 
@@ -283,14 +283,14 @@ class TestRunPhase1:
         out = run_phase1(inst, lam, 3)
         state = DualState.fresh(inst, lam, 3)
         state.alpha = out.alpha
-        assert worst_slack(state, lam) <= state.tau
+        assert worst_slack(state) <= state.tau
 
 
 class TestWorstSlack:
     def test_zero_state_slack_is_minus_lambda_at_most(self):
         inst = line_instance(0.0, 1.0)
         state = state_for(inst, 2.0, 2)
-        assert worst_slack(state, 2.0) == pytest.approx(-2.0)
+        assert worst_slack(state) == pytest.approx(-2.0)
 
     def test_matches_enumeration(self):
         for seed in range(15):
@@ -304,7 +304,7 @@ class TestWorstSlack:
             lam = float(rng.uniform(0, 2))
             base = 2
             state = state_for(inst, lam, base, alpha=alpha)
-            fast = worst_slack(state, lam)
+            fast = worst_slack(state)
             # exhaustive worst slack over all (subset, center) constraints
             dmat = inst.distances()
             worst = -np.inf

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from minsumclust.dual import run_phase1, tightness_tolerance
-from minsumclust.geometry import DistanceMode, Instance
+from minsumclust.dual import run_phase1
+from minsumclust.geometry import DistanceMode, Instance, tightness_tolerance
 from minsumclust.oracle import (
     OracleError,
     audit,
@@ -172,6 +172,25 @@ class TestAudit:
         res.certificates[0].alpha = res.certificates[0].alpha + 100.0
         report = audit(inst, res)
         assert not report.dual_feasible
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_cost_fails(self, value):
+        inst = line_instance(0.0, 0.1, 5.0, 5.1, k=2)
+        res = min_sum_clustering(inst)
+        res.total_cost = value
+        report = audit(inst, res)
+        assert not report.ok
+        assert any("is not finite" in m for m in report.invariant_failures)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_certificate_fails(self, value):
+        inst = line_instance(0.0, 0.1, 5.0, 5.1, k=2)
+        res = min_sum_clustering(inst, force_primal_dual=True)
+        res.certificates[0].alpha = res.certificates[0].alpha.copy()
+        res.certificates[0].alpha[1] = value
+        report = audit(inst, res)
+        assert not report.ok and not report.dual_feasible
+        assert any("non-finite" in m for m in report.invariant_failures)
 
     def test_report_lines_render(self):
         inst = line_instance(0.0, 0.1, 5.0, 5.1, k=2)

@@ -169,6 +169,31 @@ class TestMinSumClustering:
         assert a.total_cost == b.total_cost
         assert a.lambda_low == b.lambda_low and a.lambda_high == b.lambda_high
 
+    @pytest.mark.parametrize("seed", range(21))
+    def test_lambda_bracket_holds_at_its_endpoints(self, seed):
+        # The bisection needs k'(low) > k >= k'(high) only at the endpoints it
+        # returns, not monotonicity of k' in lambda.  Equal groups at the
+        # vertices of a simplex merge together, so k' jumps past k and most
+        # seeds end on two distinct endpoints; random points mostly hit k.
+        rng = np.random.default_rng(seed)
+        dim, per = [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2), (5, 2)][seed % 7]
+        pts = rng.uniform(0.5, 3.0) * simplex_groups(dim, per)[rng.permutation((dim + 1) * per)]
+        n, k = len(pts), int(rng.integers(1, dim + 1))
+        params = dict(k=k, n_prime=n - int(rng.integers(0, 2)), epsilon=float(rng.choice([0.5, 1.0])))
+        if seed % 2:
+            dmat = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(axis=-1))
+            inst = Instance(mode="metric", dist_matrix=dmat, **params)
+        else:
+            inst = Instance(mode="sqeuclid", points=pts, **params)
+        res = min_sum_clustering(inst, force_primal_dual=True)
+        assert res.branch in (Branch.BIPOINT_LOW, Branch.BIPOINT_HIGH)
+        low = probe(inst, res.lambda_low, res.base).k_prime
+        high = probe(inst, res.lambda_high, res.base).k_prime
+        if res.lambda_low == res.lambda_high:
+            assert low <= k
+        else:
+            assert low > k >= high
+
 
 class TestSplitToK:
     def test_peels_singletons_from_largest(self):
