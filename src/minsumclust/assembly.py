@@ -18,20 +18,18 @@ from .conflicts import MetaAssignment
 class AssembledCluster:
     points: set[int]
     scale_exp: int
-    center: int
-    anchor_created: int
     from_top_bucket: bool
     anchor_is_overflow: bool
 
 
 @dataclass
 class AssembledClustering:
-    """Phase-3 output: final clusters, discarded points, per-anchor counts."""
+    """Phase-3 output: final clusters, discarded points, and per discard the
+    anchor's creation index, the bucket's scale and the points."""
 
     clusters: list[AssembledCluster]
     discarded: set[int]
     discard_events: list[tuple[int, int, frozenset[int]]] = field(default_factory=list)
-    per_anchor_counts: dict[int, dict[int, int]] = field(default_factory=dict)
 
 
 def partition_evenly(members, m: int) -> list[set[int]]:
@@ -67,17 +65,10 @@ def run_phase3(assignments: list[MetaAssignment], base: int) -> AssembledCluster
     clusters: list[AssembledCluster] = []
     discarded: set[int] = set()
     discard_events: list[tuple[int, int, frozenset[int]]] = []
-    per_anchor_counts: dict[int, dict[int, int]] = {}
 
     for key in sorted(by_anchor):
         first, group = by_anchor[key]
-        anchor = first.anchor
-        p = anchor.scale_exp
-        counts: dict[int, int] = {}
-        for ma in group:
-            counts[ma.part_scale] = counts.get(ma.part_scale, 0) + len(ma.part)
-        per_anchor_counts[key] = counts
-
+        p = first.anchor.scale_exp
         top: set[int] = set()
         low: dict[int, set[int]] = {}
         for ma in group:
@@ -86,46 +77,24 @@ def run_phase3(assignments: list[MetaAssignment], base: int) -> AssembledCluster
             else:
                 low.setdefault(ma.part_scale, set()).update(ma.part)
 
-        if top:
-            opened = max(1, len(top) // base ** (2 + p))
-            for piece in partition_evenly(top, opened):
-                clusters.append(
-                    AssembledCluster(
-                        points=piece,
-                        scale_exp=p,
-                        center=anchor.center,
-                        anchor_created=key,
-                        from_top_bucket=True,
-                        anchor_is_overflow=first.anchor_is_overflow,
-                    )
-                )
-
-        for scale in sorted(low):
-            bucket = low[scale]
-            capacity = base ** (2 + scale)
-            opened = len(bucket) // capacity
-            if opened >= 1:
-                for piece in partition_evenly(bucket, opened):
-                    clusters.append(
-                        AssembledCluster(
-                            points=piece,
-                            scale_exp=scale,
-                            center=anchor.center,
-                            anchor_created=key,
-                            from_top_bucket=False,
-                            anchor_is_overflow=first.anchor_is_overflow,
-                        )
-                    )
-            else:
+        # The top bucket always opens at least one cluster; a low bucket
+        # that cannot fill one is discarded.
+        buckets = [(p, top, True)] if top else []
+        buckets += [(scale, low[scale], False) for scale in sorted(low)]
+        for scale, bucket, from_top in buckets:
+            opened = len(bucket) // base ** (2 + scale)
+            if from_top:
+                opened = max(1, opened)
+            if opened == 0:
                 discarded |= bucket
                 discard_events.append((key, scale, frozenset(bucket)))
+                continue
+            for piece in partition_evenly(bucket, opened):
+                clusters.append(
+                    AssembledCluster(piece, scale, from_top, first.anchor_is_overflow)
+                )
 
-    return AssembledClustering(
-        clusters=clusters,
-        discarded=discarded,
-        discard_events=discard_events,
-        per_anchor_counts=per_anchor_counts,
-    )
+    return AssembledClustering(clusters, discarded, discard_events)
 
 
 def check_size_windows(

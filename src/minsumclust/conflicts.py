@@ -26,15 +26,14 @@ from .geometry import DistanceMode, Instance, ScaledCluster, resolution_toleranc
 class MetaAssignment:
     """One (anchor, part) pair produced by conflict resolution.
 
-    ``part_scale`` is the scale exponent of the cluster the part came from,
-    ``part_center`` the anchor's center.  Parts are pairwise disjoint and
-    their sizes sum to exactly n'.
+    ``part_scale`` is the scale exponent of the cluster the part came from;
+    the part connects to the anchor's center.  Parts are pairwise disjoint
+    and their sizes sum to exactly n'.
     """
 
     anchor: ScaledCluster
     part: set[int]
     part_scale: int
-    part_center: int
     anchor_is_overflow: bool = False
 
 
@@ -104,7 +103,6 @@ def run_phase2(
                     anchor=cluster,
                     part=set(cluster.members),
                     part_scale=cluster.scale_exp,
-                    part_center=cluster.center,
                 )
             )
             anchors.append(cluster)
@@ -120,7 +118,6 @@ def run_phase2(
                         anchor=blocker,
                         part=part,
                         part_scale=cluster.scale_exp,
-                        part_center=blocker.center,
                     )
                 )
                 assigned |= part
@@ -142,7 +139,6 @@ def run_phase2(
                 anchor=overflow,
                 part=top_up,
                 part_scale=overflow.scale_exp,
-                part_center=overflow.center,
                 anchor_is_overflow=True,
             )
         )
@@ -173,7 +169,7 @@ def check_connection_factors(
     failures = []
     for ma in assignments:
         idx = sorted(ma.part)
-        need = float(base**ma.part_scale) * dmat[idx, ma.part_center] / factor
+        need = float(base**ma.part_scale) * dmat[idx, ma.anchor.center] / factor
         bad = np.flatnonzero(alpha[idx] < need - tau)
         for pos in bad:
             failures.append(

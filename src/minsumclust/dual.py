@@ -152,8 +152,7 @@ def _margin_bounds(state: DualState, shift: float = 0.0) -> list[np.ndarray]:
 
     The bound sums the largest admissible number of nonnegative margins in
     the row (ignoring the forcing rules and the size floor), so it dominates
-    the exact value at this shift, and it grows with the shift at rate at
-    most min(base**(exp+1) - 1, #active).
+    the exact value at this shift.
     """
     alpha = state.raised_alpha(shift)
     n = alpha.size
@@ -169,28 +168,15 @@ def _margin_bounds(state: DualState, shift: float = 0.0) -> list[np.ndarray]:
     return bounds
 
 
-def _screen(state: DualState, shift: float) -> tuple[list[tuple[int, int]], float]:
-    """Screen all (y, exp) pairs at the given shift.
-
-    Returns the pairs whose upper bound reaches lam - tau, in scan order
-    (ascending y, then exp), plus a safe lower bound on the extra uniform
-    increase needed before any of the remaining, quiet pairs could fire.
-    """
+def _screen(state: DualState, shift: float) -> list[tuple[int, int]]:
+    """The (y, exp) pairs whose upper bound at the given shift reaches
+    lam - tau, in scan order (ascending y, then exp)."""
     threshold = state.lam - state.tau
-    n_active = int(state.active.sum())
     candidates: list[tuple[int, int]] = []
-    quiet_for = np.inf
     for exp, bound in enumerate(_margin_bounds(state, shift)):
-        fired = np.flatnonzero(bound >= threshold)
-        candidates.extend((int(y), exp) for y in fired)
-        rate = min(state.base ** (exp + 1) - 1, n_active)
-        if rate > 0:
-            deficit = threshold - bound
-            quiet = deficit[deficit > 0.0]
-            if quiet.size:
-                quiet_for = min(quiet_for, float(quiet.min()) / rate)
+        candidates.extend((int(y), exp) for y in np.flatnonzero(bound >= threshold))
     candidates.sort()
-    return candidates, quiet_for
+    return candidates
 
 
 def worst_slack(state: DualState, shift: float = 0.0) -> float:
@@ -274,58 +260,40 @@ def _fire_time(state: DualState, y: int, exp: int, hi: float) -> float | None:
 
 
 def _next_event(
-    state: DualState, joins: _JoinIndex, quiet_until: float | None
-) -> tuple[float, JoinExisting | NewTight, float | None]:
+    state: DualState, joins: _JoinIndex
+) -> tuple[float, JoinExisting | NewTight]:
     """Locate the next pause point of the uniform ascent.
 
-    Returns (increment, event, quiet_until) where quiet_until is an absolute
-    dual value below which no constraint can go tight, used to skip the
-    screen on later calls.  Join events win ties; among joins the smallest
-    point index wins, among tight constraints the scan order does.
+    Returns (increment, event).  Join events win ties; among joins the
+    smallest point index wins, among tight constraints the scan order does.
     """
     if not state.active.any():
         raise RuntimeError("no active points")
     current = float(state.alpha[state.active].max())
     join = joins.earliest(state)
     join_t = join[0] if join is not None else np.inf
-
     if join is not None and join_t <= 0.0:
-        return 0.0, JoinExisting(join[1], join[2]), quiet_until
-    if join is not None and quiet_until is not None and current + join_t <= quiet_until:
-        return join_t, JoinExisting(join[1], join[2]), quiet_until
+        return 0.0, JoinExisting(join[1], join[2])
 
     # Some active singleton constraint fires once its dual reaches lam, so
     # the next tight time is at most max(0, lam - current).
-    cap = max(0.0, state.lam - current)
-    probe = min(join_t, cap)
-    candidates, quiet_for = _screen(state, probe)
-
+    probe = min(join_t, max(0.0, state.lam - current))
     best_t: float | None = None
     best_pair: tuple[int, int] | None = None
-    rejected = False
-    for y, exp in candidates:
-        limit = probe if best_t is None else best_t
-        t = _fire_time(state, y, exp, limit)
-        if t is None:
-            rejected = True
-        elif best_t is None or t < best_t:
+    for y, exp in _screen(state, probe):
+        t = _fire_time(state, y, exp, probe if best_t is None else best_t)
+        if t is not None and (best_t is None or t < best_t):
             best_t, best_pair = t, (y, exp)
 
-    if best_t is None:
-        if join is None or probe < join_t:
-            raise RuntimeError("ascent found no event below its guaranteed cap")
-        # No constraint fires up to the join time; pairs the screen rejected
-        # cannot fire before it either, so the quiet window extends past it.
-        offset = 0.0 if rejected else quiet_for
-        return join_t, JoinExisting(join[1], join[2]), current + join_t + offset
-
-    if join is not None and join_t <= best_t:
-        return join_t, JoinExisting(join[1], join[2]), quiet_until
+    if best_t is None and probe < join_t:
+        raise RuntimeError("ascent found no event below its guaranteed cap")
+    if join is not None and (best_t is None or join_t <= best_t):
+        return join_t, JoinExisting(join[1], join[2])
     y, exp = best_pair
     _, minimal = _pair_scan(state, y, exp, True, best_t)
     if minimal is None:
         raise RuntimeError("tight constraint vanished at its own fire time")
-    return best_t, NewTight(set(minimal), y, exp), None
+    return best_t, NewTight(set(minimal), y, exp)
 
 
 def next_event_increment(
@@ -335,8 +303,7 @@ def next_event_increment(
     joins = _JoinIndex(state)
     for i, c in enumerate(clusters):
         joins.add(state, i, c)
-    t, event, _ = _next_event(state, joins, None)
-    return t, event
+    return _next_event(state, joins)
 
 
 def run_phase1(inst: Instance, lam: float, base: int) -> Phase1Output:
@@ -352,31 +319,28 @@ def run_phase1(inst: Instance, lam: float, base: int) -> Phase1Output:
     clusters: list[ScaledCluster] = []
     overflow: ScaledCluster | None = None
     joins = _JoinIndex(state)
-    quiet_until: float | None = None
     active_count = inst.n
 
     while active_count > target:
-        t, event, quiet_until = _next_event(state, joins, quiet_until)
+        t, event = _next_event(state, joins)
         if t > 0.0:
             state.alpha[state.active] += t
         if isinstance(event, JoinExisting):
             clusters[event.cluster].members.add(event.point)
             state.active[event.point] = False
             active_count -= 1
-        else:
-            newly = [x for x in event.members if state.active[x]]
-            if active_count - len(newly) < target:
-                overflow = ScaledCluster(
-                    set(event.members), event.scale_exp, event.center, len(clusters)
-                )
-                break
-            cluster = ScaledCluster(
-                set(event.members), event.scale_exp, event.center, len(clusters)
-            )
-            clusters.append(cluster)
-            state.active[list(event.members)] = False
-            active_count -= len(newly)
-            joins.add(state, len(clusters) - 1, cluster)
+            continue
+        cluster = ScaledCluster(
+            set(event.members), event.scale_exp, event.center, len(clusters)
+        )
+        newly = [x for x in event.members if state.active[x]]
+        if active_count - len(newly) < target:
+            overflow = cluster
+            break
+        clusters.append(cluster)
+        state.active[list(event.members)] = False
+        active_count -= len(newly)
+        joins.add(state, len(clusters) - 1, cluster)
 
     _check_phase1(state)
     return Phase1Output(alpha=state.alpha.copy(), clusters=clusters, overflow=overflow)

@@ -117,6 +117,8 @@ def load_result(path) -> ClusteringResult:
             scalars[key] = rest
     try:
         n = _number(path, scalars["n"], int)
+        if scalars["exact"] not in ("0", "1"):
+            raise FormatError(f"{path}: exact flag {scalars['exact']!r} is not 0 or 1")
         result = ClusteringResult(
             clusters=clusters,
             outliers=outliers,

@@ -18,7 +18,7 @@ from .assembly import check_size_windows
 from .conflicts import check_assignment_counts, check_connection_factors
 from .dual import DualState, worst_slack, check_dual_support
 from .geometry import REL_TOL, Instance, cluster_cost, scale_exponent, tightness_tolerance
-from .search import ClusteringResult, approx_bound
+from .search import ClusteringResult, approx_bound, scale_base
 
 # Exhaustive feasibility checking enumerates all subsets; keep it honest.
 EXHAUSTIVE_MAX_N = 12
@@ -220,9 +220,15 @@ def audit(
     Structural checks (disjointness, counts, recomputed cost) always run;
     dual feasibility runs when certificates are present; the per-phase
     guarantees run when the result still carries its pipeline internals.
+    Every check uses the scale base of the instance's epsilon, not the base
+    the result states, which must agree with it.
     """
     report = AuditReport()
     fail = report.invariant_failures.append
+    base = scale_base(inst.epsilon)
+    if result.base != base:
+        fail(f"result states scale base {result.base}, but epsilon "
+             f"{inst.epsilon:g} gives base {base}")
 
     seen: set[int] = set()
     for i, c in enumerate(result.clusters):
@@ -262,7 +268,7 @@ def audit(
             fail(f"dual certificate at lambda {cert.lam:.6g} holds a non-finite number")
             continue
         feasible, slack = verify_dual_feasible(
-            inst, cert.alpha, cert.lam, result.base, exhaustive=False
+            inst, cert.alpha, cert.lam, base, exhaustive=False
         )
         report.worst_constraint_slack = max(report.worst_constraint_slack, slack)
         if not feasible:
@@ -270,14 +276,14 @@ def audit(
             fail(f"dual certificate at lambda {cert.lam:.6g} is infeasible")
 
     if result.outcome is not None:
-        _audit_internals(inst, result, report)
+        _audit_internals(inst, result, base, report)
 
     if oracle_opt is not None:
         if oracle_opt > 0.0:
             report.cost_ratio = result.total_cost / oracle_opt
         else:
             report.cost_ratio = 1.0 if result.total_cost == 0.0 else np.inf
-        bound = approx_bound(inst.epsilon, result.base)
+        bound = approx_bound(inst.epsilon, base)
         if report.cost_ratio > bound:
             fail(
                 f"cost ratio {report.cost_ratio:.4g} exceeds the guarantee {bound:.4g}"
@@ -286,21 +292,21 @@ def audit(
 
 
 def _audit_internals(
-    inst: Instance, result: ClusteringResult, report: AuditReport
+    inst: Instance, result: ClusteringResult, base: int, report: AuditReport
 ) -> None:
     out = result.outcome
-    tau = tightness_tolerance(inst, out.lam, result.base)
+    tau = tightness_tolerance(inst, out.lam, base)
     report.invariant_failures.extend(
-        check_dual_support(inst, out.phase1.alpha, out.phase1.clusters, result.base, tau)
+        check_dual_support(inst, out.phase1.alpha, out.phase1.clusters, base, tau)
     )
     report.invariant_failures.extend(
         check_assignment_counts(out.assignments, inst.n_prime)
     )
     report.invariant_failures.extend(
-        check_connection_factors(inst, out.assignments, out.phase1.alpha, result.base)
+        check_connection_factors(inst, out.assignments, out.phase1.alpha, base)
     )
     report.size_bound_violations.extend(
-        check_size_windows(out.assembled, result.base, inst.n_prime)
+        check_size_windows(out.assembled, base, inst.n_prime)
     )
     report.discarded_count = len(out.assembled.discarded)
-    report.discard_bound = inst.n_prime / (result.base - 1)
+    report.discard_bound = inst.n_prime / (base - 1)

