@@ -10,13 +10,17 @@ grid therefore detects tightness exactly.
 The ascent itself is event driven: all active duals rise at unit rate until
 either an active point can afford to join an existing candidate cluster
 (computed exactly) or some constraint goes tight (located by bisection on
-the uniform increment, which is monotone).  A vectorized screen computes
-cheap upper bounds for every (y, j) pair so that the exact, sorted scan only
-runs on the few pairs that can actually fire.
+the uniform increment, which is monotone).  Before any exact scan, a
+vectorized screen drops every (y, j) pair that cannot fire by the next
+pause: its margin bound falls short of lam - tau, C(y, j) holds fewer than
+base**j points, or y is inactive and C(y, j) holds no active point.  The
+screen only rules pairs out; the exact, sorted scan decides every pair it
+passes.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -124,17 +128,20 @@ def _pair_scan(
     size_lo = base**exp
     if members.size < size_lo:
         return None, None
-    order = members[np.lexsort((members, -margins[members]))]
+    # members ascend, so the stable sort breaks margin ties by point index
+    order = members[np.argsort(-margins[members], kind="stable")]
     forced = [y]
+    unforced = order != y
     if require_active and not state.active[y]:
         active_members = order[state.active[order]]
         if active_members.size == 0:
             return None, None
         forced.append(int(active_members[0]))
+        unforced &= order != forced[1]
     size_hi = min(members.size, base ** (exp + 1) - 1)
-    if size_hi < size_lo or size_hi < len(forced):
+    if size_hi < len(forced):
         return None, None
-    rest = order[~np.isin(order, forced)]
+    rest = order[unforced]
     ordered = np.concatenate([np.asarray(forced, dtype=np.intp), rest])
     sums = np.cumsum(margins[ordered])
     best = float(sums[size_hi - 1])
@@ -144,37 +151,54 @@ def _pair_scan(
     size_min = max(size_lo, len(forced))
     first = int(np.searchsorted(sums, threshold, side="left")) + 1
     take = min(max(first, size_min), size_hi)
-    return best, [int(i) for i in ordered[:take]]
+    return best, ordered[:take].tolist()
 
 
-def _margin_bounds(state: DualState, shift: float = 0.0) -> list[np.ndarray]:
-    """Per scale exponent, an upper bound on each row's best margin sum.
+def _margin_bounds(
+    state: DualState, shift: float = 0.0
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Per scale exponent, in order, the candidate-list mask of every row and
+    an upper bound on each row's best margin sum, at the given shift.
 
-    The bound sums the largest admissible number of nonnegative margins in
-    the row (ignoring the forcing rules and the size floor), so it dominates
-    the exact value at this shift.
+    ``in_list[y, x]`` says x is in C(y, exp), that is its margin is
+    nonnegative.  The bound sums the largest admissible number of nonnegative
+    margins in the row (ignoring the forcing rules), so it dominates the
+    exact value at this shift.  A row with fewer than base**exp candidates
+    admits no set at all and gets the bound -inf; ``_pair_scan`` reads the
+    same floats and returns None for it.
     """
     alpha = state.raised_alpha(shift)
     n = alpha.size
-    bounds = []
     for exp in range(state.max_exp() + 1):
         margins = alpha[None, :] - state.scaled_dists(exp)
+        in_list = margins >= 0.0
         pos = np.clip(margins, 0.0, None)
         cap = state.base ** (exp + 1) - 1
         if cap >= n:
-            bounds.append(pos.sum(axis=1))
+            bound = pos.sum(axis=1)
         else:
-            bounds.append(np.partition(pos, n - cap, axis=1)[:, n - cap :].sum(axis=1))
-    return bounds
+            bound = np.partition(pos, n - cap, axis=1)[:, n - cap :].sum(axis=1)
+        bound[np.count_nonzero(in_list, axis=1) < state.base**exp] = -np.inf
+        yield in_list, bound
 
 
 def _screen(state: DualState, shift: float) -> list[tuple[int, int]]:
-    """The (y, exp) pairs whose upper bound at the given shift reaches
-    lam - tau, in scan order (ascending y, then exp)."""
+    """The (y, exp) pairs that may fire by the given shift, in scan order
+    (ascending y, then exp).
+
+    A pair passes when its margin bound reaches lam - tau, its candidate list
+    holds at least base**exp points, and, if y is inactive, the list holds an
+    active point.  Margins only fall as the shift drops, so a rejected pair
+    has no qualifying prefix at any smaller shift either.  Passing is
+    necessary, not sufficient: a passed pair may fire only after another
+    pair does, or not at all.
+    """
     threshold = state.lam - state.tau
     candidates: list[tuple[int, int]] = []
-    for exp, bound in enumerate(_margin_bounds(state, shift)):
-        candidates.extend((int(y), exp) for y in np.flatnonzero(bound >= threshold))
+    for exp, (in_list, bound) in enumerate(_margin_bounds(state, shift)):
+        reaches_active = in_list[:, state.active].any(axis=1)
+        keep = (bound >= threshold) & (state.active | reaches_active)
+        candidates.extend((int(y), exp) for y in np.flatnonzero(keep))
     candidates.sort()
     return candidates
 
@@ -186,7 +210,7 @@ def worst_slack(state: DualState, shift: float = 0.0) -> float:
     tightness tolerance mean a genuine violation.  The screen bounds are
     refined in decreasing order until the running maximum is certified.
     """
-    bounds = _margin_bounds(state, shift)
+    bounds = [bound for _, bound in _margin_bounds(state, shift)]
     flat_bound = np.concatenate(bounds)
     n = state.inst.n
     ys = np.tile(np.arange(n), len(bounds))

@@ -18,7 +18,7 @@ from .assembly import check_size_windows
 from .conflicts import check_assignment_counts, check_connection_factors
 from .dual import DualState, worst_slack, check_dual_support
 from .geometry import REL_TOL, Instance, cluster_cost, scale_exponent, tightness_tolerance
-from .search import ClusteringResult, approx_bound, scale_base
+from .search import ClusteringResult, approx_bound, cost_constant, scale_base
 
 # Exhaustive feasibility checking enumerates all subsets; keep it honest.
 EXHAUSTIVE_MAX_N = 12
@@ -221,7 +221,7 @@ def audit(
     dual feasibility runs when certificates are present; the per-phase
     guarantees run when the result still carries its pipeline internals.
     Every check uses the scale base of the instance's epsilon, not the base
-    the result states, which must agree with it.
+    the result states; the stated base and cost constant must agree with it.
     """
     report = AuditReport()
     fail = report.invariant_failures.append
@@ -229,6 +229,10 @@ def audit(
     if result.base != base:
         fail(f"result states scale base {result.base}, but epsilon "
              f"{inst.epsilon:g} gives base {base}")
+    constant = cost_constant(base)
+    if result.c_eps != constant:
+        fail(f"result states c_eps {result.c_eps:.17g}, but base {base} "
+             f"gives {constant:.17g}")
 
     seen: set[int] = set()
     for i, c in enumerate(result.clusters):

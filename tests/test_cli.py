@@ -106,6 +106,13 @@ def test_edited_base_fails_the_audit(solved, tmp_path, capsys):
     assert "result states scale base 3, but epsilon 1 gives base 2" in out
 
 
+def test_edited_cost_constant_fails_the_audit(solved, tmp_path, capsys):
+    path = tampered(solved, tmp_path, "c_eps", lambda line: "c_eps 1")
+    code, out, _ = run(capsys, "verify", "--input", solved.data, "--result", path)
+    assert code == 1
+    assert "result states c_eps 1, but base 2 gives 144" in out
+
+
 @pytest.mark.parametrize("key, change, message", [
     ("cluster", lambda line: line + " 12", "point index 12 outside [0, 12)"),
     ("outliers", lambda line: line + " -1", "point index -1 outside [0, 12)"),

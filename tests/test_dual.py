@@ -2,17 +2,23 @@
 
 Candidate lists and tightness are observed through ``next_event_increment``,
 the one entry into the ascent's event engine short of a full phase run.
+The screen is checked directly against the exact pair scan, on states
+recorded mid-ascent.
 """
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from minsumclust import dual
 from minsumclust.dual import (
     DualState,
     JoinExisting,
     NewTight,
+    _pair_scan,
+    _screen,
     check_dual_support,
     next_event_increment,
     run_phase1,
@@ -320,3 +326,54 @@ class TestWorstSlack:
             assert fast <= worst + 1e-12
             tau = tightness_tolerance(inst, lam, base)
             assert (fast > tau) == (worst > tau)
+
+
+def mid_ascent_states(inst, lam, base, monkeypatch):
+    """(state, probe) at every screen of ``run_phase1``, where probe is the
+    increment ``_next_event`` screens at."""
+    snapshots = []
+
+    def recording(state, shift):
+        copy = replace(state, alpha=state.alpha.copy(), active=state.active.copy())
+        snapshots.append((copy, shift))
+        return _screen(state, shift)
+
+    with monkeypatch.context() as m:
+        m.setattr(dual, "_screen", recording)
+        run_phase1(inst, lam, base)
+    return snapshots
+
+
+class TestScreen:
+    # The screen may pass pairs that never fire, but it must pass every pair
+    # that fires, and only pairs whose candidate lists are big enough.
+
+    @pytest.mark.parametrize("mode", ["sqeuclid", "metric"])
+    @pytest.mark.parametrize("base", [2, 3])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_passes_every_firing_pair_and_only_admissible_ones(
+        self, mode, base, seed, monkeypatch
+    ):
+        rng = np.random.default_rng([seed, base])
+        n = int(rng.integers(20, 41))
+        pts = rng.uniform(0, 3, (n, 2))
+        if mode == "sqeuclid":
+            inst = Instance(mode=mode, k=1, n_prime=n - 2, epsilon=1.0, points=pts)
+        else:
+            dmat = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(axis=-1))
+            inst = Instance(mode=mode, k=1, n_prime=n - 2, epsilon=1.0, dist_matrix=dmat)
+        lam = float(rng.uniform(0.5, 2.0)) * float(np.median(inst.distances()))
+        snapshots = mid_ascent_states(inst, lam, base, monkeypatch)
+        assert any(not state.active.all() for state, _ in snapshots)
+        for state, probe in snapshots[::3]:
+            for shift in (0.0, probe):
+                screened = set(_screen(state, shift))
+                alpha = state.raised_alpha(shift)
+                for y, exp in itertools.product(range(n), range(state.max_exp() + 1)):
+                    _, minimal = _pair_scan(state, y, exp, True, shift)
+                    if minimal is not None:
+                        assert (y, exp) in screened
+                    if (y, exp) in screened:
+                        in_list = alpha - state.scaled_dists(exp)[y] >= 0.0
+                        assert in_list.sum() >= base**exp
+                        assert state.active[y] or (in_list & state.active).any()

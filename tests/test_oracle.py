@@ -217,6 +217,15 @@ class TestAudit:
             report.invariant_failures
         )
 
+    def test_stated_cost_constant_must_match_the_base(self):
+        inst = line_instance(0.0, 0.1, 5.0, 5.1, k=2)
+        res = min_sum_clustering(inst, force_primal_dual=True)
+        assert audit(inst, res).ok
+        res.c_eps = 1.0
+        report = audit(inst, res)
+        assert not report.ok
+        assert report.invariant_failures == ["result states c_eps 1, but base 2 gives 144"]
+
     def test_report_lines_render(self):
         inst = line_instance(0.0, 0.1, 5.0, 5.1, k=2)
         res = min_sum_clustering(inst, force_primal_dual=True)
