@@ -2,7 +2,7 @@
 
 Subcommands: ``cluster`` (solve an instance file), ``oracle`` (exact
 optimum for small instances), ``verify`` (re-check a saved result against
-its input) and ``gen`` (write seeded instance files).
+the instance its flags describe) and ``gen`` (write seeded instance files).
 
 Exit codes: 0 success, 1 invariant or audit failure, 2 input error.
 """
@@ -57,8 +57,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=1.0)
     p.set_defaults(func=_cmd_oracle)
 
-    p = sub.add_parser("verify", help="re-check a result file against its input")
-    p.add_argument("--input", required=True)
+    p = sub.add_parser("verify", help="re-check a result file against its instance")
+    _instance_flags(p)
+    p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--result", required=True)
     p.set_defaults(func=_cmd_verify)
 
@@ -117,9 +118,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_verify(args) -> int:
     result = load_result(args.result)
-    inst = load_instance(
-        args.input, result.mode, result.k, result.n_prime, result.epsilon
-    )
+    inst = load_instance(args.input, args.mode, args.k, args.nprime, args.epsilon)
     if inst.n != result.n:
         print(f"error: result was computed on n={result.n}, input has n={inst.n}",
               file=sys.stderr)

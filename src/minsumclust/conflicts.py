@@ -65,8 +65,6 @@ def run_phase2(
     alpha: np.ndarray,
     clusters: list[ScaledCluster],
     overflow: ScaledCluster | None,
-    n_prime: int,
-    base: int,
 ) -> list[MetaAssignment]:
     """Group the clustered points around a greedy independent set of anchors.
 
@@ -78,7 +76,7 @@ def run_phase2(
     cluster (lowest indices first) top the total up to exactly n'.
     """
     dmat = inst.distances()
-    tau = resolution_tolerance(inst, alpha, base)
+    tau = resolution_tolerance(inst, alpha)
     order = sorted(range(len(clusters)), key=lambda i: (-clusters[i].scale_exp, i))
 
     anchors: list[ScaledCluster] = []
@@ -90,7 +88,7 @@ def run_phase2(
         blocker = None
         witnesses: list[int] = []
         for anchor in anchors:
-            witnesses = conflict_witnesses(cluster, anchor, alpha, dmat, base, tau)
+            witnesses = conflict_witnesses(cluster, anchor, alpha, dmat, inst.base, tau)
             if witnesses:
                 blocker = anchor
                 break
@@ -122,7 +120,7 @@ def run_phase2(
                 )
                 assigned |= part
 
-    missing = n_prime - len(assigned)
+    missing = inst.n_prime - len(assigned)
     if missing > 0:
         if overflow is None:
             raise AssignmentError(
@@ -144,18 +142,15 @@ def run_phase2(
         )
         assigned |= top_up
 
-    if len(assigned) != n_prime:
+    if len(assigned) != inst.n_prime:
         raise AssignmentError(
-            f"assigned {len(assigned)} points, expected exactly {n_prime}"
+            f"assigned {len(assigned)} points, expected exactly {inst.n_prime}"
         )
     return parts
 
 
 def check_connection_factors(
-    inst: Instance,
-    assignments: list[MetaAssignment],
-    alpha: np.ndarray,
-    base: int,
+    inst: Instance, assignments: list[MetaAssignment], alpha: np.ndarray
 ) -> list[str]:
     """Check the per-point connection guarantee of the resolution step.
 
@@ -165,11 +160,11 @@ def check_connection_factors(
     """
     factor = 3.0 if inst.mode is DistanceMode.EXPLICIT_METRIC else 9.0
     dmat = inst.distances()
-    tau = resolution_tolerance(inst, alpha, base)
+    tau = resolution_tolerance(inst, alpha)
     failures = []
     for ma in assignments:
         idx = sorted(ma.part)
-        need = float(base**ma.part_scale) * dmat[idx, ma.anchor.center] / factor
+        need = float(inst.base**ma.part_scale) * dmat[idx, ma.anchor.center] / factor
         bad = np.flatnonzero(alpha[idx] < need - tau)
         for pos in bad:
             failures.append(

@@ -44,24 +44,24 @@ class DualState:
     alpha: np.ndarray
     active: np.ndarray
     lam: float
-    base: int
     tau: float = 0.0
     _scaled: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
 
     @classmethod
-    def fresh(cls, inst: Instance, lam: float, base: int) -> "DualState":
+    def fresh(cls, inst: Instance, lam: float) -> "DualState":
         if lam < 0:
             raise ValueError("opening cost lambda must be nonnegative")
-        if base < 2:
-            raise ValueError("scale base must be at least 2")
         return cls(
             inst=inst,
             alpha=np.zeros(inst.n),
             active=np.ones(inst.n, dtype=bool),
             lam=float(lam),
-            base=int(base),
-            tau=tightness_tolerance(inst, lam, base),
+            tau=tightness_tolerance(inst, lam),
         )
+
+    @property
+    def base(self) -> int:
+        return self.inst.base
 
     @property
     def dmat(self) -> np.ndarray:
@@ -111,7 +111,7 @@ class NewTight:
 
 
 def _pair_scan(
-    state: DualState, y: int, exp: int, require_active: bool, shift: float = 0.0
+    state: DualState, y: int, exp: int, require_active: bool, shift: float
 ) -> tuple[float | None, list[int] | None]:
     """Exact scan of one (y, exp) family.
 
@@ -155,7 +155,7 @@ def _pair_scan(
 
 
 def _margin_bounds(
-    state: DualState, shift: float = 0.0
+    state: DualState, shift: float
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Per scale exponent, in order, the candidate-list mask of every row and
     an upper bound on each row's best margin sum, at the given shift.
@@ -203,14 +203,14 @@ def _screen(state: DualState, shift: float) -> list[tuple[int, int]]:
     return candidates
 
 
-def worst_slack(state: DualState, shift: float = 0.0) -> float:
+def worst_slack(state: DualState) -> float:
     """Exact maximum of (margin sum - lam) over the scan family.
 
     Nonpositive values mean every dual constraint holds; values above the
     tightness tolerance mean a genuine violation.  The screen bounds are
     refined in decreasing order until the running maximum is certified.
     """
-    bounds = [bound for _, bound in _margin_bounds(state, shift)]
+    bounds = [bound for _, bound in _margin_bounds(state, 0.0)]
     flat_bound = np.concatenate(bounds)
     n = state.inst.n
     ys = np.tile(np.arange(n), len(bounds))
@@ -220,7 +220,7 @@ def worst_slack(state: DualState, shift: float = 0.0) -> float:
     for pos in order:
         if flat_bound[pos] <= best:
             break
-        exact, _ = _pair_scan(state, int(ys[pos]), int(exps[pos]), False, shift)
+        exact, _ = _pair_scan(state, int(ys[pos]), int(exps[pos]), False, 0.0)
         if exact is not None and exact > best:
             best = exact
     return best - state.lam
@@ -308,6 +308,8 @@ def _next_event(
         t = _fire_time(state, y, exp, probe if best_t is None else best_t)
         if t is not None and (best_t is None or t < best_t):
             best_t, best_pair = t, (y, exp)
+            if t == 0.0:
+                break  # increments are nonnegative and ties keep the earlier pair
 
     if best_t is None and probe < join_t:
         raise RuntimeError("ascent found no event below its guaranteed cap")
@@ -330,7 +332,7 @@ def next_event_increment(
     return _next_event(state, joins)
 
 
-def run_phase1(inst: Instance, lam: float, base: int) -> Phase1Output:
+def run_phase1(inst: Instance, lam: float) -> Phase1Output:
     """Raise duals uniformly, emitting candidate clusters, until the number
     of active points falls to n - n'.
 
@@ -338,7 +340,7 @@ def run_phase1(inst: Instance, lam: float, base: int) -> Phase1Output:
     deactivating a new tight set would drop the active count strictly below
     n - n', that set is returned as the overflow cluster instead.
     """
-    state = DualState.fresh(inst, lam, base)
+    state = DualState.fresh(inst, lam)
     target = inst.n - inst.n_prime
     clusters: list[ScaledCluster] = []
     overflow: ScaledCluster | None = None
@@ -387,7 +389,6 @@ def check_dual_support(
     inst: Instance,
     alpha: np.ndarray,
     clusters: list[ScaledCluster],
-    base: int,
     tau: float,
 ) -> list[str]:
     """Check alpha_x >= base**j * d(x, center) - tau for all cluster members."""
@@ -395,7 +396,7 @@ def check_dual_support(
     failures = []
     for c in clusters:
         members = sorted(c.members)
-        need = float(base**c.scale_exp) * dmat[members, c.center]
+        need = float(inst.base**c.scale_exp) * dmat[members, c.center]
         bad = np.flatnonzero(alpha[members] < need - tau)
         for pos in bad:
             failures.append(

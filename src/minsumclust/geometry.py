@@ -8,6 +8,7 @@ safe to issue from multiple threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -25,26 +26,26 @@ REL_TOL = 1e-9
 MATRIX_REL_TOL = 1e-6
 
 
-def tightness_tolerance(inst: Instance, lam: float, base: int) -> float:
+def tightness_tolerance(inst: Instance, lam: float) -> float:
     """Absolute slack below which a dual constraint counts as tight.
 
     REL_TOL of the largest right-hand side one constraint can have (lam plus
     n points at the largest scaled distance), so event ordering stays stable
     across instance magnitudes.
     """
-    return REL_TOL * (lam + _largest_scaled_distance(inst, base, inst.n))
+    return REL_TOL * (lam + _largest_scaled_distance(inst, inst.n))
 
 
-def resolution_tolerance(inst: Instance, alpha: np.ndarray, base: int) -> float:
+def resolution_tolerance(inst: Instance, alpha: np.ndarray) -> float:
     """Absolute slack of conflict resolution's comparisons of duals against
     scaled distances: REL_TOL of the largest value either side can take."""
-    return REL_TOL * (float(alpha.max(initial=0.0)) + _largest_scaled_distance(inst, base))
+    return REL_TOL * (float(alpha.max(initial=0.0)) + _largest_scaled_distance(inst))
 
 
-def _largest_scaled_distance(inst: Instance, base: int, copies: int = 1) -> float:
+def _largest_scaled_distance(inst: Instance, copies: int = 1) -> float:
     """``copies`` times the largest distance scaled by base**j, j the top
     scale exponent of n points; the integer product is formed first."""
-    return copies * base ** scale_exponent(base, inst.n) * inst.max_distance()
+    return copies * inst.base ** scale_exponent(inst.base, inst.n) * inst.max_distance()
 
 
 class DistanceMode(str, Enum):
@@ -67,7 +68,8 @@ class Instance:
     construction: symmetric, zero diagonal, nonnegative, and triangle
     inequality within relative ``MATRIX_REL_TOL``.
 
-    Treat instances as immutable after construction.
+    Treat instances as immutable after construction.  ``base``, the scale
+    base of epsilon, is derived once here and read by every phase and check.
     """
 
     mode: DistanceMode
@@ -77,6 +79,7 @@ class Instance:
     points: np.ndarray | None = None
     dist_matrix: np.ndarray | None = None
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    base: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.mode = DistanceMode(self.mode)
@@ -102,6 +105,7 @@ class Instance:
             raise InstanceError("n_prime must satisfy 1 <= n_prime <= n")
         if not 0.0 < self.epsilon <= 1.0:
             raise InstanceError("epsilon must lie in (0, 1]")
+        self.base = scale_base(self.epsilon)
 
     @property
     def n(self) -> int:
@@ -175,6 +179,11 @@ def cluster_cost(inst: Instance, members) -> float:
     idx = _member_index(inst, members)
     sub = inst.distances()[np.ix_(idx, idx)]
     return float(sub.sum() / 2.0)
+
+
+def scale_base(epsilon: float) -> int:
+    """Integer scale base: at least 2 and at least (1 + eps) / eps."""
+    return max(2, math.ceil((1.0 + epsilon) / epsilon - REL_TOL))
 
 
 def scale_exponent(base: int, m: int) -> int:

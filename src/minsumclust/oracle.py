@@ -18,7 +18,7 @@ from .assembly import check_size_windows
 from .conflicts import check_assignment_counts, check_connection_factors
 from .dual import DualState, worst_slack, check_dual_support
 from .geometry import REL_TOL, Instance, cluster_cost, scale_exponent, tightness_tolerance
-from .search import ClusteringResult, approx_bound, cost_constant, scale_base
+from .search import ClusteringResult, approx_bound, cost_constant
 
 # Exhaustive feasibility checking enumerates all subsets; keep it honest.
 EXHAUSTIVE_MAX_N = 12
@@ -121,41 +121,35 @@ def _subset_tables(dmat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def verify_dual_feasible(
-    inst: Instance,
-    alpha: np.ndarray,
-    lam: float,
-    base: int,
-    exhaustive: bool = False,
+    inst: Instance, alpha: np.ndarray, lam: float, exhaustive: bool = False
 ) -> tuple[bool, float]:
     """Check the dual vector against every cluster constraint.
 
     Fast mode scans the candidate-prefix family, which finds a violation iff
     one exists; exhaustive mode (n <= 12) enumerates every (subset, center)
-    pair.  Both return the worst left-minus-right slack they saw.
+    pair.  Both return the worst left-minus-right slack they saw.  The scale
+    base is the instance's.
     """
     alpha = np.asarray(alpha, dtype=float)
-    tau = tightness_tolerance(inst, lam, base)
+    tau = tightness_tolerance(inst, lam)
     if exhaustive:
         if inst.n > EXHAUSTIVE_MAX_N:
             raise OracleError(f"exhaustive feasibility check needs n <= {EXHAUSTIVE_MAX_N}")
-        worst = _exhaustive_worst_slack(inst, alpha, lam, base)
+        worst = _exhaustive_worst_slack(inst, alpha, lam)
     else:
         state = DualState(
             inst=inst,
             alpha=alpha.copy(),
             active=np.ones(inst.n, dtype=bool),
             lam=float(lam),
-            base=int(base),
             tau=tau,
         )
         worst = worst_slack(state)
     return worst <= tau, worst
 
 
-def _exhaustive_worst_slack(
-    inst: Instance, alpha: np.ndarray, lam: float, base: int
-) -> float:
-    n = inst.n
+def _exhaustive_worst_slack(inst: Instance, alpha: np.ndarray, lam: float) -> float:
+    n, base = inst.n, inst.base
     full = 1 << n
     point_sum, _ = _subset_tables(inst.distances())
     alpha_sum = np.zeros(full)
@@ -220,18 +214,25 @@ def audit(
     Structural checks (disjointness, counts, recomputed cost) always run;
     dual feasibility runs when certificates are present; the per-phase
     guarantees run when the result still carries its pipeline internals.
-    Every check uses the scale base of the instance's epsilon, not the base
-    the result states; the stated base and cost constant must agree with it.
+    Every check uses the instance's mode, k, n', epsilon and scale base, not
+    the values the result states; each stated value must agree with them.
     """
     report = AuditReport()
     fail = report.invariant_failures.append
-    base = scale_base(inst.epsilon)
-    if result.base != base:
+    for name, stated, actual in (
+        ("mode", result.mode.value, inst.mode.value),
+        ("k", result.k, inst.k),
+        ("n_prime", result.n_prime, inst.n_prime),
+        ("epsilon", result.epsilon, inst.epsilon),
+    ):
+        if stated != actual:
+            fail(f"result states {name} {stated}, but the instance has {actual}")
+    if result.base != inst.base:
         fail(f"result states scale base {result.base}, but epsilon "
-             f"{inst.epsilon:g} gives base {base}")
-    constant = cost_constant(base)
+             f"{inst.epsilon:g} gives base {inst.base}")
+    constant = cost_constant(inst.base)
     if result.c_eps != constant:
-        fail(f"result states c_eps {result.c_eps:.17g}, but base {base} "
+        fail(f"result states c_eps {result.c_eps:.17g}, but base {inst.base} "
              f"gives {constant:.17g}")
 
     seen: set[int] = set()
@@ -271,23 +272,21 @@ def audit(
             report.dual_feasible = False
             fail(f"dual certificate at lambda {cert.lam:.6g} holds a non-finite number")
             continue
-        feasible, slack = verify_dual_feasible(
-            inst, cert.alpha, cert.lam, base, exhaustive=False
-        )
+        feasible, slack = verify_dual_feasible(inst, cert.alpha, cert.lam)
         report.worst_constraint_slack = max(report.worst_constraint_slack, slack)
         if not feasible:
             report.dual_feasible = False
             fail(f"dual certificate at lambda {cert.lam:.6g} is infeasible")
 
     if result.outcome is not None:
-        _audit_internals(inst, result, base, report)
+        _audit_internals(inst, result, report)
 
     if oracle_opt is not None:
         if oracle_opt > 0.0:
             report.cost_ratio = result.total_cost / oracle_opt
         else:
             report.cost_ratio = 1.0 if result.total_cost == 0.0 else np.inf
-        bound = approx_bound(inst.epsilon, base)
+        bound = approx_bound(inst.epsilon)
         if report.cost_ratio > bound:
             fail(
                 f"cost ratio {report.cost_ratio:.4g} exceeds the guarantee {bound:.4g}"
@@ -295,22 +294,20 @@ def audit(
     return report
 
 
-def _audit_internals(
-    inst: Instance, result: ClusteringResult, base: int, report: AuditReport
-) -> None:
+def _audit_internals(inst: Instance, result: ClusteringResult, report: AuditReport) -> None:
     out = result.outcome
-    tau = tightness_tolerance(inst, out.lam, base)
+    tau = tightness_tolerance(inst, out.lam)
     report.invariant_failures.extend(
-        check_dual_support(inst, out.phase1.alpha, out.phase1.clusters, base, tau)
+        check_dual_support(inst, out.phase1.alpha, out.phase1.clusters, tau)
     )
     report.invariant_failures.extend(
         check_assignment_counts(out.assignments, inst.n_prime)
     )
     report.invariant_failures.extend(
-        check_connection_factors(inst, out.assignments, out.phase1.alpha, base)
+        check_connection_factors(inst, out.assignments, out.phase1.alpha)
     )
     report.size_bound_violations.extend(
-        check_size_windows(out.assembled, base, inst.n_prime)
+        check_size_windows(out.assembled, inst.base, inst.n_prime)
     )
     report.discarded_count = len(out.assembled.discarded)
-    report.discard_bound = inst.n_prime / (base - 1)
+    report.discard_bound = inst.n_prime / (inst.base - 1)

@@ -10,7 +10,6 @@ that would mix them into exactly k clusters.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -19,7 +18,10 @@ import numpy as np
 from .assembly import AssembledCluster, AssembledClustering, partition_evenly, run_phase3
 from .conflicts import MetaAssignment, run_phase2
 from .dual import Phase1Output, run_phase1
-from .geometry import REL_TOL, DistanceMode, Instance, cluster_cost
+from .geometry import REL_TOL, DistanceMode, Instance, cluster_cost, scale_base
+
+# Random restarts of the small-k local search.
+LOCAL_SEARCH_RESTARTS = 20
 
 
 class Branch(str, Enum):
@@ -77,33 +79,27 @@ class ClusteringResult:
         return sum(len(c) for c in self.clusters)
 
 
-def scale_base(epsilon: float) -> int:
-    """Integer scale base: at least 2 and at least (1 + eps) / eps."""
-    return max(2, math.ceil((1.0 + epsilon) / epsilon - REL_TOL))
-
-
 def cost_constant(base: int) -> float:
     """Per-cluster cost constant of the primal-dual guarantee."""
     return 18.0 * base**3 / (base - 1)
 
 
-def approx_bound(epsilon: float, base: int) -> float:
-    """End-to-end approximation factor guaranteed against the exact optimum."""
-    return 8.0 * (cost_constant(base) + 1.0) / epsilon
+def approx_bound(epsilon: float) -> float:
+    """End-to-end approximation factor guaranteed against the exact optimum,
+    at the scale base of epsilon."""
+    return 8.0 * (cost_constant(scale_base(epsilon)) + 1.0) / epsilon
 
 
-def probe(inst: Instance, lam: float, base: int) -> ProbeOutcome:
+def probe(inst: Instance, lam: float) -> ProbeOutcome:
     """Run the full pipeline at one opening cost.
 
     ``k_prime`` is one less than the number of assembled clusters, recorded
     before the smallest cluster is dropped (which happens when it holds at
     most eps/3 of the n' budget; ties drop the earliest such cluster).
     """
-    phase1 = run_phase1(inst, lam, base)
-    assignments = run_phase2(
-        inst, phase1.alpha, phase1.clusters, phase1.overflow, inst.n_prime, base
-    )
-    assembled = run_phase3(assignments, base)
+    phase1 = run_phase1(inst, lam)
+    assignments = run_phase2(inst, phase1.alpha, phase1.clusters, phase1.overflow)
+    assembled = run_phase3(assignments, inst.base)
     clusters = list(assembled.clusters)
     k_prime = len(clusters) - 1
     if clusters:
@@ -135,40 +131,39 @@ def min_sum_clustering(
     when k exceeds 4 / eps.
     """
     n, k, n_prime, eps = inst.n, inst.k, inst.n_prime, inst.epsilon
-    base = scale_base(eps)
 
     if k >= n_prime:
         clusters = [{i} for i in range(n_prime)]
-        return _result(inst, clusters, Branch.DEGENERATE, base, exact=True)
+        return _result(inst, clusters, Branch.DEGENERATE, exact=True)
 
     lam_top = float(inst.distances().sum())
     if lam_top <= 0.0:
         clusters = partition_evenly(range(n_prime), min(k, n_prime))
-        return _result(inst, clusters, Branch.DEGENERATE, base, exact=True)
+        return _result(inst, clusters, Branch.DEGENERATE, exact=True)
 
     if not force_primal_dual and k <= 4.0 / eps:
         return small_k_solver(inst, seed=seed)
 
     delta = 2.0 / ((n + k) * lam_top)
-    low = probe(inst, 0.0, base)
+    low = probe(inst, 0.0)
     if low.k_prime <= k:
-        return _from_probe(inst, low, Branch.BIPOINT_HIGH, base)
-    high = probe(inst, lam_top, base)
+        return _from_probe(inst, low, Branch.BIPOINT_HIGH)
+    high = probe(inst, lam_top)
     if high.k_prime > k:
         raise RuntimeError(
             "opening cost equal to the total pairwise cost still produced "
             f"{high.k_prime + 1} clusters"
         )
     if high.k_prime == k:
-        return _from_probe(inst, high, Branch.BIPOINT_HIGH, base)
+        return _from_probe(inst, high, Branch.BIPOINT_HIGH)
 
     while high.lam - low.lam > delta:
         mid = (low.lam + high.lam) / 2.0
         if not low.lam < mid < high.lam:
             break  # float resolution exhausted before reaching delta
-        out = probe(inst, mid, base)
+        out = probe(inst, mid)
         if out.k_prime == k:
-            return _from_probe(inst, out, Branch.BIPOINT_HIGH, base)
+            return _from_probe(inst, out, Branch.BIPOINT_HIGH)
         if out.k_prime > k:
             low = out
         else:
@@ -189,7 +184,6 @@ def min_sum_clustering(
         inst,
         chosen,
         branch,
-        base,
         lambda_low=low.lam,
         lambda_high=high.lam,
         rho1=rho1,
@@ -219,14 +213,11 @@ def _certificate(out: ProbeOutcome) -> DualCertificate:
     return DualCertificate(out.lam, out.phase1.alpha)
 
 
-def _from_probe(
-    inst: Instance, out: ProbeOutcome, branch: Branch, base: int
-) -> ClusteringResult:
+def _from_probe(inst: Instance, out: ProbeOutcome, branch: Branch) -> ClusteringResult:
     return _result(
         inst,
         [set(c.points) for c in out.clusters],
         branch,
-        base,
         lambda_low=out.lam,
         lambda_high=out.lam,
         certificates=[_certificate(out)],
@@ -238,7 +229,6 @@ def _result(
     inst: Instance,
     clusters: list[set[int]],
     branch: Branch,
-    base: int,
     *,
     exact: bool = False,
     lambda_low: float = 0.0,
@@ -260,8 +250,8 @@ def _result(
         lambda_high=float(lambda_high),
         rho1=float(rho1),
         branch=branch,
-        base=base,
-        c_eps=cost_constant(base),
+        base=inst.base,
+        c_eps=cost_constant(inst.base),
         exact=exact,
         mode=inst.mode,
         n=inst.n,
@@ -278,14 +268,13 @@ def small_k_solver(inst: Instance, seed: int = 0) -> ClusteringResult:
     is tractable, seeded local search otherwise (flagged non-exact)."""
     from .oracle import brute_force_opt, enumeration_tractable
 
-    base = scale_base(inst.epsilon)
     if enumeration_tractable(inst):
         clusters, _ = brute_force_opt(inst)
-        return _result(inst, clusters, Branch.SMALL_K, base, exact=True)
-    return _result(inst, _local_search(inst, seed=seed), Branch.SMALL_K, base)
+        return _result(inst, clusters, Branch.SMALL_K, exact=True)
+    return _result(inst, _local_search(inst, seed=seed), Branch.SMALL_K)
 
 
-def _local_search(inst: Instance, seed: int, restarts: int = 20) -> list[set[int]]:
+def _local_search(inst: Instance, seed: int) -> list[set[int]]:
     """Randomized first-improvement search over point moves and swaps."""
     dmat = inst.distances()
     n, k, n_prime = inst.n, inst.k, inst.n_prime
@@ -294,7 +283,7 @@ def _local_search(inst: Instance, seed: int, restarts: int = 20) -> list[set[int
     best_cost = np.inf
     best_labels: np.ndarray | None = None
 
-    for _ in range(restarts):
+    for _ in range(LOCAL_SEARCH_RESTARTS):
         labels = np.full(n, -1, dtype=int)
         chosen = rng.permutation(n)[:n_prime]
         labels[chosen] = np.arange(n_prime) % k

@@ -97,14 +97,14 @@ class TestRunPhase3:
         rng = np.random.default_rng(200 + seed)
         n = int(rng.integers(8, 16))
         n_prime = int(rng.integers(4, n + 1))
-        inst = Instance(
-            mode="sqeuclid", k=1, n_prime=n_prime, epsilon=1.0,
-            points=rng.uniform(0, 2, (n, 2)),
-        )
+        pts = rng.uniform(0, 2, (n, 2))
         base = int(rng.choice([2, 3]))
+        inst = Instance(
+            mode="sqeuclid", k=1, n_prime=n_prime, epsilon={2: 1.0, 3: 0.5}[base], points=pts
+        )
         lam = float(rng.uniform(0.05, 2.0))
-        p1 = run_phase1(inst, lam, base)
-        meta = run_phase2(inst, p1.alpha, p1.clusters, p1.overflow, n_prime, base)
+        p1 = run_phase1(inst, lam)
+        meta = run_phase2(inst, p1.alpha, p1.clusters, p1.overflow)
         out = run_phase3(meta, base)
         assert check_size_windows(out, base, n_prime) == []
         # every assigned point lands in exactly one cluster or is discarded

@@ -3,10 +3,12 @@ clean exit codes on internal errors, and tampered result files."""
 
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from minsumclust import cli
 from minsumclust.conflicts import AssignmentError
+from minsumclust.io import save_points
 
 SUBCOMMANDS = ["gen", "cluster", "verify", "oracle"]
 # k > 4 / epsilon, so the primal-dual branch runs and certificates are saved
@@ -33,6 +35,13 @@ def solved(request, tmp_path_factory):
     return SimpleNamespace(mode=mode, data=data, result=result)
 
 
+def verify(capsys, solved, result):
+    """Run verify on a result file with the flags the instance was clustered
+    with."""
+    return run(capsys, "verify", "--input", solved.data, "--mode", solved.mode,
+               *CLUSTER_FLAGS, "--result", result)
+
+
 def tampered(solved, tmp_path, key, change):
     """A copy of the solved result file whose first ``key`` line is
     replaced by ``change(line)``."""
@@ -53,7 +62,7 @@ def test_help_for_every_subcommand(sub, capsys):
 
 
 def test_gen_cluster_verify(solved, capsys):
-    code, out, _ = run(capsys, "verify", "--input", solved.data, "--result", solved.result)
+    code, out, _ = verify(capsys, solved, solved.result)
     assert code == 0
     assert "audit PASS" in out
     assert "certificate" in solved.result.read_text()
@@ -81,7 +90,7 @@ def test_internal_error_exits_one(solved, error, monkeypatch, capsys, tmp_path):
 def test_edited_cost_fails_the_audit(solved, tmp_path, capsys):
     path = tampered(solved, tmp_path, "total_cost",
                     lambda line: f"total_cost {float(line.split()[1]) * 1.5!r}")
-    code, out, _ = run(capsys, "verify", "--input", solved.data, "--result", path)
+    code, out, _ = verify(capsys, solved, path)
     assert code == 1
     assert "disagrees with recomputation" in out
 
@@ -93,7 +102,7 @@ def test_raised_alpha_fails_the_audit(solved, tmp_path, capsys):
         return " ".join(vals)
 
     path = tampered(solved, tmp_path, "certificate", raise_alpha)
-    code, out, _ = run(capsys, "verify", "--input", solved.data, "--result", path)
+    code, out, _ = verify(capsys, solved, path)
     assert code == 1
     assert "dual_feasible NO" in out
 
@@ -101,16 +110,52 @@ def test_raised_alpha_fails_the_audit(solved, tmp_path, capsys):
 def test_edited_base_fails_the_audit(solved, tmp_path, capsys):
     # epsilon 1 gives scale base 2; the audit must not take the file's word
     path = tampered(solved, tmp_path, "b", lambda line: "b 3")
-    code, out, _ = run(capsys, "verify", "--input", solved.data, "--result", path)
+    code, out, _ = verify(capsys, solved, path)
     assert code == 1
     assert "result states scale base 3, but epsilon 1 gives base 2" in out
 
 
 def test_edited_cost_constant_fails_the_audit(solved, tmp_path, capsys):
     path = tampered(solved, tmp_path, "c_eps", lambda line: "c_eps 1")
-    code, out, _ = run(capsys, "verify", "--input", solved.data, "--result", path)
+    code, out, _ = verify(capsys, solved, path)
     assert code == 1
     assert "result states c_eps 1, but base 2 gives 144" in out
+
+
+# A unit triangle and three far points.  At lambda 9, alpha 5 on the triangle
+# violates its constraint by 2 at scale base 2 (epsilon 1) and holds at base 3
+# (epsilon 0.5).
+SIX_POINTS = np.array([[0, 0], [1, 0], [0.5, np.sqrt(3) / 2], [50, 50], [50, 51], [80, 0]])
+
+
+@pytest.mark.parametrize("mode", ["sqeuclid", "metric"])
+def test_edited_epsilon_cannot_pass_an_infeasible_certificate(mode, tmp_path, capsys):
+    data, result = tmp_path / "data.csv", tmp_path / "result.txt"
+    if mode == "sqeuclid":
+        save_points(SIX_POINTS, data)
+    else:
+        save_points(np.sqrt(((SIX_POINTS[:, None] - SIX_POINTS[None]) ** 2).sum(axis=-1)), data)
+    flags = ["--input", data, "--mode", mode, "--k", 3, "--nprime", 6, "--epsilon", 1]
+    assert run(capsys, "cluster", *flags, "--output", result)[0] == 0
+    # a header consistent with epsilon 0.5 throughout
+    edits = {"epsilon": "epsilon 0.5", "b": "b 3", "c_eps": "c_eps 243"}
+    lines = [edits.get(line.split(" ", 1)[0], line) for line in result.read_text().splitlines()]
+    result.write_text("\n".join([*lines, "certificate 9 5 5 5 0 0 0"]) + "\n")
+    code, out, _ = run(capsys, "verify", *flags, "--result", result)
+    assert code == 1
+    assert "dual_feasible NO (worst slack 2.000e+00)" in out
+    assert "result states epsilon 0.5, but the instance has 1.0" in out
+    assert "result states scale base 3, but epsilon 1 gives base 2" in out
+
+
+def test_verify_rejects_an_instance_of_another_size(solved, tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    family = "box" if solved.mode == "sqeuclid" else "metric"
+    assert run(capsys, "gen", "--family", family, "--seed", 3, "--n", 13, "--output", data)[0] == 0
+    code, _, err = run(capsys, "verify", "--input", data, "--mode", solved.mode,
+                       *CLUSTER_FLAGS, "--result", solved.result)
+    assert code == 2
+    assert err == "error: result was computed on n=12, input has n=13\n"
 
 
 @pytest.mark.parametrize("key, change, message", [
@@ -131,6 +176,6 @@ def test_edited_cost_constant_fails_the_audit(solved, tmp_path, capsys):
         "bad-number", "bad-exact"])
 def test_malformed_result_exits_two(solved, key, change, message, tmp_path, capsys):
     path = tampered(solved, tmp_path, key, change)
-    code, _, err = run(capsys, "verify", "--input", solved.data, "--result", path)
+    code, _, err = verify(capsys, solved, path)
     assert code == 2
     assert err.startswith("error: ") and message in err

@@ -13,6 +13,9 @@ from minsumclust.conflicts import (
 from minsumclust.dual import run_phase1
 from minsumclust.geometry import DistanceMode, Instance, ScaledCluster, resolution_tolerance
 
+# An epsilon whose scale base is the key.
+EPS_OF_BASE = {2: 1.0, 3: 0.5}
+
 
 def line_instance(*xs, k=1, n_prime=None, eps=1.0):
     pts = np.array(xs, dtype=float).reshape(-1, 1)
@@ -56,7 +59,7 @@ class TestRunPhase2:
         inst = line_instance(0.0, 0.1, 5.0, 5.1)
         clusters = [ScaledCluster({0, 1}, 1, 0, 0), ScaledCluster({2, 3}, 1, 2, 1)]
         alpha = np.array([0.2, 0.2, 0.2, 0.2])
-        out = run_phase2(inst, alpha, clusters, None, 4, 2)
+        out = run_phase2(inst, alpha, clusters, None)
         assert [(sorted(ma.part), ma.part_scale) for ma in out] == [
             ([0, 1], 1),
             ([2, 3], 1),
@@ -66,7 +69,7 @@ class TestRunPhase2:
     def test_single_cluster_single_anchor(self):
         inst = line_instance(0.0, 0.1, 0.2)
         clusters = [ScaledCluster({0, 1, 2}, 1, 0, 0)]
-        out = run_phase2(inst, np.full(3, 0.1), clusters, None, 3, 2)
+        out = run_phase2(inst, np.full(3, 0.1), clusters, None)
         assert len(out) == 1 and sorted(out[0].part) == [0, 1, 2]
 
     def test_rejected_cluster_donates_high_dual_points(self):
@@ -76,7 +79,7 @@ class TestRunPhase2:
         big = ScaledCluster({0, 1, 2, 3}, 2, 0, 0)
         small = ScaledCluster({3, 5}, 1, 5, 1)
         alpha = np.array([1.0, 1.0, 1.0, 1.0, 0.0, 2.0])
-        out = run_phase2(inst, alpha, [big, small], None, 5, 2)
+        out = run_phase2(inst, alpha, [big, small], None)
         assert out[0].anchor is big and sorted(out[0].part) == [0, 1, 2, 3]
         assert out[1].anchor is big
         assert sorted(out[1].part) == [5]
@@ -88,14 +91,14 @@ class TestRunPhase2:
         a = ScaledCluster({0, 1, 2}, 1, 0, 0)
         b = ScaledCluster({2, 3, 4}, 1, 3, 1)
         alpha = np.zeros(5)  # nobody strictly overpays: both accepted
-        out = run_phase2(inst, alpha, [a, b], None, 5, 2)
+        out = run_phase2(inst, alpha, [a, b], None)
         assert sorted(out[0].part) == [0, 1]
         assert sorted(out[1].part) == [2, 3, 4]
 
     def test_top_up_takes_lowest_unassigned_indices(self):
         inst = line_instance(0.0, 0.0, 0.0, 0.0, n_prime=3)
         overflow = ScaledCluster({0, 1, 2, 3}, 2, 0, 0)
-        out = run_phase2(inst, np.zeros(4), [], overflow, 3, 2)
+        out = run_phase2(inst, np.zeros(4), [], overflow)
         assert len(out) == 1
         assert sorted(out[0].part) == [0, 1, 2]
         assert out[0].anchor_is_overflow
@@ -105,7 +108,7 @@ class TestRunPhase2:
         inst = line_instance(0.0, 1.0, 2.0)
         clusters = [ScaledCluster({0}, 0, 0, 0)]
         with pytest.raises(AssignmentError):
-            run_phase2(inst, np.zeros(3), clusters, None, 3, 2)
+            run_phase2(inst, np.zeros(3), clusters, None)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_pipeline_counts_and_factors(self, seed):
@@ -113,25 +116,21 @@ class TestRunPhase2:
         n = int(rng.integers(6, 14))
         n_prime = int(rng.integers(2, n + 1))
         if seed % 2:
-            inst = Instance(
-                mode="sqeuclid", k=1, n_prime=n_prime, epsilon=1.0,
-                points=rng.uniform(0, 2, (n, 2)),
-            )
+            payload = dict(mode="sqeuclid", points=rng.uniform(0, 2, (n, 2)))
         else:
             pts = rng.uniform(0, 1, (n, 3))
             diff = pts[:, None, :] - pts[None, :, :]
             dm = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
             dm = (dm + dm.T) / 2
             np.fill_diagonal(dm, 0)
-            inst = Instance(
-                mode="metric", k=1, n_prime=n_prime, epsilon=1.0, dist_matrix=dm
-            )
+            payload = dict(mode="metric", dist_matrix=dm)
         base = int(rng.choice([2, 3]))
+        inst = Instance(k=1, n_prime=n_prime, epsilon=EPS_OF_BASE[base], **payload)
         lam = float(rng.uniform(0.05, 1.5))
-        p1 = run_phase1(inst, lam, base)
-        out = run_phase2(inst, p1.alpha, p1.clusters, p1.overflow, n_prime, base)
+        p1 = run_phase1(inst, lam)
+        out = run_phase2(inst, p1.alpha, p1.clusters, p1.overflow)
         assert check_assignment_counts(out, n_prime) == []
-        assert check_connection_factors(inst, out, p1.alpha, base) == []
+        assert check_connection_factors(inst, out, p1.alpha) == []
 
     def test_anchors_form_independent_set(self):
         rng = np.random.default_rng(33)
@@ -139,14 +138,14 @@ class TestRunPhase2:
             mode="sqeuclid", k=1, n_prime=11, epsilon=1.0,
             points=rng.uniform(0, 2, (12, 2)),
         )
-        base, lam = 2, 0.6
-        p1 = run_phase1(inst, lam, base)
-        out = run_phase2(inst, p1.alpha, p1.clusters, p1.overflow, 11, base)
+        base, lam = inst.base, 0.6
+        p1 = run_phase1(inst, lam)
+        out = run_phase2(inst, p1.alpha, p1.clusters, p1.overflow)
         anchors = []
         for ma in out:
             if not ma.anchor_is_overflow and all(ma.anchor is not a for a in anchors):
                 anchors.append(ma.anchor)
-        tau = resolution_tolerance(inst, p1.alpha, base)
+        tau = resolution_tolerance(inst, p1.alpha)
         for i, a in enumerate(anchors):
             for b in anchors[i + 1 :]:
                 assert not conflict_witnesses(a, b, p1.alpha, inst.distances(), base, tau)

@@ -32,6 +32,9 @@ from minsumclust.geometry import (
     tightness_tolerance,
 )
 
+# An epsilon whose scale base is the key.
+EPS_OF_BASE = {2: 1.0, 3: 0.5}
+
 
 def line_instance(*xs, k=1, n_prime=None, eps=1.0):
     pts = np.array(xs, dtype=float).reshape(-1, 1)
@@ -44,8 +47,8 @@ def line_instance(*xs, k=1, n_prime=None, eps=1.0):
     )
 
 
-def state_for(inst, lam, base, alpha=None, active=None):
-    state = DualState.fresh(inst, lam, base)
+def state_for(inst, lam, alpha=None, active=None):
+    state = DualState.fresh(inst, lam)
     if alpha is not None:
         state.alpha = np.asarray(alpha, dtype=float)
     if active is not None:
@@ -53,9 +56,9 @@ def state_for(inst, lam, base, alpha=None, active=None):
     return state
 
 
-def enumerate_violation(inst, alpha, active, lam, base, tau, require_active=True):
+def enumerate_violation(inst, alpha, active, lam, tau, require_active=True):
     """Independent ground truth: try every subset, center, and its scale."""
-    n = inst.n
+    n, base = inst.n, inst.base
     dmat = inst.distances()
     for size in range(1, n + 1):
         exp = scale_exponent(base, size)
@@ -78,7 +81,7 @@ class TestCandidateSet:
         # d(0, 1) = 0 keeps point 1 in C(0, 1) from the start, so the pair
         # fires once 2t reaches lambda, before any singleton at t = 1
         inst = line_instance(0.0, 0.0, 1.0)
-        state = state_for(inst, 1.0, 2)
+        state = state_for(inst, 1.0)
         t, event = next_event_increment(state)
         assert t == pytest.approx(0.5)
         assert event == NewTight(members={0, 1}, center=0, scale_exp=1)
@@ -87,15 +90,15 @@ class TestCandidateSet:
         # margins from y=0 at scale 1: 100, 98, 82; lambda 190 needs the two
         # largest, and lambda 250 all three
         inst = line_instance(0.0, 1.0, 3.0)
-        state = state_for(inst, 190.0, 2, alpha=[100.0, 100.0, 100.0])
+        state = state_for(inst, 190.0, alpha=[100.0, 100.0, 100.0])
         assert next_event_increment(state) == (0.0, NewTight({0, 1}, 0, 1))
-        state = state_for(inst, 250.0, 2, alpha=[100.0, 100.0, 100.0])
+        state = state_for(inst, 250.0, alpha=[100.0, 100.0, 100.0])
         assert next_event_increment(state) == (0.0, NewTight({0, 1, 2}, 0, 1))
 
     def test_membership_threshold(self):
         # point 2 fails: alpha 0 < 2 * 9, so {0, 1} fires alone at 8 + 2t = 9
         inst = line_instance(0.0, 1.0, 3.0)
-        state = state_for(inst, 9.0, 2, alpha=[5.0, 5.0, 0.0])
+        state = state_for(inst, 9.0, alpha=[5.0, 5.0, 0.0])
         t, event = next_event_increment(state)
         assert t == pytest.approx(0.5)
         assert event == NewTight(members={0, 1}, center=0, scale_exp=1)
@@ -106,20 +109,20 @@ class TestDetectViolation:
 
     def test_zero_lambda_returns_first_singleton(self):
         inst = line_instance(0.0, 1.0, 2.0)
-        state = state_for(inst, 0.0, 2)
+        state = state_for(inst, 0.0)
         assert next_event_increment(state) == (0.0, NewTight({0}, 0, 0))
 
     def test_large_lambda_yields_nothing(self):
         inst = line_instance(0.0, 1.0, 3.0)
         maxd = inst.max_distance()
         lam = inst.n * inst.n * maxd * 1.01
-        state = state_for(inst, lam, 2, alpha=np.full(3, maxd))
+        state = state_for(inst, lam, alpha=np.full(3, maxd))
         t, _ = next_event_increment(state)
         assert t > 0.0
 
     def test_reported_pair_violation(self):
         inst = line_instance(0.0, 0.1, 5.0)
-        state = state_for(inst, 1.0, 2, alpha=[0.6, 0.6, 0.0])
+        state = state_for(inst, 1.0, alpha=[0.6, 0.6, 0.0])
         t, v = next_event_increment(state)
         assert t == 0.0
         assert v.members == {0, 1} and v.center == 0 and v.scale_exp == 1
@@ -130,9 +133,9 @@ class TestDetectViolation:
 
     def test_example_agrees_with_enumeration(self):
         inst = line_instance(0.0, 0.1, 5.0)
-        tau = tightness_tolerance(inst, 1.0, 2)
+        tau = tightness_tolerance(inst, 1.0)
         found = enumerate_violation(
-            inst, np.array([0.6, 0.6, 0.0]), np.ones(3, bool), 1.0, 2, tau
+            inst, np.array([0.6, 0.6, 0.0]), np.ones(3, bool), 1.0, tau
         )
         assert found is not None
 
@@ -140,20 +143,20 @@ class TestDetectViolation:
     def test_agreement_with_enumeration_random(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(3, 8))
-        inst = Instance(
-            mode="sqeuclid", k=1, n_prime=n, epsilon=1.0,
-            points=rng.uniform(0, 2, (n, 2)),
-        )
+        pts = rng.uniform(0, 2, (n, 2))
         base = int(rng.choice([2, 3]))
+        inst = Instance(
+            mode="sqeuclid", k=1, n_prime=n, epsilon=EPS_OF_BASE[base], points=pts
+        )
         lam = float(rng.uniform(0, 3))
         alpha = rng.uniform(0, 2, n)
         active = rng.uniform(size=n) < 0.7
         if not active.any():
             active[0] = True
-        tau = tightness_tolerance(inst, lam, base)
-        state = state_for(inst, lam, base, alpha=alpha, active=active)
+        tau = tightness_tolerance(inst, lam)
+        state = state_for(inst, lam, alpha=alpha, active=active)
         t, got = next_event_increment(state)
-        want = enumerate_violation(inst, alpha, active, lam, base, tau)
+        want = enumerate_violation(inst, alpha, active, lam, tau)
         assert (t == 0.0) == (want is not None)
         if t == 0.0:
             # the reported constraint must genuinely be tight or violated
@@ -171,7 +174,7 @@ class TestDetectViolation:
 class TestNextEvent:
     def test_singleton_fires_at_lambda(self):
         inst = line_instance(0.0, 1.0)
-        state = state_for(inst, 0.5, 2)
+        state = state_for(inst, 0.5)
         t, event = next_event_increment(state)
         assert t == pytest.approx(0.5, abs=1e-7)
         assert isinstance(event, NewTight)
@@ -179,7 +182,7 @@ class TestNextEvent:
 
     def test_colocated_point_joins_immediately(self):
         inst = line_instance(0.0, 0.0)
-        state = state_for(inst, 5.0, 2, active=[False, True])
+        state = state_for(inst, 5.0, active=[False, True])
         cluster = ScaledCluster(members={0}, scale_exp=0, center=0)
         t, event = next_event_increment(state, clusters=[cluster])
         assert t == 0.0
@@ -187,14 +190,29 @@ class TestNextEvent:
 
     def test_single_active_point_zero_lambda(self):
         inst = line_instance(4.0)
-        state = state_for(inst, 0.0, 2)
+        state = state_for(inst, 0.0)
         t, event = next_event_increment(state)
         assert t == 0.0
         assert isinstance(event, NewTight) and event.members == {0}
 
+    def test_search_stops_at_the_first_pair_firing_at_once(self, monkeypatch):
+        # at lambda 0 every singleton fires at increment 0, and a later pair
+        # can only tie, so the first screened pair ends the search
+        inst = line_instance(0.0, 1.0, 2.0, 3.0)
+        calls = []
+        fire_time = dual._fire_time
+
+        def counting(*args):
+            calls.append(args[1:3])
+            return fire_time(*args)
+
+        monkeypatch.setattr(dual, "_fire_time", counting)
+        assert next_event_increment(state_for(inst, 0.0)) == (0.0, NewTight({0}, 0, 0))
+        assert calls == [(0, 0)]
+
     def test_requires_active_points(self):
         inst = line_instance(0.0, 1.0)
-        state = state_for(inst, 1.0, 2, active=[False, False])
+        state = state_for(inst, 1.0, active=[False, False])
         with pytest.raises(RuntimeError, match="no active points"):
             next_event_increment(state)
 
@@ -202,7 +220,7 @@ class TestNextEvent:
 class TestRunPhase1:
     def test_two_points_two_singletons(self):
         inst = line_instance(0.0, 1.0)
-        out = run_phase1(inst, 0.5, 2)
+        out = run_phase1(inst, 0.5)
         assert out.overflow is None
         assert [sorted(c.members) for c in out.clusters] == [[0], [1]]
         assert out.alpha == pytest.approx([0.5, 0.5], abs=1e-7)
@@ -211,7 +229,7 @@ class TestRunPhase1:
         # four coincident points; the first tight set takes all of them,
         # overshooting n' = 3, so it is withheld as overflow
         inst = line_instance(0.0, 0.0, 0.0, 0.0, n_prime=3)
-        out = run_phase1(inst, 1.0, 2)
+        out = run_phase1(inst, 1.0)
         assert out.clusters == []
         assert out.overflow is not None
         assert out.overflow.members == {0, 1, 2, 3}
@@ -219,7 +237,7 @@ class TestRunPhase1:
 
     def test_partial_budget_stops_early(self):
         inst = line_instance(0.0, 5.0, n_prime=1)
-        out = run_phase1(inst, 0.0, 2)
+        out = run_phase1(inst, 0.0)
         covered = set().union(*(c.members for c in out.clusters)) if out.clusters else set()
         if out.overflow is not None:
             covered |= out.overflow.members
@@ -234,7 +252,7 @@ class TestRunPhase1:
             mode="sqeuclid", k=1, n_prime=6, epsilon=1.0,
             points=rng.uniform(0, 2, (9, 2)),
         )
-        out = run_phase1(inst, 0.4, 2)
+        out = run_phase1(inst, 0.4)
         covered = set().union(*(c.members for c in out.clusters)) if out.clusters else set()
         gamma = out.alpha.max()
         for x in range(9):
@@ -248,17 +266,17 @@ class TestRunPhase1:
             points=rng.uniform(0, 3, (10, 2)),
         )
         lam = 1.3
-        out = run_phase1(inst, lam, 2)
-        tau = tightness_tolerance(inst, lam, 2)
-        assert check_dual_support(inst, out.alpha, out.clusters, 2, tau) == []
+        out = run_phase1(inst, lam)
+        tau = tightness_tolerance(inst, lam)
+        assert check_dual_support(inst, out.alpha, out.clusters, tau) == []
 
     def test_deterministic(self):
         rng = np.random.default_rng(3)
         pts = rng.uniform(0, 2, (8, 2))
         inst1 = Instance(mode="sqeuclid", k=1, n_prime=7, epsilon=1.0, points=pts)
         inst2 = Instance(mode="sqeuclid", k=1, n_prime=7, epsilon=1.0, points=pts.copy())
-        a = run_phase1(inst1, 0.7, 2)
-        b = run_phase1(inst2, 0.7, 2)
+        a = run_phase1(inst1, 0.7)
+        b = run_phase1(inst2, 0.7)
         assert np.array_equal(a.alpha, b.alpha)
         assert [(sorted(c.members), c.scale_exp, c.center) for c in a.clusters] == [
             (sorted(c.members), c.scale_exp, c.center) for c in b.clusters
@@ -273,7 +291,7 @@ class TestRunPhase1:
                 mode="sqeuclid", k=1, n_prime=int(rng.integers(1, n + 1)),
                 epsilon=1.0, points=rng.uniform(0, 2, (n, 1)),
             )
-            out = run_phase1(inst, float(rng.uniform(0.1, 2.0)), 2)
+            out = run_phase1(inst, float(rng.uniform(0.1, 2.0)))
             covered = set().union(*(c.members for c in out.clusters)) if out.clusters else set()
             assert len(covered) <= inst.n_prime
             if out.overflow is not None:
@@ -282,12 +300,12 @@ class TestRunPhase1:
     def test_feasibility_after_run(self):
         rng = np.random.default_rng(21)
         inst = Instance(
-            mode="sqeuclid", k=1, n_prime=8, epsilon=1.0,
+            mode="sqeuclid", k=1, n_prime=8, epsilon=0.5,
             points=rng.uniform(0, 2, (8, 2)),
         )
         lam = 0.9
-        out = run_phase1(inst, lam, 3)
-        state = DualState.fresh(inst, lam, 3)
+        out = run_phase1(inst, lam)
+        state = DualState.fresh(inst, lam)
         state.alpha = out.alpha
         assert worst_slack(state) <= state.tau
 
@@ -295,7 +313,7 @@ class TestRunPhase1:
 class TestWorstSlack:
     def test_zero_state_slack_is_minus_lambda_at_most(self):
         inst = line_instance(0.0, 1.0)
-        state = state_for(inst, 2.0, 2)
+        state = state_for(inst, 2.0)
         assert worst_slack(state) == pytest.approx(-2.0)
 
     def test_matches_enumeration(self):
@@ -308,8 +326,8 @@ class TestWorstSlack:
             )
             alpha = rng.uniform(0, 1.5, n)
             lam = float(rng.uniform(0, 2))
-            base = 2
-            state = state_for(inst, lam, base, alpha=alpha)
+            base = inst.base
+            state = state_for(inst, lam, alpha=alpha)
             fast = worst_slack(state)
             # exhaustive worst slack over all (subset, center) constraints
             dmat = inst.distances()
@@ -324,11 +342,11 @@ class TestWorstSlack:
             # the scan family is a subfamily, so it can only under-report,
             # and it must agree on the violated / feasible verdict
             assert fast <= worst + 1e-12
-            tau = tightness_tolerance(inst, lam, base)
+            tau = tightness_tolerance(inst, lam)
             assert (fast > tau) == (worst > tau)
 
 
-def mid_ascent_states(inst, lam, base, monkeypatch):
+def mid_ascent_states(inst, lam, monkeypatch):
     """(state, probe) at every screen of ``run_phase1``, where probe is the
     increment ``_next_event`` screens at."""
     snapshots = []
@@ -340,7 +358,7 @@ def mid_ascent_states(inst, lam, base, monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(dual, "_screen", recording)
-        run_phase1(inst, lam, base)
+        run_phase1(inst, lam)
     return snapshots
 
 
@@ -357,13 +375,14 @@ class TestScreen:
         rng = np.random.default_rng([seed, base])
         n = int(rng.integers(20, 41))
         pts = rng.uniform(0, 3, (n, 2))
+        params = dict(mode=mode, k=1, n_prime=n - 2, epsilon=EPS_OF_BASE[base])
         if mode == "sqeuclid":
-            inst = Instance(mode=mode, k=1, n_prime=n - 2, epsilon=1.0, points=pts)
+            inst = Instance(points=pts, **params)
         else:
             dmat = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(axis=-1))
-            inst = Instance(mode=mode, k=1, n_prime=n - 2, epsilon=1.0, dist_matrix=dmat)
+            inst = Instance(dist_matrix=dmat, **params)
         lam = float(rng.uniform(0.5, 2.0)) * float(np.median(inst.distances()))
-        snapshots = mid_ascent_states(inst, lam, base, monkeypatch)
+        snapshots = mid_ascent_states(inst, lam, monkeypatch)
         assert any(not state.active.all() for state, _ in snapshots)
         for state, probe in snapshots[::3]:
             for shift in (0.0, probe):

@@ -1,14 +1,18 @@
 """Distance models, cluster costs, and scale arithmetic."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from minsumclust.geometry import (
+    REL_TOL,
     DistanceMode,
     Instance,
     InstanceError,
     cluster_cost,
+    scale_base,
     scale_exponent,
 )
 from minsumclust.oracle import verify_dual_feasible
@@ -148,6 +152,31 @@ class TestFloorPow:
         assert p <= m < base * p
 
 
+class TestScaleBase:
+    # The instance derives b from epsilon: the smallest integer b >= 2 with
+    # b >= (1 + eps) / eps, up to REL_TOL.
+
+    @pytest.mark.parametrize("eps, want", [
+        (1.0, 2), (0.5, 3), (1 / 3, 4), (0.25, 5), (0.2, 6), (0.1, 11),
+    ])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_instance_base_follows_epsilon(self, eps, want, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 9))
+        pts = rng.uniform(0, 2, (n, 2))
+        if seed % 2:
+            dmat = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(axis=-1))
+            inst = Instance(mode="metric", k=1, n_prime=n, epsilon=eps, dist_matrix=dmat)
+        else:
+            inst = Instance(mode="sqeuclid", k=1, n_prime=n, epsilon=eps, points=pts)
+        ratio = (1.0 + eps) / eps - REL_TOL
+        assert inst.base == scale_base(eps) == want
+        assert inst.base >= 2 and inst.base >= ratio
+        assert inst.base == 2 or inst.base - 1 < ratio
+        # a copy with another epsilon derives its own base
+        assert replace(inst, epsilon=0.5).base == 3
+
+
 class TestScaledCost:
     # The scaled cost base**j * sum of d(x, y) over a set is the right side
     # of its dual constraint at center y, less lambda; the worst slack that
@@ -157,12 +186,12 @@ class TestScaledCost:
         # the whole set at center 1: 2 * (1 + 0 + 1) = 4
         inst = line(0.0, 1.0, 2.0)
         for exhaustive in (False, True):
-            _, worst = verify_dual_feasible(inst, np.full(3, 10.0), 0.0, 2, exhaustive)
+            _, worst = verify_dual_feasible(inst, np.full(3, 10.0), 0.0, exhaustive)
             assert worst == 30.0 - 4.0
 
     def test_singleton(self):
         for exhaustive in (False, True):
-            _, worst = verify_dual_feasible(line(7.0), np.array([3.0]), 1.0, 2, exhaustive)
+            _, worst = verify_dual_feasible(line(7.0), np.array([3.0]), 1.0, exhaustive)
             assert worst == 3.0 - 1.0
 
     def test_with_far_point(self):
@@ -170,7 +199,7 @@ class TestScaledCost:
         # less than center 1's 4 * (1 + 0 + 1 + 81) = 332
         inst = line(0.0, 1.0, 2.0, 10.0)
         for exhaustive in (False, True):
-            _, worst = verify_dual_feasible(inst, np.full(4, 1000.0), 0.0, 2, exhaustive)
+            _, worst = verify_dual_feasible(inst, np.full(4, 1000.0), 0.0, exhaustive)
             assert worst == 4000.0 - 276.0
 
     @given(st.integers(0, 2**31), st.integers(1, 40))

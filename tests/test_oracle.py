@@ -82,13 +82,13 @@ class TestBruteForce:
 class TestVerifyDualFeasible:
     def test_zero_duals_always_feasible(self):
         inst = line_instance(0.0, 1.0, 2.0)
-        ok, worst = verify_dual_feasible(inst, np.zeros(3), 0.5, 2)
+        ok, worst = verify_dual_feasible(inst, np.zeros(3), 0.5)
         assert ok and worst <= 0.0
 
     def test_overpaying_singleton_infeasible(self):
         inst = line_instance(0.0, 0.0, 0.0)
         gamma, lam = 2.0, 1.0
-        ok, worst = verify_dual_feasible(inst, np.full(3, gamma), lam, 2)
+        ok, worst = verify_dual_feasible(inst, np.full(3, gamma), lam)
         assert not ok
         assert worst >= gamma - lam
 
@@ -100,11 +100,9 @@ class TestVerifyDualFeasible:
             points=rng.uniform(0, 2, (8, 2)),
         )
         lam = float(rng.uniform(0.1, 1.5))
-        out = run_phase1(inst, lam, 2)
-        fast_ok, fast_worst = verify_dual_feasible(inst, out.alpha, lam, 2)
-        exact_ok, exact_worst = verify_dual_feasible(
-            inst, out.alpha, lam, 2, exhaustive=True
-        )
+        out = run_phase1(inst, lam)
+        fast_ok, fast_worst = verify_dual_feasible(inst, out.alpha, lam)
+        exact_ok, exact_worst = verify_dual_feasible(inst, out.alpha, lam, exhaustive=True)
         assert fast_ok and exact_ok
         assert fast_worst <= exact_worst + 1e-12
 
@@ -115,7 +113,7 @@ class TestVerifyDualFeasible:
             points=rng.normal(size=(13, 1)),
         )
         with pytest.raises(OracleError):
-            verify_dual_feasible(inst, np.zeros(13), 0.0, 2, exhaustive=True)
+            verify_dual_feasible(inst, np.zeros(13), 0.0, exhaustive=True)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_modes_agree_on_random_duals(self, seed):
@@ -127,8 +125,8 @@ class TestVerifyDualFeasible:
         )
         alpha = rng.uniform(0, 1.0, n)
         lam = float(rng.uniform(0, 1.0))
-        fast_ok, _ = verify_dual_feasible(inst, alpha, lam, 2)
-        exact_ok, _ = verify_dual_feasible(inst, alpha, lam, 2, exhaustive=True)
+        fast_ok, _ = verify_dual_feasible(inst, alpha, lam)
+        exact_ok, _ = verify_dual_feasible(inst, alpha, lam, exhaustive=True)
         assert fast_ok == exact_ok
 
 
@@ -150,11 +148,9 @@ class TestAudit:
         res = min_sum_clustering(inst, force_primal_dual=True)
         report = audit(inst, res, oracle_opt=opt)
         assert report.dual_feasible
-        assert report.worst_constraint_slack <= tightness_tolerance(
-            inst, res.lambda_high, res.base
-        )
+        assert report.worst_constraint_slack <= tightness_tolerance(inst, res.lambda_high)
         assert report.cost_ratio is not None
-        assert report.cost_ratio <= approx_bound(inst.epsilon, res.base)
+        assert report.cost_ratio <= approx_bound(inst.epsilon)
 
     def test_corrupted_result_flags_disjointness(self):
         inst = line_instance(0.0, 0.1, 5.0, 5.1, k=2)
@@ -205,7 +201,7 @@ class TestAudit:
         inst = Instance(mode="sqeuclid", k=3, n_prime=6, epsilon=1.0, points=pts)
         alpha = np.array([5.0, 5.0, 5.0, 0.0, 0.0, 0.0])
         for exhaustive in (False, True):
-            feasible, slack = verify_dual_feasible(inst, alpha, 9.0, 2, exhaustive)
+            feasible, slack = verify_dual_feasible(inst, alpha, 9.0, exhaustive)
             assert not feasible and slack == pytest.approx(2.0)
         res = min_sum_clustering(inst)
         res.certificates = [DualCertificate(9.0, alpha)]
@@ -225,6 +221,20 @@ class TestAudit:
         report = audit(inst, res)
         assert not report.ok
         assert report.invariant_failures == ["result states c_eps 1, but base 2 gives 144"]
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("mode", DistanceMode.EXPLICIT_METRIC, "mode metric, but the instance has sqeuclid"),
+        ("k", 3, "k 3, but the instance has 2"),
+        ("n_prime", 3, "n_prime 3, but the instance has 4"),
+        ("epsilon", 0.5, "epsilon 0.5, but the instance has 1.0"),
+    ])
+    def test_stated_instance_parameters_must_match(self, name, value, message):
+        inst = line_instance(0.0, 0.1, 5.0, 5.1, k=2)
+        res = min_sum_clustering(inst, force_primal_dual=True)
+        setattr(res, name, value)
+        report = audit(inst, res)
+        assert not report.ok
+        assert report.invariant_failures == [f"result states {message}"]
 
     def test_report_lines_render(self):
         inst = line_instance(0.0, 0.1, 5.0, 5.1, k=2)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from minsumclust.geometry import DistanceMode, Instance, cluster_cost
+from minsumclust.geometry import DistanceMode, Instance, cluster_cost, scale_base
 from minsumclust.search import (
     Branch,
     _local_search,
@@ -12,7 +12,6 @@ from minsumclust.search import (
     cost_constant,
     min_sum_clustering,
     probe,
-    scale_base,
     small_k_solver,
 )
 
@@ -44,31 +43,31 @@ class TestParameters:
         assert cost_constant(3) == pytest.approx(243.0)
 
     def test_bound_arithmetic(self):
-        assert approx_bound(1.0, 2) == pytest.approx(8 * 145.0)
+        assert approx_bound(1.0) == pytest.approx(8 * 145.0)
 
 
 class TestProbe:
     def test_zero_lambda_gives_near_singletons(self):
         inst = line_instance(0.0, 1.0, 3.0, 6.0, 10.0)
-        out = probe(inst, 0.0, 2)
+        out = probe(inst, 0.0)
         assert out.k_prime == inst.n - 1
 
     def test_huge_lambda_gives_one_cluster(self):
         inst = line_instance(0.0, 1.0, 3.0, 6.0)
         lam = float(inst.distances().sum())
-        out = probe(inst, lam, 2)
+        out = probe(inst, lam)
         assert out.k_prime == 0
 
     def test_budget_of_one(self):
         inst = line_instance(0.0, 1.0, 3.0, n_prime=1)
-        out = probe(inst, 0.3, 2)
+        out = probe(inst, 0.3)
         assert out.k_prime == 0
         assert len(out.clusters) == 1 and len(out.clusters[0].points) == 1
 
     def test_small_cluster_removal_rule(self):
         # eps/3 of the budget: clusters at or below that size are dropped
         inst = line_instance(0.0, 0.1, 5.0, 5.1, 100.0, eps=1.0)
-        out = probe(inst, 0.5, 2)
+        out = probe(inst, 0.5)
         assert out.k_prime == len(out.clusters)  # one was removed after counting
 
 
@@ -104,7 +103,7 @@ class TestMinSumClustering:
         res = min_sum_clustering(inst)
         assert res.exact and res.total_cost == pytest.approx(0.02)
         forced = min_sum_clustering(inst, force_primal_dual=True)
-        bound = approx_bound(inst.epsilon, forced.base)
+        bound = approx_bound(inst.epsilon)
         assert forced.total_cost <= bound * 0.02
 
     def test_bipoint_low_branch(self):
@@ -186,8 +185,8 @@ class TestMinSumClustering:
             inst = Instance(mode="sqeuclid", points=pts, **params)
         res = min_sum_clustering(inst, force_primal_dual=True)
         assert res.branch in (Branch.BIPOINT_LOW, Branch.BIPOINT_HIGH)
-        low = probe(inst, res.lambda_low, res.base).k_prime
-        high = probe(inst, res.lambda_high, res.base).k_prime
+        low = probe(inst, res.lambda_low).k_prime
+        high = probe(inst, res.lambda_high).k_prime
         if res.lambda_low == res.lambda_high:
             assert low <= k
         else:
