@@ -9,13 +9,15 @@ grid therefore detects tightness exactly.
 
 The ascent itself is event driven: all active duals rise at unit rate until
 either an active point can afford to join an existing candidate cluster
-(computed exactly) or some constraint goes tight (located by bisection on
-the uniform increment, which is monotone).  Before any exact scan, a
-vectorized screen drops every (y, j) pair that cannot fire by the next
-pause: its margin bound falls short of lam - tau, C(y, j) holds fewer than
-base**j points, or y is inactive and C(y, j) holds no active point.  The
-screen only rules pairs out; the exact, sorted scan decides every pair it
-passes.
+(computed exactly from the join arrays ``DualState`` keeps) or some
+constraint goes tight (located by bisection on the uniform increment, which
+is monotone).  ``next_event`` returns the pause and what happens there: a
+``JoinExisting``, or the new tight set as a ``ScaledCluster`` taken from the
+scan that proved it tight.  Before any exact scan, a vectorized screen drops
+every (y, j) pair that cannot fire by the next pause: its margin bound falls
+short of lam - tau, C(y, j) holds fewer than base**j points, or y is
+inactive and C(y, j) holds no active point.  The screen only rules pairs
+out; the exact, sorted scan decides every pair it passes.
 """
 
 from __future__ import annotations
@@ -36,42 +38,48 @@ EVENT_TIME_REL_TOL = 1e-12
 class DualState:
     """Mutable state of one dual-ascent run.
 
-    All active points carry the identical current dual value (they rise at a
-    uniform rate from zero); inactive values are frozen where they stopped.
+    Without ``alpha`` and ``active`` the state is the start of an ascent:
+    every dual zero and every point active.  All active points carry the
+    identical current dual value (they rise at a uniform rate from zero);
+    inactive values are frozen where they stopped.  ``tau`` is the tightness
+    tolerance of (inst, lam).  The join arrays hold, per point, the cheapest
+    scaled connection to any candidate cluster added so far and that cluster's
+    index (-1 for none); ties keep the earliest cluster.
     """
 
     inst: Instance
-    alpha: np.ndarray
-    active: np.ndarray
     lam: float
-    tau: float = 0.0
-    _scaled: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
+    alpha: np.ndarray | None = None
+    active: np.ndarray | None = None
+    _tau: float = field(init=False, repr=False)
+    join_threshold: np.ndarray = field(init=False, repr=False)
+    join_cluster: np.ndarray = field(init=False, repr=False)
+    _scaled: dict[int, np.ndarray] = field(init=False, default_factory=dict, repr=False)
 
-    @classmethod
-    def fresh(cls, inst: Instance, lam: float) -> "DualState":
-        if lam < 0:
-            raise ValueError("opening cost lambda must be nonnegative")
-        return cls(
-            inst=inst,
-            alpha=np.zeros(inst.n),
-            active=np.ones(inst.n, dtype=bool),
-            lam=float(lam),
-            tau=tightness_tolerance(inst, lam),
-        )
+    def __post_init__(self) -> None:
+        n = self.inst.n
+        self.lam = float(self.lam)
+        if self.alpha is None:
+            self.alpha = np.zeros(n)
+        if self.active is None:
+            self.active = np.ones(n, dtype=bool)
+        self._tau = tightness_tolerance(self.inst, self.lam)
+        self.join_threshold = np.full(n, np.inf)
+        self.join_cluster = np.full(n, -1, dtype=int)
+
+    @property
+    def tau(self) -> float:
+        return self._tau
 
     @property
     def base(self) -> int:
         return self.inst.base
 
-    @property
-    def dmat(self) -> np.ndarray:
-        return self.inst.distances()
-
     def scaled_dists(self, exp: int) -> np.ndarray:
         """base**exp times the distance matrix, computed once per state."""
         mat = self._scaled.get(exp)
         if mat is None:
-            mat = self._scaled[exp] = float(self.base**exp) * self.dmat
+            mat = self._scaled[exp] = float(self.base**exp) * self.inst.distances()
         return mat
 
     def max_exp(self) -> int:
@@ -82,6 +90,14 @@ class DualState:
         if shift == 0.0:
             return self.alpha
         return self.alpha + shift * self.active
+
+    def add_cluster(self, index: int, cluster: ScaledCluster) -> None:
+        """Let points join ``cluster`` once they pay its frozen center and
+        scale."""
+        vals = self.scaled_dists(cluster.scale_exp)[cluster.center]
+        better = vals < self.join_threshold
+        self.join_threshold[better] = vals[better]
+        self.join_cluster[better] = index
 
 
 @dataclass
@@ -101,13 +117,6 @@ class Phase1Output:
 class JoinExisting:
     point: int
     cluster: int
-
-
-@dataclass
-class NewTight:
-    members: set[int]
-    center: int
-    scale_exp: int
 
 
 def _pair_scan(
@@ -226,110 +235,71 @@ def worst_slack(state: DualState) -> float:
     return best - state.lam
 
 
-class _JoinIndex:
-    """Cheapest scaled connection from each point to any existing cluster.
+def _fire_time(
+    state: DualState, y: int, exp: int, hi: float
+) -> tuple[float, list[int]] | None:
+    """Smallest uniform increment in [0, hi] at which (y, exp) fires, with
+    the tight set of the last scan that fired, taken at that increment.
 
-    Thresholds depend only on each cluster's frozen center and scale, so the
-    index updates incrementally as clusters are created.  Ties keep the
-    earliest cluster.
+    The scan at ``hi`` comes first, so a pair that does not fire by then
+    costs one scan.  Otherwise bisection on the increment; the margin sum is
+    nondecreasing in it.  Returns None when the pair does not fire by ``hi``.
     """
-
-    def __init__(self, state: DualState):
-        self.threshold = np.full(state.inst.n, np.inf)
-        self.cluster = np.full(state.inst.n, -1, dtype=int)
-
-    def add(self, state: DualState, index: int, cluster: ScaledCluster) -> None:
-        vals = state.scaled_dists(cluster.scale_exp)[cluster.center]
-        better = vals < self.threshold
-        self.threshold[better] = vals[better]
-        self.cluster[better] = index
-
-    def earliest(self, state: DualState) -> tuple[float, int, int] | None:
-        """Smallest increment letting an active point join, ties by point
-        index then by cluster creation order."""
-        eligible = state.active & (self.cluster >= 0)
-        if not eligible.any():
-            return None
-        gaps = np.where(eligible, np.maximum(self.threshold - state.alpha, 0.0), np.inf)
-        x = int(np.argmin(gaps))
-        if not np.isfinite(gaps[x]):
-            return None
-        return float(gaps[x]), x, int(self.cluster[x])
-
-
-def _fire_time(state: DualState, y: int, exp: int, hi: float) -> float | None:
-    """Smallest uniform increment in [0, hi] at which (y, exp) fires.
-
-    Bisection on the increment; the margin sum is nondecreasing in it.
-    Returns None when the pair does not fire by ``hi``.
-    """
-
-    def fires(shift: float) -> bool:
-        _, minimal = _pair_scan(state, y, exp, True, shift)
-        return minimal is not None
-
-    if fires(0.0):
-        return 0.0
-    if not fires(hi):
+    _, minimal = _pair_scan(state, y, exp, True, hi)
+    if minimal is None:
         return None
+    if hi > 0.0:
+        _, at_zero = _pair_scan(state, y, exp, True, 0.0)
+        if at_zero is not None:
+            return 0.0, at_zero
     lo, top = 0.0, hi
     tol = EVENT_TIME_REL_TOL * hi
     while top - lo > tol:
         mid = (lo + top) / 2.0
-        if fires(mid):
-            top = mid
-        else:
+        _, found = _pair_scan(state, y, exp, True, mid)
+        if found is None:
             lo = mid
-    return top
+        else:
+            top, minimal = mid, found
+    return top, minimal
 
 
-def _next_event(
-    state: DualState, joins: _JoinIndex
-) -> tuple[float, JoinExisting | NewTight]:
+def next_event(state: DualState) -> tuple[float, JoinExisting | ScaledCluster]:
     """Locate the next pause point of the uniform ascent.
 
-    Returns (increment, event).  Join events win ties; among joins the
-    smallest point index wins, among tight constraints the scan order does.
+    Returns (increment, event): an active point joining a cluster added with
+    ``add_cluster``, or a new tight set.  Join events win ties; among joins
+    the smallest point index wins, among tight constraints the scan order
+    does.
     """
     if not state.active.any():
         raise RuntimeError("no active points")
     current = float(state.alpha[state.active].max())
-    join = joins.earliest(state)
-    join_t = join[0] if join is not None else np.inf
-    if join is not None and join_t <= 0.0:
-        return 0.0, JoinExisting(join[1], join[2])
+    eligible = state.active & (state.join_cluster >= 0)
+    gaps = np.where(eligible, np.maximum(state.join_threshold - state.alpha, 0.0), np.inf)
+    x = int(np.argmin(gaps))
+    join_t = float(gaps[x])
+    join = JoinExisting(x, int(state.join_cluster[x])) if join_t < np.inf else None
+    if join_t <= 0.0:
+        return 0.0, join
 
     # Some active singleton constraint fires once its dual reaches lam, so
     # the next tight time is at most max(0, lam - current).
     probe = min(join_t, max(0.0, state.lam - current))
     best_t: float | None = None
-    best_pair: tuple[int, int] | None = None
+    tight: ScaledCluster | None = None
     for y, exp in _screen(state, probe):
-        t = _fire_time(state, y, exp, probe if best_t is None else best_t)
-        if t is not None and (best_t is None or t < best_t):
-            best_t, best_pair = t, (y, exp)
-            if t == 0.0:
+        found = _fire_time(state, y, exp, probe if best_t is None else best_t)
+        if found is not None and (best_t is None or found[0] < best_t):
+            best_t, tight = found[0], ScaledCluster(set(found[1]), exp, y)
+            if best_t == 0.0:
                 break  # increments are nonnegative and ties keep the earlier pair
 
     if best_t is None and probe < join_t:
         raise RuntimeError("ascent found no event below its guaranteed cap")
     if join is not None and (best_t is None or join_t <= best_t):
-        return join_t, JoinExisting(join[1], join[2])
-    y, exp = best_pair
-    _, minimal = _pair_scan(state, y, exp, True, best_t)
-    if minimal is None:
-        raise RuntimeError("tight constraint vanished at its own fire time")
-    return best_t, NewTight(set(minimal), y, exp)
-
-
-def next_event_increment(
-    state: DualState, clusters: list[ScaledCluster] = ()
-) -> tuple[float, JoinExisting | NewTight]:
-    """Next pause of the ascent against the given candidate clusters."""
-    joins = _JoinIndex(state)
-    for i, c in enumerate(clusters):
-        joins.add(state, i, c)
-    return _next_event(state, joins)
+        return join_t, join
+    return best_t, tight
 
 
 def run_phase1(inst: Instance, lam: float) -> Phase1Output:
@@ -340,15 +310,16 @@ def run_phase1(inst: Instance, lam: float) -> Phase1Output:
     deactivating a new tight set would drop the active count strictly below
     n - n', that set is returned as the overflow cluster instead.
     """
-    state = DualState.fresh(inst, lam)
+    if lam < 0:
+        raise ValueError("opening cost lambda must be nonnegative")
+    state = DualState(inst, lam)
     target = inst.n - inst.n_prime
     clusters: list[ScaledCluster] = []
     overflow: ScaledCluster | None = None
-    joins = _JoinIndex(state)
     active_count = inst.n
 
     while active_count > target:
-        t, event = _next_event(state, joins)
+        t, event = next_event(state)
         if t > 0.0:
             state.alpha[state.active] += t
         if isinstance(event, JoinExisting):
@@ -356,17 +327,15 @@ def run_phase1(inst: Instance, lam: float) -> Phase1Output:
             state.active[event.point] = False
             active_count -= 1
             continue
-        cluster = ScaledCluster(
-            set(event.members), event.scale_exp, event.center, len(clusters)
-        )
+        event.created = len(clusters)
         newly = [x for x in event.members if state.active[x]]
         if active_count - len(newly) < target:
-            overflow = cluster
+            overflow = event
             break
-        clusters.append(cluster)
+        clusters.append(event)
         state.active[list(event.members)] = False
         active_count -= len(newly)
-        joins.add(state, len(clusters) - 1, cluster)
+        state.add_cluster(len(clusters) - 1, event)
 
     _check_phase1(state)
     return Phase1Output(alpha=state.alpha.copy(), clusters=clusters, overflow=overflow)

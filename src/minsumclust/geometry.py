@@ -78,7 +78,7 @@ class Instance:
     epsilon: float
     points: np.ndarray | None = None
     dist_matrix: np.ndarray | None = None
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     base: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:

@@ -2,9 +2,10 @@
 
 The exact optimum is computed by dynamic programming over point subsets:
 cluster costs for all 2**n subsets, then a partition layer per allowed
-cluster.  This enumerates exactly the canonically-labeled assignments
-(cluster labels ordered by first occurrence), which prunes the k!
-relabelings, and stays independent of the primal-dual solver it checks.
+cluster.  Each layer splits every mask into a cluster holding the mask's
+lowest point and a rest, (3**n - 1) / 2 splits over all masks, so the DP
+takes k (3**n - 1) / 2 steps.  It stays independent of the primal-dual
+solver it checks.
 """
 
 from __future__ import annotations
@@ -22,9 +23,8 @@ from .search import ClusteringResult, approx_bound, cost_constant
 
 # Exhaustive feasibility checking enumerates all subsets; keep it honest.
 EXHAUSTIVE_MAX_N = 12
-# Enumeration budget for the exact oracle, counted after symmetry pruning.
+# Step budget of the exact oracle's subset DP; it caps n at 15.
 ENUMERATION_BUDGET = 2e7
-ORACLE_MAX_N = 16
 
 
 class OracleError(ValueError):
@@ -32,11 +32,8 @@ class OracleError(ValueError):
 
 
 def enumeration_tractable(inst: Instance) -> bool:
-    """Whether the canonical assignment count fits the enumeration budget."""
-    labels = inst.k + 1 if inst.n_prime < inst.n else inst.k
-    if inst.n > ORACLE_MAX_N:
-        return False
-    return labels**inst.n / math.factorial(inst.k) <= ENUMERATION_BUDGET
+    """Whether the subset DP's k (3**n - 1) / 2 steps fit the budget."""
+    return inst.k * (3**inst.n - 1) // 2 <= ENUMERATION_BUDGET
 
 
 def brute_force_opt(inst: Instance) -> tuple[list[set[int]], float]:
@@ -83,7 +80,6 @@ def brute_force_opt(inst: Instance) -> tuple[list[set[int]], float]:
         parents.append(parent)
         layer = nxt
 
-    masks = np.arange(full)
     popcounts = np.array([int(m).bit_count() for m in range(full)])
     eligible = np.flatnonzero(popcounts == inst.n_prime)
     pos = eligible[int(np.argmin(layer[eligible]))]
@@ -137,14 +133,7 @@ def verify_dual_feasible(
             raise OracleError(f"exhaustive feasibility check needs n <= {EXHAUSTIVE_MAX_N}")
         worst = _exhaustive_worst_slack(inst, alpha, lam)
     else:
-        state = DualState(
-            inst=inst,
-            alpha=alpha.copy(),
-            active=np.ones(inst.n, dtype=bool),
-            lam=float(lam),
-            tau=tau,
-        )
-        worst = worst_slack(state)
+        worst = worst_slack(DualState(inst, lam, alpha=alpha.copy()))
     return worst <= tau, worst
 
 

@@ -264,8 +264,8 @@ def _result(
 
 
 def small_k_solver(inst: Instance, seed: int = 0) -> ClusteringResult:
-    """Direct optimization for small k: exhaustive when the assignment space
-    is tractable, seeded local search otherwise (flagged non-exact)."""
+    """Direct optimization for small k: the exact subset DP within the
+    oracle's step budget, seeded local search otherwise (flagged non-exact)."""
     from .oracle import brute_force_opt, enumeration_tractable
 
     if enumeration_tractable(inst):

@@ -1,9 +1,9 @@
 """Dual ascent: candidate lists, tightness detection, events, full phase run.
 
-Candidate lists and tightness are observed through ``next_event_increment``,
-the one entry into the ascent's event engine short of a full phase run.
-The screen is checked directly against the exact pair scan, on states
-recorded mid-ascent.
+Candidate lists and tightness are observed through ``next_event``, the one
+entry into the ascent's event engine short of a full phase run.  The screen,
+and the tight sets ``next_event`` returns, are checked directly against the
+exact pair scan, on states recorded mid-ascent.
 """
 
 import itertools
@@ -16,11 +16,10 @@ from minsumclust import dual
 from minsumclust.dual import (
     DualState,
     JoinExisting,
-    NewTight,
     _pair_scan,
     _screen,
     check_dual_support,
-    next_event_increment,
+    next_event,
     run_phase1,
     worst_slack,
 )
@@ -48,12 +47,11 @@ def line_instance(*xs, k=1, n_prime=None, eps=1.0):
 
 
 def state_for(inst, lam, alpha=None, active=None):
-    state = DualState.fresh(inst, lam)
     if alpha is not None:
-        state.alpha = np.asarray(alpha, dtype=float)
+        alpha = np.asarray(alpha, dtype=float)
     if active is not None:
-        state.active = np.asarray(active, dtype=bool)
-    return state
+        active = np.asarray(active, dtype=bool)
+    return DualState(inst, lam, alpha=alpha, active=active)
 
 
 def enumerate_violation(inst, alpha, active, lam, tau, require_active=True):
@@ -82,26 +80,26 @@ class TestCandidateSet:
         # fires once 2t reaches lambda, before any singleton at t = 1
         inst = line_instance(0.0, 0.0, 1.0)
         state = state_for(inst, 1.0)
-        t, event = next_event_increment(state)
+        t, event = next_event(state)
         assert t == pytest.approx(0.5)
-        assert event == NewTight(members={0, 1}, center=0, scale_exp=1)
+        assert event == ScaledCluster(members={0, 1}, scale_exp=1, center=0)
 
     def test_huge_duals_keep_everyone_sorted(self):
         # margins from y=0 at scale 1: 100, 98, 82; lambda 190 needs the two
         # largest, and lambda 250 all three
         inst = line_instance(0.0, 1.0, 3.0)
         state = state_for(inst, 190.0, alpha=[100.0, 100.0, 100.0])
-        assert next_event_increment(state) == (0.0, NewTight({0, 1}, 0, 1))
+        assert next_event(state) == (0.0, ScaledCluster({0, 1}, 1, 0))
         state = state_for(inst, 250.0, alpha=[100.0, 100.0, 100.0])
-        assert next_event_increment(state) == (0.0, NewTight({0, 1, 2}, 0, 1))
+        assert next_event(state) == (0.0, ScaledCluster({0, 1, 2}, 1, 0))
 
     def test_membership_threshold(self):
         # point 2 fails: alpha 0 < 2 * 9, so {0, 1} fires alone at 8 + 2t = 9
         inst = line_instance(0.0, 1.0, 3.0)
         state = state_for(inst, 9.0, alpha=[5.0, 5.0, 0.0])
-        t, event = next_event_increment(state)
+        t, event = next_event(state)
         assert t == pytest.approx(0.5)
-        assert event == NewTight(members={0, 1}, center=0, scale_exp=1)
+        assert event == ScaledCluster(members={0, 1}, scale_exp=1, center=0)
 
 
 class TestDetectViolation:
@@ -110,20 +108,20 @@ class TestDetectViolation:
     def test_zero_lambda_returns_first_singleton(self):
         inst = line_instance(0.0, 1.0, 2.0)
         state = state_for(inst, 0.0)
-        assert next_event_increment(state) == (0.0, NewTight({0}, 0, 0))
+        assert next_event(state) == (0.0, ScaledCluster({0}, 0, 0))
 
     def test_large_lambda_yields_nothing(self):
         inst = line_instance(0.0, 1.0, 3.0)
         maxd = inst.max_distance()
         lam = inst.n * inst.n * maxd * 1.01
         state = state_for(inst, lam, alpha=np.full(3, maxd))
-        t, _ = next_event_increment(state)
+        t, _ = next_event(state)
         assert t > 0.0
 
     def test_reported_pair_violation(self):
         inst = line_instance(0.0, 0.1, 5.0)
         state = state_for(inst, 1.0, alpha=[0.6, 0.6, 0.0])
-        t, v = next_event_increment(state)
+        t, v = next_event(state)
         assert t == 0.0
         assert v.members == {0, 1} and v.center == 0 and v.scale_exp == 1
         # lhs 1.2 against rhs 1 + 2 * 0.01
@@ -155,12 +153,12 @@ class TestDetectViolation:
             active[0] = True
         tau = tightness_tolerance(inst, lam)
         state = state_for(inst, lam, alpha=alpha, active=active)
-        t, got = next_event_increment(state)
+        t, got = next_event(state)
         want = enumerate_violation(inst, alpha, active, lam, tau)
         assert (t == 0.0) == (want is not None)
         if t == 0.0:
             # the reported constraint must genuinely be tight or violated
-            assert isinstance(got, NewTight)
+            assert isinstance(got, ScaledCluster)
             lhs = alpha[sorted(got.members)].sum()
             rhs = lam + base**got.scale_exp * sum(
                 inst.distances()[x, got.center] for x in got.members
@@ -175,25 +173,26 @@ class TestNextEvent:
     def test_singleton_fires_at_lambda(self):
         inst = line_instance(0.0, 1.0)
         state = state_for(inst, 0.5)
-        t, event = next_event_increment(state)
+        t, event = next_event(state)
         assert t == pytest.approx(0.5, abs=1e-7)
-        assert isinstance(event, NewTight)
+        assert isinstance(event, ScaledCluster)
         assert event.members == {0} and event.center == 0 and event.scale_exp == 0
 
     def test_colocated_point_joins_immediately(self):
         inst = line_instance(0.0, 0.0)
         state = state_for(inst, 5.0, active=[False, True])
         cluster = ScaledCluster(members={0}, scale_exp=0, center=0)
-        t, event = next_event_increment(state, clusters=[cluster])
+        state.add_cluster(0, cluster)
+        t, event = next_event(state)
         assert t == 0.0
         assert event == JoinExisting(point=1, cluster=0)
 
     def test_single_active_point_zero_lambda(self):
         inst = line_instance(4.0)
         state = state_for(inst, 0.0)
-        t, event = next_event_increment(state)
+        t, event = next_event(state)
         assert t == 0.0
-        assert isinstance(event, NewTight) and event.members == {0}
+        assert isinstance(event, ScaledCluster) and event.members == {0}
 
     def test_search_stops_at_the_first_pair_firing_at_once(self, monkeypatch):
         # at lambda 0 every singleton fires at increment 0, and a later pair
@@ -207,14 +206,28 @@ class TestNextEvent:
             return fire_time(*args)
 
         monkeypatch.setattr(dual, "_fire_time", counting)
-        assert next_event_increment(state_for(inst, 0.0)) == (0.0, NewTight({0}, 0, 0))
+        assert next_event(state_for(inst, 0.0)) == (0.0, ScaledCluster({0}, 0, 0))
         assert calls == [(0, 0)]
+
+    def test_a_pair_that_cannot_fire_by_hi_costs_one_scan(self, monkeypatch):
+        # the singleton {0} fires once its dual reaches lambda 1, not by 0.5
+        inst = line_instance(0.0, 1.0)
+        calls = []
+        pair_scan = dual._pair_scan
+
+        def counting(*args):
+            calls.append(args[1:])
+            return pair_scan(*args)
+
+        monkeypatch.setattr(dual, "_pair_scan", counting)
+        assert dual._fire_time(state_for(inst, 1.0), 0, 0, 0.5) is None
+        assert calls == [(0, 0, True, 0.5)]
 
     def test_requires_active_points(self):
         inst = line_instance(0.0, 1.0)
         state = state_for(inst, 1.0, active=[False, False])
         with pytest.raises(RuntimeError, match="no active points"):
-            next_event_increment(state)
+            next_event(state)
 
 
 class TestRunPhase1:
@@ -305,8 +318,7 @@ class TestRunPhase1:
         )
         lam = 0.9
         out = run_phase1(inst, lam)
-        state = DualState.fresh(inst, lam)
-        state.alpha = out.alpha
+        state = DualState(inst, lam, alpha=out.alpha)
         assert worst_slack(state) <= state.tau
 
 
@@ -346,9 +358,23 @@ class TestWorstSlack:
             assert (fast > tau) == (worst > tau)
 
 
+def plane_instance(rng, mode, base, n):
+    """n uniform points in the plane at the epsilon of ``base``, with n' = n - 2,
+    and an opening cost near their median distance."""
+    pts = rng.uniform(0, 3, (n, 2))
+    params = dict(mode=mode, k=1, n_prime=n - 2, epsilon=EPS_OF_BASE[base])
+    if mode == "sqeuclid":
+        inst = Instance(points=pts, **params)
+    else:
+        dmat = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(axis=-1))
+        inst = Instance(dist_matrix=dmat, **params)
+    lam = float(rng.uniform(0.5, 2.0)) * float(np.median(inst.distances()))
+    return inst, lam
+
+
 def mid_ascent_states(inst, lam, monkeypatch):
     """(state, probe) at every screen of ``run_phase1``, where probe is the
-    increment ``_next_event`` screens at."""
+    increment ``next_event`` screens at."""
     snapshots = []
 
     def recording(state, shift):
@@ -374,14 +400,7 @@ class TestScreen:
     ):
         rng = np.random.default_rng([seed, base])
         n = int(rng.integers(20, 41))
-        pts = rng.uniform(0, 3, (n, 2))
-        params = dict(mode=mode, k=1, n_prime=n - 2, epsilon=EPS_OF_BASE[base])
-        if mode == "sqeuclid":
-            inst = Instance(points=pts, **params)
-        else:
-            dmat = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(axis=-1))
-            inst = Instance(dist_matrix=dmat, **params)
-        lam = float(rng.uniform(0.5, 2.0)) * float(np.median(inst.distances()))
+        inst, lam = plane_instance(rng, mode, base, n)
         snapshots = mid_ascent_states(inst, lam, monkeypatch)
         assert any(not state.active.all() for state, _ in snapshots)
         for state, probe in snapshots[::3]:
@@ -396,3 +415,25 @@ class TestScreen:
                         in_list = alpha - state.scaled_dists(exp)[y] >= 0.0
                         assert in_list.sum() >= base**exp
                         assert state.active[y] or (in_list & state.active).any()
+
+
+class TestTightSet:
+    # The set next_event returns is the one the exact scan proves tight: the
+    # minimal qualifying prefix of its pair at the returned increment.
+
+    @pytest.mark.parametrize("mode", ["sqeuclid", "metric"])
+    @pytest.mark.parametrize("base", [2, 3])
+    def test_is_the_minimal_prefix_at_the_returned_increment(
+        self, mode, base, monkeypatch
+    ):
+        rng = np.random.default_rng([7, base])
+        inst, lam = plane_instance(rng, mode, base, int(rng.integers(20, 31)))
+        snapshots = mid_ascent_states(inst, lam, monkeypatch)
+        assert len(snapshots) > 1
+        for state, _ in snapshots:
+            t, event = next_event(state)
+            assert isinstance(event, ScaledCluster)
+            _, minimal = _pair_scan(state, event.center, event.scale_exp, True, t)
+            assert minimal is not None
+            assert len(minimal) == len(event.members)
+            assert set(minimal) == event.members

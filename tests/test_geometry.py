@@ -262,3 +262,12 @@ class TestInstanceValidation:
         inst = line(0.0, 1.0, 2.0)
         d = inst.distances()
         assert d[0, 2] > d[0, 1] + d[1, 2]
+
+    def test_replaced_points_get_a_fresh_cache(self):
+        inst = line(0.0, 1.0)
+        assert inst.distances()[0, 1] == 1.0
+        copy = replace(inst, points=np.array([[0.0], [10.0]]))
+        assert copy.distances()[0, 1] == 100.0
+        assert copy.max_distance() == 100.0
+        assert cluster_cost(copy, {0, 1}) == 100.0
+        assert inst.distances()[0, 1] == 1.0

@@ -64,6 +64,27 @@ class TestBruteForce:
         with pytest.raises(OracleError):
             brute_force_opt(inst)
 
+    def test_step_bound_refuses_what_the_dp_cannot_finish(self):
+        # 3 (3**16 - 1) / 2 = 64.6M steps exceed the budget
+        rng = np.random.default_rng(1)
+        inst = Instance(
+            mode="sqeuclid", k=3, n_prime=16, epsilon=1.0,
+            points=rng.normal(size=(16, 2)),
+        )
+        assert not enumeration_tractable(inst)
+        with pytest.raises(OracleError):
+            brute_force_opt(inst)
+
+    def test_step_bound_admits_what_the_dp_can_finish(self):
+        # 4 (3**13 - 1) / 2 = 3.2M steps fit the budget, with an outlier
+        rng = np.random.default_rng(2)
+        inst = Instance(
+            mode="sqeuclid", k=4, n_prime=12, epsilon=1.0,
+            points=rng.normal(size=(13, 2)),
+        )
+        assert enumeration_tractable(inst)
+        assert small_k_solver(inst).exact
+
     def test_agrees_with_small_k_exact_regime(self):
         for seed in range(10):
             rng = np.random.default_rng(seed)
