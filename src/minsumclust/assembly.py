@@ -55,20 +55,16 @@ def partition_evenly(members, m: int) -> list[set[int]]:
 
 def run_phase3(assignments: list[MetaAssignment], base: int) -> AssembledClustering:
     """Open clusters per anchor according to the scale capacity rule."""
-    by_anchor: dict[int, tuple[MetaAssignment, list[MetaAssignment]]] = {}
+    groups: dict[int, list[MetaAssignment]] = {}
     for ma in assignments:
-        key = ma.anchor.created
-        if key not in by_anchor:
-            by_anchor[key] = (ma, [])
-        by_anchor[key][1].append(ma)
+        groups.setdefault(ma.anchor.created, []).append(ma)
 
     clusters: list[AssembledCluster] = []
     discarded: set[int] = set()
     discard_events: list[tuple[int, int, frozenset[int]]] = []
 
-    for key in sorted(by_anchor):
-        first, group = by_anchor[key]
-        p = first.anchor.scale_exp
+    for key, group in sorted(groups.items()):
+        p = group[0].anchor.scale_exp
         top: set[int] = set()
         low: dict[int, set[int]] = {}
         for ma in group:
@@ -91,7 +87,7 @@ def run_phase3(assignments: list[MetaAssignment], base: int) -> AssembledCluster
                 continue
             for piece in partition_evenly(bucket, opened):
                 clusters.append(
-                    AssembledCluster(piece, scale, from_top, first.anchor_is_overflow)
+                    AssembledCluster(piece, scale, from_top, group[0].anchor_is_overflow)
                 )
 
     return AssembledClustering(clusters, discarded, discard_events)

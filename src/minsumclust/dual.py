@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Instance, ScaledCluster, scale_exponent, tightness_tolerance
+from .geometry import Instance, ScaledCluster, tightness_tolerance
 
 # Bisection for event times stops when the bracket shrinks below this
 # fraction of its initial width.
@@ -42,9 +42,10 @@ class DualState:
     every dual zero and every point active.  All active points carry the
     identical current dual value (they rise at a uniform rate from zero);
     inactive values are frozen where they stopped.  ``tau`` is the tightness
-    tolerance of (inst, lam).  The join arrays hold, per point, the cheapest
-    scaled connection to any candidate cluster added so far and that cluster's
-    index (-1 for none); ties keep the earliest cluster.
+    tolerance of (inst, lam).  ``clusters`` lists the candidate clusters added
+    so far; a cluster's number, ``created``, is its position there.  The join
+    arrays hold, per point, the cheapest scaled connection to any of them and
+    that cluster's number (-1 for none); ties keep the earliest cluster.
     """
 
     inst: Instance
@@ -52,6 +53,7 @@ class DualState:
     alpha: np.ndarray | None = None
     active: np.ndarray | None = None
     _tau: float = field(init=False, repr=False)
+    clusters: list[ScaledCluster] = field(init=False, default_factory=list, repr=False)
     join_threshold: np.ndarray = field(init=False, repr=False)
     join_cluster: np.ndarray = field(init=False, repr=False)
     _scaled: dict[int, np.ndarray] = field(init=False, default_factory=dict, repr=False)
@@ -71,19 +73,12 @@ class DualState:
     def tau(self) -> float:
         return self._tau
 
-    @property
-    def base(self) -> int:
-        return self.inst.base
-
     def scaled_dists(self, exp: int) -> np.ndarray:
         """base**exp times the distance matrix, computed once per state."""
         mat = self._scaled.get(exp)
         if mat is None:
-            mat = self._scaled[exp] = float(self.base**exp) * self.inst.distances()
+            mat = self._scaled[exp] = float(self.inst.base**exp) * self.inst.distances()
         return mat
-
-    def max_exp(self) -> int:
-        return scale_exponent(self.base, self.inst.n)
 
     def raised_alpha(self, shift: float) -> np.ndarray:
         """Dual values after raising every active point by ``shift``."""
@@ -91,13 +86,16 @@ class DualState:
             return self.alpha
         return self.alpha + shift * self.active
 
-    def add_cluster(self, index: int, cluster: ScaledCluster) -> None:
-        """Let points join ``cluster`` once they pay its frozen center and
-        scale."""
+    def add_cluster(self, cluster: ScaledCluster) -> None:
+        """Number ``cluster``, add it and freeze its members; other points
+        join it once they pay its frozen center and scale."""
+        cluster.created = len(self.clusters)
+        self.clusters.append(cluster)
+        self.active[list(cluster.members)] = False
         vals = self.scaled_dists(cluster.scale_exp)[cluster.center]
         better = vals < self.join_threshold
         self.join_threshold[better] = vals[better]
-        self.join_cluster[better] = index
+        self.join_cluster[better] = cluster.created
 
 
 @dataclass
@@ -115,6 +113,8 @@ class Phase1Output:
 
 @dataclass
 class JoinExisting:
+    """``point`` joins ``state.clusters[cluster]``."""
+
     point: int
     cluster: int
 
@@ -130,7 +130,7 @@ def _pair_scan(
     required, and its size s satisfies base**exp <= s < base**(exp + 1).
     Returns (None, None) when no admissible set exists at all.
     """
-    base = state.base
+    base = state.inst.base
     alpha = state.raised_alpha(shift)
     margins = alpha - state.scaled_dists(exp)[y]
     members = np.flatnonzero(margins >= 0.0)
@@ -178,16 +178,16 @@ def _margin_bounds(
     """
     alpha = state.raised_alpha(shift)
     n = alpha.size
-    for exp in range(state.max_exp() + 1):
+    for exp in range(state.inst.top_exp + 1):
         margins = alpha[None, :] - state.scaled_dists(exp)
         in_list = margins >= 0.0
         pos = np.clip(margins, 0.0, None)
-        cap = state.base ** (exp + 1) - 1
+        cap = state.inst.base ** (exp + 1) - 1
         if cap >= n:
             bound = pos.sum(axis=1)
         else:
             bound = np.partition(pos, n - cap, axis=1)[:, n - cap :].sum(axis=1)
-        bound[np.count_nonzero(in_list, axis=1) < state.base**exp] = -np.inf
+        bound[np.count_nonzero(in_list, axis=1) < state.inst.base**exp] = -np.inf
         yield in_list, bound
 
 
@@ -314,31 +314,24 @@ def run_phase1(inst: Instance, lam: float) -> Phase1Output:
         raise ValueError("opening cost lambda must be nonnegative")
     state = DualState(inst, lam)
     target = inst.n - inst.n_prime
-    clusters: list[ScaledCluster] = []
     overflow: ScaledCluster | None = None
-    active_count = inst.n
 
-    while active_count > target:
+    while (active := np.count_nonzero(state.active)) > target:
         t, event = next_event(state)
         if t > 0.0:
             state.alpha[state.active] += t
         if isinstance(event, JoinExisting):
-            clusters[event.cluster].members.add(event.point)
+            state.clusters[event.cluster].members.add(event.point)
             state.active[event.point] = False
-            active_count -= 1
-            continue
-        event.created = len(clusters)
-        newly = [x for x in event.members if state.active[x]]
-        if active_count - len(newly) < target:
+        elif active - np.count_nonzero(state.active[list(event.members)]) < target:
+            event.created = len(state.clusters)
             overflow = event
             break
-        clusters.append(event)
-        state.active[list(event.members)] = False
-        active_count -= len(newly)
-        state.add_cluster(len(clusters) - 1, event)
+        else:
+            state.add_cluster(event)
 
     _check_phase1(state)
-    return Phase1Output(alpha=state.alpha.copy(), clusters=clusters, overflow=overflow)
+    return Phase1Output(alpha=state.alpha.copy(), clusters=state.clusters, overflow=overflow)
 
 
 def _check_phase1(state: DualState) -> None:

@@ -8,8 +8,6 @@ import numpy as np
 
 from .geometry import DistanceMode, Instance, InstanceError
 
-FAMILIES = ("rings", "gauss", "box", "metric")
-
 
 @dataclass
 class GeneratorSpec:
@@ -25,16 +23,10 @@ class GeneratorSpec:
 
 
 def generate(spec: GeneratorSpec) -> Instance:
-    if spec.family not in FAMILIES:
+    maker = _MAKERS.get(spec.family)
+    if maker is None:
         raise InstanceError(f"unknown generator family {spec.family!r}")
-    rng = np.random.default_rng(spec.seed)
-    maker = {
-        "rings": _rings,
-        "gauss": _gauss,
-        "box": _box,
-        "metric": _metric,
-    }[spec.family]
-    points, dist = maker(rng, **spec.params)
+    points, dist = maker(np.random.default_rng(spec.seed), **spec.params)
     n = points.shape[0] if points is not None else dist.shape[0]
     n_prime = n if spec.n_prime is None else spec.n_prime
     mode = DistanceMode.EXPLICIT_METRIC if dist is not None else DistanceMode.SQEUCLIDEAN
@@ -100,3 +92,8 @@ def _metric(rng, n=16, embed_dim=3):
     dist = (dist + dist.T) / 2.0
     np.fill_diagonal(dist, 0.0)
     return None, dist
+
+
+# Family name -> maker(rng, **params), which returns (points, None) or (None, matrix).
+_MAKERS = {"rings": _rings, "gauss": _gauss, "box": _box, "metric": _metric}
+FAMILIES = tuple(_MAKERS)

@@ -9,6 +9,7 @@ safe to issue from multiple threads.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -43,9 +44,9 @@ def resolution_tolerance(inst: Instance, alpha: np.ndarray) -> float:
 
 
 def _largest_scaled_distance(inst: Instance, copies: int = 1) -> float:
-    """``copies`` times the largest distance scaled by base**j, j the top
-    scale exponent of n points; the integer product is formed first."""
-    return copies * inst.base ** scale_exponent(inst.base, inst.n) * inst.max_distance()
+    """``copies`` times the largest distance scaled by base**top_exp; the
+    integer product is formed first."""
+    return copies * inst.base**inst.top_exp * inst.max_distance()
 
 
 class DistanceMode(str, Enum):
@@ -68,8 +69,9 @@ class Instance:
     construction: symmetric, zero diagonal, nonnegative, and triangle
     inequality within relative ``MATRIX_REL_TOL``.
 
-    Treat instances as immutable after construction.  ``base``, the scale
-    base of epsilon, is derived once here and read by every phase and check.
+    ``k`` and ``n_prime`` must be integers.  Treat instances as immutable
+    after construction.  ``base``, the scale base of epsilon, and
+    ``top_exp``, the largest j with base**j <= n, are derived once here.
     """
 
     mode: DistanceMode
@@ -80,6 +82,7 @@ class Instance:
     dist_matrix: np.ndarray | None = None
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     base: int = field(init=False, repr=False, compare=False)
+    top_exp: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.mode = DistanceMode(self.mode)
@@ -99,6 +102,10 @@ class Instance:
                 raise InstanceError("metric mode takes a matrix and no points")
             self.dist_matrix = _validated_metric(np.asarray(self.dist_matrix, dtype=float))
 
+        try:
+            self.k, self.n_prime = operator.index(self.k), operator.index(self.n_prime)
+        except TypeError:
+            raise InstanceError("k and n_prime must be integers") from None
         if self.k < 1:
             raise InstanceError("k must be at least 1")
         if not 1 <= self.n_prime <= self.n:
@@ -106,6 +113,7 @@ class Instance:
         if not 0.0 < self.epsilon <= 1.0:
             raise InstanceError("epsilon must lie in (0, 1]")
         self.base = scale_base(self.epsilon)
+        self.top_exp = scale_exponent(self.base, self.n)
 
     @property
     def n(self) -> int:

@@ -2,11 +2,14 @@
 
 Every float is written with 17 significant digits, which round-trips IEEE
 doubles exactly, so saving and re-loading a result preserves all values.
+``_HEADER`` declares the result header's lines and how each is written and read.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
+from operator import attrgetter
 
 import numpy as np
 
@@ -63,22 +66,8 @@ def load_instance(path, mode, k: int, n_prime: int, epsilon: float) -> Instance:
 
 
 def save_result(result: ClusteringResult, path) -> None:
-    lines = [
-        RESULT_HEADER,
-        f"mode {result.mode.value}",
-        f"n {result.n}",
-        f"k {result.k}",
-        f"n_prime {result.n_prime}",
-        f"epsilon {_fmt(result.epsilon)}",
-        f"branch {result.branch.value}",
-        f"b {result.base}",
-        f"c_eps {_fmt(result.c_eps)}",
-        f"exact {1 if result.exact else 0}",
-        f"lambda_low {_fmt(result.lambda_low)}",
-        f"lambda_high {_fmt(result.lambda_high)}",
-        f"rho1 {_fmt(result.rho1)}",
-        f"total_cost {_fmt(result.total_cost)}",
-    ]
+    lines = [RESULT_HEADER]
+    lines += [f"{key} {write(getattr(result, attr))}" for key, attr, write, _ in _HEADER]
     for c in result.clusters:
         lines.append("cluster " + " ".join(str(i) for i in sorted(c)))
     lines.append("outliers " + " ".join(str(i) for i in sorted(result.outliers)))
@@ -116,28 +105,11 @@ def load_result(path) -> ClusteringResult:
         else:
             scalars[key] = rest
     try:
-        n = _number(path, scalars["n"], int)
-        if scalars["exact"] not in ("0", "1"):
-            raise FormatError(f"{path}: exact flag {scalars['exact']!r} is not 0 or 1")
-        result = ClusteringResult(
-            clusters=clusters,
-            outliers=outliers,
-            total_cost=_number(path, scalars["total_cost"]),
-            lambda_low=_number(path, scalars["lambda_low"]),
-            lambda_high=_number(path, scalars["lambda_high"]),
-            rho1=_number(path, scalars["rho1"]),
-            branch=Branch(scalars["branch"]),
-            base=_number(path, scalars["b"], int),
-            c_eps=_number(path, scalars["c_eps"]),
-            exact=scalars["exact"] == "1",
-            mode=DistanceMode(scalars["mode"]),
-            n=n,
-            k=_number(path, scalars["k"], int),
-            n_prime=_number(path, scalars["n_prime"], int),
-            epsilon=_number(path, scalars["epsilon"]),
-        )
+        header = {attr: read(path, scalars[key]) for key, attr, _, read in _HEADER}
     except KeyError as exc:
         raise FormatError(f"{path}: missing field {exc}") from None
+    result = ClusteringResult(clusters=clusters, outliers=outliers, **header)
+    n = result.n
     for members in [*clusters, outliers]:
         bad = [i for i in members if not 0 <= i < n]
         if bad:
@@ -160,6 +132,33 @@ def _number(path, text: str, kind=float):
     if not math.isfinite(value):
         raise FormatError(f"{path}: non-finite number {text!r}")
     return value
+
+
+def _flag(path, text: str) -> bool:
+    if text not in ("0", "1"):
+        raise FormatError(f"{path}: exact flag {text!r} is not 0 or 1")
+    return text == "1"
+
+
+_int = partial(_number, kind=int)
+_value = attrgetter("value")
+# The result header in file order: (file key, ClusteringResult attribute,
+# writer, reader); a reader takes (path, text).
+_HEADER = (
+    ("mode", "mode", _value, lambda path, text: DistanceMode(text)),
+    ("n", "n", str, _int),
+    ("k", "k", str, _int),
+    ("n_prime", "n_prime", str, _int),
+    ("epsilon", "epsilon", _fmt, _number),
+    ("branch", "branch", _value, lambda path, text: Branch(text)),
+    ("b", "base", str, _int),
+    ("c_eps", "c_eps", _fmt, _number),
+    ("exact", "exact", lambda flag: "1" if flag else "0", _flag),
+    ("lambda_low", "lambda_low", _fmt, _number),
+    ("lambda_high", "lambda_high", _fmt, _number),
+    ("rho1", "rho1", _fmt, _number),
+    ("total_cost", "total_cost", _fmt, _number),
+)
 
 
 def save_plot_data(inst: Instance, result: ClusteringResult, path) -> None:

@@ -19,7 +19,7 @@ from .assembly import check_size_windows
 from .conflicts import check_assignment_counts, check_connection_factors
 from .dual import DualState, worst_slack, check_dual_support
 from .geometry import REL_TOL, Instance, cluster_cost, scale_exponent, tightness_tolerance
-from .search import ClusteringResult, approx_bound, cost_constant
+from .search import Branch, ClusteringResult, approx_bound, cost_constant
 
 # Exhaustive feasibility checking enumerates all subsets; keep it honest.
 EXHAUSTIVE_MAX_N = 12
@@ -200,8 +200,9 @@ def audit(
 ) -> AuditReport:
     """Run every invariant check the result supports.
 
-    Structural checks (disjointness, counts, recomputed cost) always run;
-    dual feasibility runs when certificates are present; the per-phase
+    Structural checks (disjointness, counts, recomputed cost) always run.
+    A bipoint result needs one feasible certificate per distinct lambda
+    endpoint, in order, and the other branches none; the per-phase
     guarantees run when the result still carries its pipeline internals.
     Every check uses the instance's mode, k, n', epsilon and scale base, not
     the values the result states; each stated value must agree with them.
@@ -256,6 +257,14 @@ def audit(
             f"{recomputed!r}"
         )
 
+    endpoints = []
+    if result.branch in (Branch.BIPOINT_LOW, Branch.BIPOINT_HIGH):
+        endpoints = list(dict.fromkeys([result.lambda_low, result.lambda_high]))
+    stated = [cert.lam for cert in result.certificates]
+    if stated != endpoints:
+        report.dual_feasible = False
+        fail(f"{result.branch.value} result carries certificates at lambda "
+             f"{stated}, expected {endpoints}")
     for cert in result.certificates:
         if not (math.isfinite(cert.lam) and np.isfinite(cert.alpha).all()):
             report.dual_feasible = False

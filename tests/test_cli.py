@@ -107,6 +107,16 @@ def test_raised_alpha_fails_the_audit(solved, tmp_path, capsys):
     assert "dual_feasible NO" in out
 
 
+def test_deleted_certificates_fail_the_audit(solved, tmp_path, capsys):
+    lines = solved.result.read_text().splitlines()
+    path = tmp_path / "uncertified.txt"
+    path.write_text("".join(f"{line}\n" for line in lines if not line.startswith("certificate")))
+    code, out, _ = verify(capsys, solved, path)
+    assert code == 1
+    assert "dual_feasible NO" in out
+    assert "result carries certificates at lambda [], expected [" in out
+
+
 def test_edited_base_fails_the_audit(solved, tmp_path, capsys):
     # epsilon 1 gives scale base 2; the audit must not take the file's word
     path = tampered(solved, tmp_path, "b", lambda line: "b 3")

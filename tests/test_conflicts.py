@@ -11,21 +11,9 @@ from minsumclust.conflicts import (
     run_phase2,
 )
 from minsumclust.dual import run_phase1
-from minsumclust.geometry import DistanceMode, Instance, ScaledCluster, resolution_tolerance
+from minsumclust.geometry import Instance, ScaledCluster, resolution_tolerance
 
-# An epsilon whose scale base is the key.
-EPS_OF_BASE = {2: 1.0, 3: 0.5}
-
-
-def line_instance(*xs, k=1, n_prime=None, eps=1.0):
-    pts = np.array(xs, dtype=float).reshape(-1, 1)
-    return Instance(
-        mode=DistanceMode.SQEUCLIDEAN,
-        k=k,
-        n_prime=len(xs) if n_prime is None else n_prime,
-        epsilon=eps,
-        points=pts,
-    )
+from instances import EPS_OF_BASE, line_instance
 
 
 class TestConflictEdge:

@@ -23,27 +23,9 @@ from minsumclust.dual import (
     run_phase1,
     worst_slack,
 )
-from minsumclust.geometry import (
-    DistanceMode,
-    Instance,
-    ScaledCluster,
-    scale_exponent,
-    tightness_tolerance,
-)
+from minsumclust.geometry import Instance, ScaledCluster, scale_exponent, tightness_tolerance
 
-# An epsilon whose scale base is the key.
-EPS_OF_BASE = {2: 1.0, 3: 0.5}
-
-
-def line_instance(*xs, k=1, n_prime=None, eps=1.0):
-    pts = np.array(xs, dtype=float).reshape(-1, 1)
-    return Instance(
-        mode=DistanceMode.SQEUCLIDEAN,
-        k=k,
-        n_prime=len(xs) if n_prime is None else n_prime,
-        epsilon=eps,
-        points=pts,
-    )
+from instances import EPS_OF_BASE, line_instance
 
 
 def state_for(inst, lam, alpha=None, active=None):
@@ -182,7 +164,7 @@ class TestNextEvent:
         inst = line_instance(0.0, 0.0)
         state = state_for(inst, 5.0, active=[False, True])
         cluster = ScaledCluster(members={0}, scale_exp=0, center=0)
-        state.add_cluster(0, cluster)
+        state.add_cluster(cluster)
         t, event = next_event(state)
         assert t == 0.0
         assert event == JoinExisting(point=1, cluster=0)
@@ -407,7 +389,7 @@ class TestScreen:
             for shift in (0.0, probe):
                 screened = set(_screen(state, shift))
                 alpha = state.raised_alpha(shift)
-                for y, exp in itertools.product(range(n), range(state.max_exp() + 1)):
+                for y, exp in itertools.product(range(n), range(inst.top_exp + 1)):
                     _, minimal = _pair_scan(state, y, exp, True, shift)
                     if minimal is not None:
                         assert (y, exp) in screened

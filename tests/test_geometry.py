@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from minsumclust.geometry import (
     REL_TOL,
-    DistanceMode,
     Instance,
     InstanceError,
     cluster_cost,
@@ -17,16 +16,7 @@ from minsumclust.geometry import (
 )
 from minsumclust.oracle import verify_dual_feasible
 
-
-def line(*xs, k=1, n_prime=None, eps=1.0):
-    pts = np.array(xs, dtype=float).reshape(-1, 1)
-    return Instance(
-        mode=DistanceMode.SQEUCLIDEAN,
-        k=k,
-        n_prime=len(xs) if n_prime is None else n_prime,
-        epsilon=eps,
-        points=pts,
-    )
+from instances import line_instance
 
 
 def centred_sum(inst, members):
@@ -38,11 +28,11 @@ def centred_sum(inst, members):
 
 class TestPairDistance:
     def test_one_dimensional(self):
-        inst = line(0.0, 2.0)
+        inst = line_instance(0.0, 2.0)
         assert inst.distances()[0, 1] == 4.0
 
     def test_self_distance_is_zero(self):
-        inst = line(0.0, 2.0)
+        inst = line_instance(0.0, 2.0)
         assert inst.distances()[0, 0] == 0.0
 
     def test_metric_lookup(self):
@@ -53,7 +43,7 @@ class TestPairDistance:
     def test_out_of_range(self):
         # a pair's cluster cost is its distance; an index past n is rejected
         with pytest.raises(IndexError):
-            cluster_cost(line(0.0, 2.0), {0, 5})
+            cluster_cost(line_instance(0.0, 2.0), {0, 5})
 
     @given(st.integers(0, 5), st.integers(0, 5), st.integers(0, 2**31))
     @settings(max_examples=50)
@@ -70,18 +60,18 @@ class TestPairDistance:
 
 class TestClusterCost:
     def test_pair(self):
-        assert cluster_cost(line(0.0, 2.0), {0, 1}) == 4.0
+        assert cluster_cost(line_instance(0.0, 2.0), {0, 1}) == 4.0
 
     def test_three_points(self):
         # half of 2 * (1 + 4 + 1); the mean-centered identity gives 3 * 2
-        assert cluster_cost(line(0.0, 1.0, 2.0), {0, 1, 2}) == pytest.approx(6.0)
+        assert cluster_cost(line_instance(0.0, 1.0, 2.0), {0, 1, 2}) == pytest.approx(6.0)
 
     def test_singleton(self):
-        assert cluster_cost(line(0.0, 1.0), {0}) == 0.0
+        assert cluster_cost(line_instance(0.0, 1.0), {0}) == 0.0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            cluster_cost(line(0.0), set())
+            cluster_cost(line_instance(0.0), set())
 
     @given(st.integers(0, 2**31), st.integers(2, 50))
     @settings(max_examples=60, deadline=None)
@@ -184,20 +174,20 @@ class TestScaledCost:
 
     def test_three_points(self):
         # the whole set at center 1: 2 * (1 + 0 + 1) = 4
-        inst = line(0.0, 1.0, 2.0)
+        inst = line_instance(0.0, 1.0, 2.0)
         for exhaustive in (False, True):
             _, worst = verify_dual_feasible(inst, np.full(3, 10.0), 0.0, exhaustive)
             assert worst == 30.0 - 4.0
 
     def test_singleton(self):
         for exhaustive in (False, True):
-            _, worst = verify_dual_feasible(line(7.0), np.array([3.0]), 1.0, exhaustive)
+            _, worst = verify_dual_feasible(line_instance(7.0), np.array([3.0]), 1.0, exhaustive)
             assert worst == 3.0 - 1.0
 
     def test_with_far_point(self):
         # four points take scale 2**2; center 2 costs 4 * (4 + 1 + 0 + 64),
         # less than center 1's 4 * (1 + 0 + 1 + 81) = 332
-        inst = line(0.0, 1.0, 2.0, 10.0)
+        inst = line_instance(0.0, 1.0, 2.0, 10.0)
         for exhaustive in (False, True):
             _, worst = verify_dual_feasible(inst, np.full(4, 1000.0), 0.0, exhaustive)
             assert worst == 4000.0 - 276.0
@@ -257,14 +247,28 @@ class TestInstanceValidation:
         with pytest.raises(InstanceError):
             Instance(mode="sqeuclid", k=1, n_prime=3, epsilon=1.5, points=pts)
 
+    @pytest.mark.parametrize("name, value", [
+        ("k", 2.5), ("k", 10.0), ("n_prime", 2.5), ("n_prime", 10.0),
+    ])
+    def test_counts_must_be_integers(self, name, value):
+        params = dict(mode="sqeuclid", k=2, n_prime=10, epsilon=1.0, points=np.zeros((12, 1)))
+        with pytest.raises(InstanceError, match="must be integers"):
+            Instance(**{**params, name: value})
+
+    def test_numpy_integer_counts_are_kept_as_ints(self):
+        inst = Instance(mode="sqeuclid", k=np.int64(2), n_prime=np.int32(10), epsilon=1.0,
+                        points=np.zeros((12, 1)))
+        assert (inst.k, inst.n_prime) == (2, 10)
+        assert type(inst.k) is int and type(inst.n_prime) is int
+
     def test_squared_euclidean_skips_triangle_check(self):
         # squared distances on a line violate the triangle inequality
-        inst = line(0.0, 1.0, 2.0)
+        inst = line_instance(0.0, 1.0, 2.0)
         d = inst.distances()
         assert d[0, 2] > d[0, 1] + d[1, 2]
 
     def test_replaced_points_get_a_fresh_cache(self):
-        inst = line(0.0, 1.0)
+        inst = line_instance(0.0, 1.0)
         assert inst.distances()[0, 1] == 1.0
         copy = replace(inst, points=np.array([[0.0], [10.0]]))
         assert copy.distances()[0, 1] == 100.0

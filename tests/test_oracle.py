@@ -19,16 +19,7 @@ from minsumclust.search import (
     small_k_solver,
 )
 
-
-def line_instance(*xs, k=1, n_prime=None, eps=1.0):
-    pts = np.array(xs, dtype=float).reshape(-1, 1)
-    return Instance(
-        mode=DistanceMode.SQEUCLIDEAN,
-        k=k,
-        n_prime=len(xs) if n_prime is None else n_prime,
-        epsilon=eps,
-        points=pts,
-    )
+from instances import line_instance
 
 
 class TestBruteForce:
@@ -194,6 +185,27 @@ class TestAudit:
         res.certificates[0].alpha = res.certificates[0].alpha + 100.0
         report = audit(inst, res)
         assert not report.dual_feasible
+
+    def test_missing_certificates_fail(self):
+        inst = line_instance(0.0, 0.1, 5.0, 5.1, k=2)
+        res = min_sum_clustering(inst, force_primal_dual=True)
+        assert audit(inst, res).ok and res.lambda_low < res.lambda_high
+        res.certificates = []
+        report = audit(inst, res)
+        assert not report.ok and not report.dual_feasible
+        assert report.invariant_failures == [
+            "bipoint_high result carries certificates at lambda [], "
+            f"expected {[res.lambda_low, res.lambda_high]}"
+        ]
+
+    def test_extra_certificate_fails(self):
+        inst = line_instance(0.0, 0.1, 5.0, 5.1, k=2)
+        res = min_sum_clustering(inst, force_primal_dual=True)
+        res.certificates.append(DualCertificate(res.lambda_high, np.zeros(inst.n)))
+        report = audit(inst, res)
+        assert not report.ok and not report.dual_feasible
+        assert len(report.invariant_failures) == 1
+        assert "result carries certificates at lambda [" in report.invariant_failures[0]
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_cost_fails(self, value):

@@ -13,21 +13,7 @@ import pytest
 from minsumclust.geometry import REL_TOL, Instance
 from minsumclust.search import min_sum_clustering
 
-
-def _simplex_recipe(seed):
-    """Equal groups at the vertices of a scaled simplex (the lambda-bracket
-    test's recipe): k' jumps past k, so the search ends on two endpoints."""
-    rng = np.random.default_rng(seed)
-    dim, per = [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2), (5, 2)][seed % 7]
-    verts = np.repeat(np.eye(dim + 1), per, axis=0)
-    pts = rng.uniform(0.5, 3.0) * verts[rng.permutation((dim + 1) * per)]
-    n, k = len(pts), int(rng.integers(1, dim + 1))
-    params = dict(k=k, n_prime=n - int(rng.integers(0, 2)),
-                  epsilon=float(rng.choice([0.5, 1.0])))
-    if seed % 2:
-        dmat = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(axis=-1))
-        return Instance(mode="metric", dist_matrix=dmat, **params)
-    return Instance(mode="sqeuclid", points=pts, **params)
+from instances import line_instance, simplex_recipe
 
 
 def _uniform(seed, n, dim=2, **params):
@@ -41,24 +27,19 @@ def _metric(seed, n, **params):
     return Instance(mode="metric", dist_matrix=dmat, **params)
 
 
-def _line(*xs, **params):
-    pts = np.array(xs, dtype=float).reshape(-1, 1)
-    return Instance(mode="sqeuclid", points=pts, **params)
-
-
 # name -> (instance builder, force_primal_dual)
 CASES = {
     "degenerate-k-at-least-nprime": (
-        lambda: _line(0.0, 5.0, 9.0, 2.5, k=3, n_prime=3, epsilon=1.0), False),
+        lambda: line_instance(0.0, 5.0, 9.0, 2.5, k=3, n_prime=3), False),
     "degenerate-coincident": (
-        lambda: _line(*[2.0] * 6, k=2, n_prime=5, epsilon=0.5), False),
+        lambda: line_instance(*[2.0] * 6, k=2, n_prime=5, eps=0.5), False),
     "small-k-exact": (lambda: _uniform(1, 10, k=2, n_prime=9, epsilon=1.0), False),
     "small-k-local-search": (lambda: _uniform(2, 24, k=3, n_prime=22, epsilon=1.0), False),
     "one-probe-sqeuclid": (lambda: _uniform(3, 16, k=5, n_prime=15, epsilon=1.0), False),
     "one-probe-metric": (lambda: _metric(4, 14, k=6, n_prime=13, epsilon=1.0), False),
-    "two-endpoints-split-sqeuclid": (lambda: _simplex_recipe(10), True),
-    "two-endpoints-split-metric": (lambda: _simplex_recipe(3), True),
-    "bipoint-low-metric": (lambda: _simplex_recipe(187), True),
+    "two-endpoints-split-sqeuclid": (lambda: simplex_recipe(10), True),
+    "two-endpoints-split-metric": (lambda: simplex_recipe(3), True),
+    "bipoint-low-metric": (lambda: simplex_recipe(187), True),
 }
 
 EXPECTED = {

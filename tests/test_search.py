@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from minsumclust.geometry import DistanceMode, Instance, cluster_cost, scale_base
+from minsumclust.geometry import Instance, cluster_cost, scale_base
 from minsumclust.search import (
     Branch,
     _local_search,
@@ -15,21 +15,7 @@ from minsumclust.search import (
     small_k_solver,
 )
 
-
-def line_instance(*xs, k=1, n_prime=None, eps=1.0):
-    pts = np.array(xs, dtype=float).reshape(-1, 1)
-    return Instance(
-        mode=DistanceMode.SQEUCLIDEAN,
-        k=k,
-        n_prime=len(xs) if n_prime is None else n_prime,
-        epsilon=eps,
-        points=pts,
-    )
-
-
-def simplex_groups(dim, per_vertex):
-    verts = np.eye(dim + 1)
-    return np.repeat(verts, per_vertex, axis=0)
+from instances import line_instance, simplex_groups, simplex_recipe
 
 
 class TestParameters:
@@ -173,24 +159,15 @@ class TestMinSumClustering:
         # returns, not monotonicity of k' in lambda.  Equal groups at the
         # vertices of a simplex merge together, so k' jumps past k and most
         # seeds end on two distinct endpoints; random points mostly hit k.
-        rng = np.random.default_rng(seed)
-        dim, per = [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2), (5, 2)][seed % 7]
-        pts = rng.uniform(0.5, 3.0) * simplex_groups(dim, per)[rng.permutation((dim + 1) * per)]
-        n, k = len(pts), int(rng.integers(1, dim + 1))
-        params = dict(k=k, n_prime=n - int(rng.integers(0, 2)), epsilon=float(rng.choice([0.5, 1.0])))
-        if seed % 2:
-            dmat = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(axis=-1))
-            inst = Instance(mode="metric", dist_matrix=dmat, **params)
-        else:
-            inst = Instance(mode="sqeuclid", points=pts, **params)
+        inst = simplex_recipe(seed)
         res = min_sum_clustering(inst, force_primal_dual=True)
         assert res.branch in (Branch.BIPOINT_LOW, Branch.BIPOINT_HIGH)
         low = probe(inst, res.lambda_low).k_prime
         high = probe(inst, res.lambda_high).k_prime
         if res.lambda_low == res.lambda_high:
-            assert low <= k
+            assert low <= inst.k
         else:
-            assert low > k >= high
+            assert low > inst.k >= high
 
 
 class TestSplitToK:
