@@ -335,16 +335,21 @@ def run_phase1(inst: Instance, lam: float) -> Phase1Output:
 
 
 def _check_phase1(state: DualState) -> None:
-    """Postconditions of the ascent; failures indicate an internal bug.
+    """Postconditions of the ascent; the first failure raises ``RuntimeError``.
 
     Active duals rise from zero by the same increments, so they are equal bit
-    for bit, and no frozen dual exceeds them.
+    for bit, and no frozen dual exceeds them.  No constraint is violated
+    beyond tau, and every cluster member pays its scaled distance to the
+    center (``check_dual_support``).
     """
     if (state.alpha[state.active] != state.alpha.max()).any():
         raise RuntimeError("active duals diverged from the uniform value")
     slack = worst_slack(state)
     if slack > state.tau:
         raise RuntimeError(f"dual constraint violated by {slack:.3e} after ascent")
+    failures = check_dual_support(state.inst, state.alpha, state.clusters, state.tau)
+    if failures:
+        raise RuntimeError(failures[0])
 
 
 def check_dual_support(

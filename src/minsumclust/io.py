@@ -83,27 +83,30 @@ def save_result(result: ClusteringResult, path) -> None:
 
 
 def load_result(path) -> ClusteringResult:
-    """Read a result file, checking that every number parses and is finite,
-    and its point indices and certificate lengths against the n in its own
-    header."""
+    """Read a result file.  Every key must be known, and only ``cluster`` and
+    ``certificate`` lines may repeat; every number must parse and be finite,
+    and the point indices and certificate lengths must fit the n in the
+    file's own header."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [line.rstrip("\n") for line in fh if line.strip()]
     if not lines or lines[0] != RESULT_HEADER:
         raise FormatError(f"{path}: not a result file")
     scalars: dict[str, str] = {}
     clusters: list[set[int]] = []
-    outliers: set[int] = set()
     certificates: list[list[float]] = []
     for line in lines[1:]:
         key, _, rest = line.partition(" ")
         if key == "cluster":
-            clusters.append({_number(path, v, int) for v in rest.split()})
-        elif key == "outliers":
-            outliers = {_number(path, v, int) for v in rest.split()}
+            clusters.append({_parse(path, v, int) for v in rest.split()})
         elif key == "certificate":
-            certificates.append([_number(path, v) for v in rest.split()])
+            certificates.append([_parse(path, v) for v in rest.split()])
+        elif key not in _ONCE_KEYS:
+            raise FormatError(f"{path}: unknown key {key!r}")
+        elif key in scalars:
+            raise FormatError(f"{path}: key {key!r} appears twice")
         else:
             scalars[key] = rest
+    outliers = {_parse(path, v, int) for v in scalars.get("outliers", "").split()}
     try:
         header = {attr: read(path, scalars[key]) for key, attr, _, read in _HEADER}
     except KeyError as exc:
@@ -123,13 +126,13 @@ def load_result(path) -> ClusteringResult:
     return result
 
 
-def _number(path, text: str, kind=float):
-    """``text`` read as a finite float, or as an int with ``kind=int``."""
+def _parse(path, text: str, kind=float):
+    """``text`` read as a finite float, or as ``kind``: int or an enum."""
     try:
         value = kind(text)
     except ValueError:
         raise FormatError(f"{path}: cannot read {text!r} as {kind.__name__}") from None
-    if not math.isfinite(value):
+    if kind is float and not math.isfinite(value):
         raise FormatError(f"{path}: non-finite number {text!r}")
     return value
 
@@ -140,25 +143,27 @@ def _flag(path, text: str) -> bool:
     return text == "1"
 
 
-_int = partial(_number, kind=int)
+_int = partial(_parse, kind=int)
 _value = attrgetter("value")
 # The result header in file order: (file key, ClusteringResult attribute,
 # writer, reader); a reader takes (path, text).
 _HEADER = (
-    ("mode", "mode", _value, lambda path, text: DistanceMode(text)),
+    ("mode", "mode", _value, partial(_parse, kind=DistanceMode)),
     ("n", "n", str, _int),
     ("k", "k", str, _int),
     ("n_prime", "n_prime", str, _int),
-    ("epsilon", "epsilon", _fmt, _number),
-    ("branch", "branch", _value, lambda path, text: Branch(text)),
+    ("epsilon", "epsilon", _fmt, _parse),
+    ("branch", "branch", _value, partial(_parse, kind=Branch)),
     ("b", "base", str, _int),
-    ("c_eps", "c_eps", _fmt, _number),
+    ("c_eps", "c_eps", _fmt, _parse),
     ("exact", "exact", lambda flag: "1" if flag else "0", _flag),
-    ("lambda_low", "lambda_low", _fmt, _number),
-    ("lambda_high", "lambda_high", _fmt, _number),
-    ("rho1", "rho1", _fmt, _number),
-    ("total_cost", "total_cost", _fmt, _number),
+    ("lambda_low", "lambda_low", _fmt, _parse),
+    ("lambda_high", "lambda_high", _fmt, _parse),
+    ("rho1", "rho1", _fmt, _parse),
+    ("total_cost", "total_cost", _fmt, _parse),
 )
+# The keys a result file holds at most once.
+_ONCE_KEYS = {key for key, *_ in _HEADER} | {"outliers"}
 
 
 def save_plot_data(inst: Instance, result: ClusteringResult, path) -> None:

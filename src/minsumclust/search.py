@@ -15,9 +15,9 @@ from enum import Enum
 
 import numpy as np
 
-from .assembly import AssembledCluster, AssembledClustering, partition_evenly, run_phase3
-from .conflicts import MetaAssignment, run_phase2
-from .dual import Phase1Output, run_phase1
+from .assembly import AssembledCluster, check_size_windows, partition_evenly, run_phase3
+from .conflicts import check_assignment_counts, check_connection_factors, run_phase2
+from .dual import run_phase1
 from .geometry import REL_TOL, DistanceMode, Instance, cluster_cost, scale_base
 
 # Random restarts of the small-k local search.
@@ -43,14 +43,13 @@ class DualCertificate:
 
 @dataclass
 class ProbeOutcome:
-    """Everything one pipeline run produced, kept for verification."""
+    """What the search needs of one pipeline run: the opening cost, the
+    clusters kept, the count k' and the ascent's duals (the certificate)."""
 
     lam: float
     clusters: list[AssembledCluster]
     k_prime: int
-    phase1: Phase1Output
-    assignments: list[MetaAssignment]
-    assembled: AssembledClustering
+    alpha: np.ndarray
 
 
 @dataclass
@@ -73,7 +72,6 @@ class ClusteringResult:
     n_prime: int
     epsilon: float
     certificates: list[DualCertificate] = field(default_factory=list)
-    outcome: ProbeOutcome | None = field(default=None, repr=False)
 
     def clustered_count(self) -> int:
         return sum(len(c) for c in self.clusters)
@@ -93,6 +91,8 @@ def approx_bound(epsilon: float) -> float:
 def probe(inst: Instance, lam: float) -> ProbeOutcome:
     """Run the full pipeline at one opening cost.
 
+    Each phase's guarantee is checked on every probe (the ascent's by
+    ``run_phase1``), and the first failure raises ``RuntimeError``.
     ``k_prime`` is one less than the number of assembled clusters, recorded
     before the smallest cluster is dropped (which happens when it holds at
     most eps/3 of the n' budget; ties drop the earliest such cluster).
@@ -100,20 +100,18 @@ def probe(inst: Instance, lam: float) -> ProbeOutcome:
     phase1 = run_phase1(inst, lam)
     assignments = run_phase2(inst, phase1.alpha, phase1.clusters, phase1.overflow)
     assembled = run_phase3(assignments, inst.base)
+    failures = (check_assignment_counts(assignments, inst.n_prime)
+                + check_connection_factors(inst, assignments, phase1.alpha)
+                + check_size_windows(assembled, inst.base, inst.n_prime))
+    if failures:
+        raise RuntimeError(f"probe at lambda {lam:.6g}: {failures[0]}")
     clusters = list(assembled.clusters)
     k_prime = len(clusters) - 1
     if clusters:
         smallest = min(range(len(clusters)), key=lambda i: (len(clusters[i].points), i))
         if len(clusters[smallest].points) <= inst.epsilon * inst.n_prime / 3.0 + REL_TOL:
             del clusters[smallest]
-    return ProbeOutcome(
-        lam=float(lam),
-        clusters=clusters,
-        k_prime=k_prime,
-        phase1=phase1,
-        assignments=assignments,
-        assembled=assembled,
-    )
+    return ProbeOutcome(float(lam), clusters, k_prime, phase1.alpha)
 
 
 def min_sum_clustering(
@@ -175,10 +173,10 @@ def min_sum_clustering(
             range(len(low.clusters)), key=lambda i: (-len(low.clusters[i].points), i)
         )
         chosen = [set(low.clusters[i].points) for i in ranked[:k]]
-        branch, outcome = Branch.BIPOINT_LOW, low
+        branch = Branch.BIPOINT_LOW
     else:
         chosen = _split_to_k([set(c.points) for c in high.clusters], k)
-        branch, outcome = Branch.BIPOINT_HIGH, high
+        branch = Branch.BIPOINT_HIGH
 
     return _result(
         inst,
@@ -188,7 +186,6 @@ def min_sum_clustering(
         lambda_high=high.lam,
         rho1=rho1,
         certificates=[_certificate(low), _certificate(high)],
-        outcome=outcome,
     )
 
 
@@ -210,7 +207,7 @@ def _split_to_k(clusters: list[set[int]], k: int) -> list[set[int]]:
 
 
 def _certificate(out: ProbeOutcome) -> DualCertificate:
-    return DualCertificate(out.lam, out.phase1.alpha)
+    return DualCertificate(out.lam, out.alpha)
 
 
 def _from_probe(inst: Instance, out: ProbeOutcome, branch: Branch) -> ClusteringResult:
@@ -221,7 +218,6 @@ def _from_probe(inst: Instance, out: ProbeOutcome, branch: Branch) -> Clustering
         lambda_low=out.lam,
         lambda_high=out.lam,
         certificates=[_certificate(out)],
-        outcome=out,
     )
 
 
@@ -235,7 +231,6 @@ def _result(
     lambda_high: float = 0.0,
     rho1: float = 1.0,
     certificates: list[DualCertificate] = (),
-    outcome: ProbeOutcome | None = None,
 ) -> ClusteringResult:
     """The result for a chosen clustering: empty clusters dropped, the
     outliers and the total cost derived from the rest."""
@@ -259,7 +254,6 @@ def _result(
         n_prime=inst.n_prime,
         epsilon=inst.epsilon,
         certificates=list(certificates),
-        outcome=outcome,
     )
 
 

@@ -6,7 +6,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from minsumclust import cli
+from minsumclust import cli, search
+from minsumclust.assembly import AssembledCluster, AssembledClustering
 from minsumclust.conflicts import AssignmentError
 from minsumclust.io import save_points
 
@@ -85,6 +86,16 @@ def test_internal_error_exits_one(solved, error, monkeypatch, capsys, tmp_path):
                        "--output", tmp_path / "out.txt")
     assert code == 1
     assert err == "error: planted\n"
+
+
+def test_broken_phase_guarantee_exits_one(solved, monkeypatch, capsys, tmp_path):
+    # a top-bucket cluster at scale 0 holds at most 2 * 2**2 = 8 points
+    oversized = AssembledClustering([AssembledCluster(set(range(9)), 0, True, False)], set())
+    monkeypatch.setattr(search, "run_phase3", lambda assignments, base: oversized)
+    code, _, err = run(capsys, "cluster", "--input", solved.data, "--mode", solved.mode,
+                       *CLUSTER_FLAGS, "--output", tmp_path / "out.txt")
+    assert code == 1
+    assert err.startswith("error: probe at lambda ") and "cluster 0 has 9 points, cap 8" in err
 
 
 def test_edited_cost_fails_the_audit(solved, tmp_path, capsys):
@@ -181,11 +192,17 @@ def test_verify_rejects_an_instance_of_another_size(solved, tmp_path, capsys):
     ("cluster", lambda line: line + " x", "cannot read 'x' as int"),
     ("rho1", lambda line: "rho1 1..0", "cannot read '1..0' as float"),
     ("exact", lambda line: "exact yes", "exact flag 'yes' is not 0 or 1"),
+    ("mode", lambda line: "mode cosine", "cannot read 'cosine' as DistanceMode"),
+    ("branch", lambda line: "branch bipoint_mid", "cannot read 'bipoint_mid' as Branch"),
+    ("k", lambda line: f"k 7\n{line}", "key 'k' appears twice"),
+    ("outliers", lambda line: f"{line}\n{line}", "key 'outliers' appears twice"),
+    ("rho1", lambda line: f"{line}\nbogus 1", "unknown key 'bogus'"),
 ], ids=["cluster-index", "outlier-index", "empty-certificate", "short-certificate",
         "long-certificate", "nan-cost", "inf-cost", "nan-alpha", "bad-index",
-        "bad-number", "bad-exact"])
+        "bad-number", "bad-exact", "bad-mode", "bad-branch", "repeated-key",
+        "repeated-outliers", "unknown-key"])
 def test_malformed_result_exits_two(solved, key, change, message, tmp_path, capsys):
     path = tampered(solved, tmp_path, key, change)
     code, _, err = verify(capsys, solved, path)
     assert code == 2
-    assert err.startswith("error: ") and message in err
+    assert err.startswith(f"error: {path}: ") and message in err

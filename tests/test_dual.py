@@ -16,6 +16,7 @@ from minsumclust import dual
 from minsumclust.dual import (
     DualState,
     JoinExisting,
+    _check_phase1,
     _pair_scan,
     _screen,
     check_dual_support,
@@ -291,6 +292,14 @@ class TestRunPhase1:
             assert len(covered) <= inst.n_prime
             if out.overflow is not None:
                 assert len(covered | out.overflow.members) >= inst.n_prime
+
+    def test_check_raises_for_a_member_that_underpays(self):
+        # a member at alpha 0, 100 away from the center, with every dual zero
+        # so the uniformity and feasibility checks pass
+        state = DualState(line_instance(0.0, 1.0, 100.0), 1.0)
+        state.add_cluster(ScaledCluster({0, 2}, 1, 0))
+        with pytest.raises(RuntimeError, match="point 2 underpays its cluster"):
+            _check_phase1(state)
 
     def test_feasibility_after_run(self):
         rng = np.random.default_rng(21)

@@ -5,12 +5,16 @@ literals, so a refactor that moves any output fails here.  Clusters (in the
 order returned), outliers, branch, exactness and the number of certificates
 must match exactly; the total cost, the lambda bracket and rho1 within
 ``REL_TOL``.  Regenerate a literal only for a deliberate change of output.
+Each result must also audit the same after ``save_result`` and
+``load_result``.
 """
 
 import numpy as np
 import pytest
 
 from minsumclust.geometry import REL_TOL, Instance
+from minsumclust.io import load_result, save_result
+from minsumclust.oracle import audit
 from minsumclust.search import min_sum_clustering
 
 from instances import line_instance, simplex_recipe
@@ -126,3 +130,12 @@ def test_output_is_pinned(name):
     assert len(res.certificates) == want["certificates"]
     for field in ("total_cost", "lambda_low", "lambda_high", "rho1"):
         assert _close(getattr(res, field), want[field]), field
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_audit_reads_the_same_after_save_and_load(name, tmp_path):
+    build, force = CASES[name]
+    inst = build()
+    res = min_sum_clustering(inst, force_primal_dual=force)
+    save_result(res, tmp_path / "result.txt")
+    assert audit(inst, load_result(tmp_path / "result.txt")).lines() == audit(inst, res).lines()

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from minsumclust import search
+from minsumclust.assembly import AssembledCluster, AssembledClustering
 from minsumclust.geometry import Instance, cluster_cost, scale_base
 from minsumclust.search import (
     Branch,
@@ -55,6 +57,14 @@ class TestProbe:
         inst = line_instance(0.0, 0.1, 5.0, 5.1, 100.0, eps=1.0)
         out = probe(inst, 0.5)
         assert out.k_prime == len(out.clusters)  # one was removed after counting
+
+    def test_assembly_over_its_cap_raises(self, monkeypatch):
+        # a top-bucket cluster at scale 0 holds at most 2 * 2**2 = 8 points
+        oversized = AssembledClustering([AssembledCluster(set(range(9)), 0, True, False)], set())
+        monkeypatch.setattr(search, "run_phase3", lambda assignments, base: oversized)
+        inst = line_instance(*range(9))
+        with pytest.raises(RuntimeError, match="cluster 0 has 9 points, cap 8"):
+            probe(inst, 0.0)
 
 
 class TestMinSumClustering:
