@@ -11,9 +11,12 @@ The ascent itself is event driven: all active duals rise at unit rate until
 either an active point can afford to join an existing candidate cluster
 (computed exactly from the join arrays ``DualState`` keeps) or some
 constraint goes tight (located by bisection on the uniform increment, which
-is monotone).  ``next_event`` returns the pause and what happens there: a
-``JoinExisting``, or the new tight set as a ``ScaledCluster`` taken from the
-scan that proved it tight.  Before any exact scan, a vectorized screen drops
+is monotone).  Each bisection step asks only whether a pair fires, which the
+value scan ``_pair_scan`` answers from the pair's sorted margin values.
+``next_event`` returns the pause and what happens there: a ``JoinExisting``,
+or the new tight set as a ``ScaledCluster``, which ``_tight_set`` builds
+once, for the winning pair at the returned increment, from the same floats
+the scan read.  Before any exact scan, a vectorized screen drops
 every (y, j) pair that cannot fire by the next pause: its margin bound falls
 short of lam - tau, C(y, j) holds fewer than base**j points, or y is
 inactive and C(y, j) holds no active point.  The screen only rules pairs
@@ -119,48 +122,82 @@ class JoinExisting:
     cluster: int
 
 
-def _pair_scan(
+def _admission(
     state: DualState, y: int, exp: int, require_active: bool, shift: float
-) -> tuple[float | None, list[int] | None]:
-    """Exact scan of one (y, exp) family.
+) -> tuple[np.ndarray, list[int], int] | None:
+    """The admission rules of the (y, exp) family, shared by the value scan
+    and the tight-set builder.
 
-    Returns (best, minimal): the maximum admissible margin sum, and the
-    shortest qualifying prefix when that maximum reaches lam - tau.  A
-    prefix qualifies if it contains y, at least one active point when
-    required, and its size s satisfies base**exp <= s < base**(exp + 1).
-    Returns (None, None) when no admissible set exists at all.
+    Returns (margins, forced, size_hi): the row's margins at the shift (a
+    new array), the points every admissible set starts with, and the largest
+    admissible size.  ``forced`` is y itself, member or not, then, when an
+    active point is required and y is inactive, the active member of largest
+    margin (smallest index among ties).  A set is admissible when its size s
+    satisfies base**exp <= s < base**(exp + 1).  Returns None when no
+    admissible set exists at all.
     """
     base = state.inst.base
-    alpha = state.raised_alpha(shift)
-    margins = alpha - state.scaled_dists(exp)[y]
-    members = np.flatnonzero(margins >= 0.0)
-    size_lo = base**exp
-    if members.size < size_lo:
-        return None, None
-    # members ascend, so the stable sort breaks margin ties by point index
-    order = members[np.argsort(-margins[members], kind="stable")]
+    margins = state.raised_alpha(shift) - state.scaled_dists(exp)[y]
+    count = np.count_nonzero(margins >= 0.0)
+    if count < base**exp:
+        return None
     forced = [y]
-    unforced = order != y
     if require_active and not state.active[y]:
-        active_members = order[state.active[order]]
-        if active_members.size == 0:
-            return None, None
-        forced.append(int(active_members[0]))
-        unforced &= order != forced[1]
-    size_hi = min(members.size, base ** (exp + 1) - 1)
+        active_margins = np.where(state.active, margins, -np.inf)
+        first = int(np.argmax(active_margins))
+        if not active_margins[first] >= 0.0:
+            return None
+        forced.append(first)
+    size_hi = min(count, base ** (exp + 1) - 1)
     if size_hi < len(forced):
-        return None, None
-    rest = order[unforced]
-    ordered = np.concatenate([np.asarray(forced, dtype=np.intp), rest])
+        return None
+    return margins, forced, size_hi
+
+
+def _pair_scan(
+    state: DualState, y: int, exp: int, require_active: bool, shift: float
+) -> float | None:
+    """Maximum admissible margin sum of the (y, exp) family, or None when no
+    admissible set exists.
+
+    The best set is the forced points followed by the largest other
+    candidate margins, up to the largest admissible size.  Only margin values
+    enter the sum, and tied values are interchangeable, so sorting the values
+    suffices.  The sum runs left to right in that order, as the prefix sums
+    of ``_tight_set`` do, so both read the same floats.
+    """
+    admitted = _admission(state, y, exp, require_active, shift)
+    if admitted is None:
+        return None
+    margins, forced, size_hi = admitted
+    values = []
+    for x in forced:
+        values.append(float(margins[x]))
+        margins[x] = np.inf  # out of the rest: it sorts last
+    margins.sort()
+    values += margins[margins.size - size_hi : margins.size - len(forced)][::-1].tolist()
+    total = values[0]
+    for value in values[1:]:
+        total += value  # left to right like np.cumsum; np.sum adds pairwise
+    return total
+
+
+def _tight_set(state: DualState, y: int, exp: int, shift: float) -> list[int]:
+    """The shortest admissible prefix of (y, exp) whose margin sum reaches
+    lam - tau at the given shift, at which the pair must fire.
+
+    The prefix is the forced points, then the other candidates by decreasing
+    margin, ties broken by point index.
+    """
+    margins, forced, _ = _admission(state, y, exp, True, shift)
+    candidates = margins >= 0.0
+    candidates[forced] = False
+    rest = np.flatnonzero(candidates)
+    # rest ascends, so the stable sort breaks margin ties by point index
+    ordered = np.concatenate([forced, rest[np.argsort(-margins[rest], kind="stable")]])
     sums = np.cumsum(margins[ordered])
-    best = float(sums[size_hi - 1])
-    threshold = state.lam - state.tau
-    if best < threshold:
-        return best, None
-    size_min = max(size_lo, len(forced))
-    first = int(np.searchsorted(sums, threshold, side="left")) + 1
-    take = min(max(first, size_min), size_hi)
-    return best, ordered[:take].tolist()
+    first = int(np.searchsorted(sums, state.lam - state.tau, side="left")) + 1
+    return ordered[: max(first, state.inst.base**exp, len(forced))].tolist()
 
 
 def _margin_bounds(
@@ -229,39 +266,41 @@ def worst_slack(state: DualState) -> float:
     for pos in order:
         if flat_bound[pos] <= best:
             break
-        exact, _ = _pair_scan(state, int(ys[pos]), int(exps[pos]), False, 0.0)
+        exact = _pair_scan(state, int(ys[pos]), int(exps[pos]), False, 0.0)
         if exact is not None and exact > best:
             best = exact
     return best - state.lam
 
 
-def _fire_time(
-    state: DualState, y: int, exp: int, hi: float
-) -> tuple[float, list[int]] | None:
-    """Smallest uniform increment in [0, hi] at which (y, exp) fires, with
-    the tight set of the last scan that fired, taken at that increment.
+def _fire_time(state: DualState, y: int, exp: int, hi: float) -> float | None:
+    """Smallest uniform increment in [0, hi] at which (y, exp) fires, on the
+    bisection grid, or None when the pair does not fire by ``hi``.
 
-    The scan at ``hi`` comes first, so a pair that does not fire by then
-    costs one scan.  Otherwise bisection on the increment; the margin sum is
-    nondecreasing in it.  Returns None when the pair does not fire by ``hi``.
+    Each step asks only whether the pair fires, through the value scan; the
+    caller builds the tight set of the pair that wins, at the returned
+    increment.  The scan at ``hi`` comes first, so a pair that does not fire
+    by then costs one scan.  Otherwise bisection on the increment; the margin
+    sum is nondecreasing in it.
     """
-    _, minimal = _pair_scan(state, y, exp, True, hi)
-    if minimal is None:
+    threshold = state.lam - state.tau
+
+    def fires(shift: float) -> bool:
+        best = _pair_scan(state, y, exp, True, shift)
+        return best is not None and best >= threshold
+
+    if not fires(hi):
         return None
-    if hi > 0.0:
-        _, at_zero = _pair_scan(state, y, exp, True, 0.0)
-        if at_zero is not None:
-            return 0.0, at_zero
+    if hi > 0.0 and fires(0.0):
+        return 0.0
     lo, top = 0.0, hi
     tol = EVENT_TIME_REL_TOL * hi
     while top - lo > tol:
         mid = (lo + top) / 2.0
-        _, found = _pair_scan(state, y, exp, True, mid)
-        if found is None:
-            lo = mid
+        if fires(mid):
+            top = mid
         else:
-            top, minimal = mid, found
-    return top, minimal
+            lo = mid
+    return top
 
 
 def next_event(state: DualState) -> tuple[float, JoinExisting | ScaledCluster]:
@@ -287,11 +326,10 @@ def next_event(state: DualState) -> tuple[float, JoinExisting | ScaledCluster]:
     # the next tight time is at most max(0, lam - current).
     probe = min(join_t, max(0.0, state.lam - current))
     best_t: float | None = None
-    tight: ScaledCluster | None = None
     for y, exp in _screen(state, probe):
-        found = _fire_time(state, y, exp, probe if best_t is None else best_t)
-        if found is not None and (best_t is None or found[0] < best_t):
-            best_t, tight = found[0], ScaledCluster(set(found[1]), exp, y)
+        t = _fire_time(state, y, exp, probe if best_t is None else best_t)
+        if t is not None and (best_t is None or t < best_t):
+            best_t, winner = t, (y, exp)
             if best_t == 0.0:
                 break  # increments are nonnegative and ties keep the earlier pair
 
@@ -299,7 +337,8 @@ def next_event(state: DualState) -> tuple[float, JoinExisting | ScaledCluster]:
         raise RuntimeError("ascent found no event below its guaranteed cap")
     if join is not None and (best_t is None or join_t <= best_t):
         return join_t, join
-    return best_t, tight
+    y, exp = winner
+    return best_t, ScaledCluster(set(_tight_set(state, y, exp, best_t)), exp, y)
 
 
 def run_phase1(inst: Instance, lam: float) -> Phase1Output:

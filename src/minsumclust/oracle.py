@@ -197,9 +197,11 @@ def audit(
 
     Structural checks (disjointness, size bounds, recomputed cost) always
     run.  A bipoint result needs one feasible certificate per distinct lambda
-    endpoint, in order, and the other branches none.  The per-phase
-    guarantees are checked by the solver on every probe, so a result audits
-    the same in memory and after ``save_result`` and ``load_result``.
+    endpoint, in order, and the other branches none; a feasible certificate
+    holds finite, nonnegative duals that meet every cluster constraint within
+    tau.  The per-phase guarantees are checked by the solver on every probe,
+    so a result audits the same in memory and after ``save_result`` and
+    ``load_result``.
     Every check uses the instance's mode, k, n', epsilon and scale base, not
     the values the result states; each stated value must agree with them.
     """
@@ -266,6 +268,10 @@ def audit(
         if not (math.isfinite(cert.lam) and np.isfinite(cert.alpha).all()):
             report.dual_feasible = False
             fail(f"dual certificate at lambda {cert.lam:.6g} holds a non-finite number")
+            continue
+        if (cert.alpha < 0.0).any():
+            report.dual_feasible = False
+            fail(f"dual certificate at lambda {cert.lam:.6g} holds a negative dual")
             continue
         feasible, slack = verify_dual_feasible(inst, cert.alpha, cert.lam)
         report.worst_constraint_slack = max(report.worst_constraint_slack, slack)

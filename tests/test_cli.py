@@ -118,6 +118,19 @@ def test_raised_alpha_fails_the_audit(solved, tmp_path, capsys):
     assert "dual_feasible NO" in out
 
 
+@pytest.mark.parametrize("value", ["-1", "-1e6"])
+def test_negative_alpha_fails_the_audit(solved, tmp_path, capsys, value):
+    def negate(line):
+        key, lam, *alpha = line.split()
+        return " ".join([key, lam, *[value] * len(alpha)])
+
+    path = tampered(solved, tmp_path, "certificate", negate)
+    code, out, _ = verify(capsys, solved, path)
+    assert code == 1
+    assert "dual_feasible NO" in out
+    assert "holds a negative dual" in out
+
+
 def test_deleted_certificates_fail_the_audit(solved, tmp_path, capsys):
     lines = solved.result.read_text().splitlines()
     path = tmp_path / "uncertified.txt"

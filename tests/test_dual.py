@@ -3,7 +3,8 @@
 Candidate lists and tightness are observed through ``next_event``, the one
 entry into the ascent's event engine short of a full phase run.  The screen,
 and the tight sets ``next_event`` returns, are checked directly against the
-exact pair scan, on states recorded mid-ascent.
+exact pair scan, on states recorded mid-ascent.  The value scan is checked
+bit for bit against the sorted prefix scan it replaced, written out here.
 """
 
 import itertools
@@ -11,6 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from minsumclust import dual
 from minsumclust.dual import (
@@ -19,6 +21,7 @@ from minsumclust.dual import (
     _check_phase1,
     _pair_scan,
     _screen,
+    _tight_set,
     check_dual_support,
     next_event,
     run_phase1,
@@ -152,6 +155,19 @@ class TestDetectViolation:
             assert scale_exponent(base, len(got.members)) == got.scale_exp
 
 
+def record_calls(monkeypatch, *names):
+    """Patch each named ``dual`` function to log (name, *args after the
+    state) before it runs; returns the shared log."""
+    calls = []
+    for name in names:
+        def logging(*args, _name=name, _orig=getattr(dual, name)):
+            calls.append((_name, *args[1:]))
+            return _orig(*args)
+
+        monkeypatch.setattr(dual, name, logging)
+    return calls
+
+
 class TestNextEvent:
     def test_singleton_fires_at_lambda(self):
         inst = line_instance(0.0, 1.0)
@@ -181,30 +197,29 @@ class TestNextEvent:
         # at lambda 0 every singleton fires at increment 0, and a later pair
         # can only tie, so the first screened pair ends the search
         inst = line_instance(0.0, 1.0, 2.0, 3.0)
-        calls = []
-        fire_time = dual._fire_time
-
-        def counting(*args):
-            calls.append(args[1:3])
-            return fire_time(*args)
-
-        monkeypatch.setattr(dual, "_fire_time", counting)
+        calls = record_calls(monkeypatch, "_fire_time")
         assert next_event(state_for(inst, 0.0)) == (0.0, ScaledCluster({0}, 0, 0))
-        assert calls == [(0, 0)]
+        assert [call[:3] for call in calls] == [("_fire_time", 0, 0)]
 
     def test_a_pair_that_cannot_fire_by_hi_costs_one_scan(self, monkeypatch):
         # the singleton {0} fires once its dual reaches lambda 1, not by 0.5
         inst = line_instance(0.0, 1.0)
-        calls = []
-        pair_scan = dual._pair_scan
-
-        def counting(*args):
-            calls.append(args[1:])
-            return pair_scan(*args)
-
-        monkeypatch.setattr(dual, "_pair_scan", counting)
+        calls = record_calls(monkeypatch, "_pair_scan", "_tight_set")
         assert dual._fire_time(state_for(inst, 1.0), 0, 0, 0.5) is None
-        assert calls == [(0, 0, True, 0.5)]
+        assert calls == [("_pair_scan", 0, 0, True, 0.5)]
+
+    def test_an_event_builds_one_tight_set_the_winners(self, monkeypatch):
+        # the singleton {0} fires at 1, then {0, 1} about 0 and about 1 both
+        # at 2t = 1 + 2 * 0.25, and the earlier of the two wins the tie
+        inst = line_instance(0.0, 0.5, 2.0)
+        calls = record_calls(monkeypatch, "_tight_set")
+        t, event = next_event(state_for(inst, 1.0))
+        assert t == pytest.approx(0.75)
+        assert event == ScaledCluster({0, 1}, 1, 0)
+        assert calls == [("_tight_set", 0, 1, t)]
+        state = state_for(inst, 1.0)
+        assert [dual._fire_time(state, y, exp, 1.0) is not None
+                for y, exp in [(0, 0), (0, 1), (1, 1)]] == [True, True, True]
 
     def test_requires_active_points(self):
         inst = line_instance(0.0, 1.0)
@@ -399,18 +414,98 @@ class TestScreen:
                 screened = set(_screen(state, shift))
                 alpha = state.raised_alpha(shift)
                 for y, exp in itertools.product(range(n), range(inst.top_exp + 1)):
-                    _, minimal = _pair_scan(state, y, exp, True, shift)
-                    if minimal is not None:
+                    best = _pair_scan(state, y, exp, True, shift)
+                    if best is not None and best >= lam - state.tau:
                         assert (y, exp) in screened
+                        tight = _tight_set(state, y, exp, shift)
+                        assert tight[0] == y and state.active[tight].any()
+                        assert base**exp <= len(tight) < base ** (exp + 1)
                     if (y, exp) in screened:
                         in_list = alpha - state.scaled_dists(exp)[y] >= 0.0
                         assert in_list.sum() >= base**exp
                         assert state.active[y] or (in_list & state.active).any()
 
 
+def sorted_prefix_scan(state, y, exp, require_active, shift):
+    """Reference for the value scan and the tight set: (best, minimal) from
+    one stable sort of the candidates' indices by decreasing margin, the
+    forced points first, and one running sum; minimal is None unless the
+    pair fires."""
+    base = state.inst.base
+    margins = state.raised_alpha(shift) - state.scaled_dists(exp)[y]
+    members = np.flatnonzero(margins >= 0.0)
+    if members.size < base**exp:
+        return None, None
+    order = members[np.argsort(-margins[members], kind="stable")]
+    forced = [y]
+    if require_active and not state.active[y]:
+        active_members = order[state.active[order]]
+        if active_members.size == 0:
+            return None, None
+        forced.append(int(active_members[0]))
+    size_hi = min(members.size, base ** (exp + 1) - 1)
+    if size_hi < len(forced):
+        return None, None
+    ordered = np.array([*forced, *(x for x in order if x not in forced)])
+    sums = np.cumsum(margins[ordered])
+    best = float(sums[size_hi - 1])
+    threshold = state.lam - state.tau
+    if best < threshold:
+        return best, None
+    first = int(np.searchsorted(sums, threshold, side="left")) + 1
+    take = min(max(first, base**exp, len(forced)), size_hi)
+    return best, ordered[:take].tolist()
+
+
+def tied_state(rng, mode, base):
+    """A state full of ties: points on a scaled integer grid (coincident
+    points, equal distances), one active dual value, frozen duals that often
+    equal it, and one negative dual."""
+    n = int(rng.integers(2, 21))
+    pts = rng.uniform(0.3, 2.0) * rng.integers(0, 3, (n, 2))
+    params = dict(mode=mode, k=1, n_prime=n, epsilon=EPS_OF_BASE[base])
+    if mode == "sqeuclid":
+        inst = Instance(points=pts, **params)
+    else:
+        inst = Instance(dist_matrix=np.abs(pts[:, None] - pts[None]).sum(axis=-1), **params)
+    level = rng.uniform(0.5, 4.0)
+    active = rng.uniform(size=n) < 0.5
+    alpha = np.where(rng.uniform(size=n) < 0.5, level, rng.uniform(0.0, level, n))
+    alpha[active] = level
+    alpha[rng.integers(n)] = -rng.uniform(0.1, 2.0)
+    return DualState(inst, rng.uniform(0.0, n * level), alpha=alpha, active=active)
+
+
+class TestPairScan:
+    # The value scan and the tight set read the same floats as one sorted
+    # prefix scan: every value, fire decision and prefix agrees bit for bit.
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["sqeuclid", "metric"]),
+           st.sampled_from([2, 3]))
+    @settings(max_examples=60, deadline=None)
+    def test_agrees_with_the_sorted_prefix_scan(self, seed, mode, base):
+        rng = np.random.default_rng(seed)
+        state = tied_state(rng, mode, base)
+        threshold = state.lam - state.tau
+        for shift, y, exp, require_active in itertools.product(
+            (0.0, 0.5, rng.uniform(0.0, 3.0)), range(state.inst.n),
+            range(state.inst.top_exp + 1), (True, False),
+        ):
+            best, minimal = sorted_prefix_scan(state, y, exp, require_active, shift)
+            value = _pair_scan(state, y, exp, require_active, shift)
+            assert (value is None) == (best is None)
+            if best is None:
+                continue
+            assert value.hex() == best.hex()
+            assert (value >= threshold) == (minimal is not None)
+            if minimal is not None and require_active:
+                assert _tight_set(state, y, exp, shift) == minimal
+
+
 class TestTightSet:
-    # The set next_event returns is the one the exact scan proves tight: the
-    # minimal qualifying prefix of its pair at the returned increment.
+    # The set next_event returns is the minimal qualifying prefix of its pair
+    # at the returned increment: its margin sum reaches lam - tau there, and
+    # the prefix one shorter falls short or is below the size floor.
 
     @pytest.mark.parametrize("mode", ["sqeuclid", "metric"])
     @pytest.mark.parametrize("base", [2, 3])
@@ -424,7 +519,12 @@ class TestTightSet:
         for state, _ in snapshots:
             t, event = next_event(state)
             assert isinstance(event, ScaledCluster)
-            _, minimal = _pair_scan(state, event.center, event.scale_exp, True, t)
-            assert minimal is not None
-            assert len(minimal) == len(event.members)
-            assert set(minimal) == event.members
+            tight = _tight_set(state, event.center, event.scale_exp, t)
+            assert len(tight) == len(event.members)
+            assert set(tight) == event.members
+            sums = np.cumsum(state.raised_alpha(t)[tight]
+                             - state.scaled_dists(event.scale_exp)[event.center, tight])
+            threshold = lam - state.tau
+            assert sums[-1] >= threshold
+            size_min = max(base**event.scale_exp, 1 + (not state.active[event.center]))
+            assert len(tight) == size_min or sums[-2] < threshold

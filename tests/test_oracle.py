@@ -226,6 +226,19 @@ class TestAudit:
         assert not report.ok and not report.dual_feasible
         assert any("non-finite" in m for m in report.invariant_failures)
 
+    @pytest.mark.parametrize("value", [-1.0, -1e6])
+    def test_negative_certificate_fails(self, value):
+        # alpha >= 0 is a constraint of the dual program; a negative dual
+        # satisfies every cluster constraint, so the scan alone would pass it
+        inst = line_instance(0.0, 0.1, 5.0, 5.1, k=2)
+        res = min_sum_clustering(inst, force_primal_dual=True)
+        res.certificates[0].alpha = np.full(inst.n, value)
+        report = audit(inst, res)
+        assert not report.ok and not report.dual_feasible
+        assert report.invariant_failures == [
+            f"dual certificate at lambda {res.certificates[0].lam:.6g} holds a negative dual"
+        ]
+
     def test_checks_use_the_base_of_epsilon(self):
         # lambda = 9 and alpha 5 on the unit triangle: 15 - 9 exceeds the
         # scaled cost 2 * 2 at base 2 (eps = 1) but not 3 * 2 at base 3

@@ -13,10 +13,13 @@ line, so two fingerprints can be compared with ``diff``:
 - ``cases``: per case, the clusters in order, the outliers, the total cost,
   the lambda endpoints and rho1 (floats in hex), the branch, the exact flag,
   each certificate's lambda in hex with a SHA-1 of its alpha bytes, and the
-  audit verdict and messages (scored against the exact optimum where the
-  workload asks).  A solve that raises is recorded as its error.
+  audit's verdict, messages, ``dual_feasible`` flag and worst constraint
+  slack in hex (scored against the exact optimum where the workload asks).
+  A solve that raises is recorded as its error.
 - ``pair_scans``: calls of ``dual._pair_scan`` made by the solves (not by
   the audits), per workload and seed.  Reported, not compared.
+- ``tight_sets``: calls of ``dual._tight_set`` made by the solves, counted
+  the same way, when TREE has that function.  Reported, not compared.
 
 It takes about a minute on one core.
 """
@@ -48,24 +51,34 @@ def main(tree: Path) -> None:
     from minsumclust.oracle import audit, brute_force_opt
     from minsumclust.search import min_sum_clustering
 
-    scans = 0
-    pair_scan = dual._pair_scan
+    # the output key of each counted function; older trees have no _tight_set
+    counted = {"_pair_scan": "pair_scans"}
+    if hasattr(dual, "_tight_set"):
+        counted["_tight_set"] = "tight_sets"
+    calls = dict.fromkeys(counted, 0)
 
-    def counting_scan(*args):
-        nonlocal scans
-        scans += 1
-        return pair_scan(*args)
+    def counting(name, func):
+        def wrapper(*args):
+            calls[name] += 1
+            return func(*args)
+        return wrapper
 
-    dual._pair_scan = counting_scan
+    for name in counted:
+        setattr(dual, name, counting(name, getattr(dual, name)))
 
     def fingerprint(inst, force_primal_dual, seed=0, score=False):
-        """(fingerprint of one solve and its audit, pair scans of the solve)."""
-        before = scans
+        """(fingerprint of one solve and its audit, calls of each counted
+        function made by the solve)."""
+        before = dict(calls)
+
+        def used():
+            return {name: calls[name] - before[name] for name in counted}
+
         try:
             res = min_sum_clustering(inst, force_primal_dual=force_primal_dual, seed=seed)
         except Exception as exc:  # a failed solve is part of the fingerprint
-            return {"error": f"{type(exc).__name__}: {exc}"}, scans - before
-        used = scans - before
+            return {"error": f"{type(exc).__name__}: {exc}"}, used()
+        solve_calls = used()
         report = audit(inst, res, oracle_opt=brute_force_opt(inst)[1] if score else None)
         return {
             "clusters": [sorted(c) for c in res.clusters],
@@ -83,26 +96,31 @@ def main(tree: Path) -> None:
             ],
             "audit_ok": report.ok,
             "audit_messages": [*report.size_bound_violations, *report.invariant_failures],
-        }, used
+            "dual_feasible": report.dual_feasible,
+            "worst_constraint_slack": float(report.worst_constraint_slack).hex(),
+        }, solve_calls
 
-    cases, pair_scans = {}, {}
+    cases = {}
+    totals = {name: {} for name in counted}
+
+    def record(group, label, *args):
+        cases[f"{group}/{label}"], solve_calls = fingerprint(*args)
+        for name in counted:
+            totals[name][group] = totals[name].get(group, 0) + solve_calls[name]
+
     for seed in SEEDS:
         for name in WORKLOADS:
-            key = f"{name}/{seed}"
             suite = workloads.WORKLOADS[name](seed)
-            pair_scans[key] = 0
             for case, inst in zip(suite, workloads.build(suite)):
-                cases[f"{key}/{case.label}"], used = fingerprint(
-                    inst, case.force_primal_dual, case.solve_seed, case.score_against_opt)
-                pair_scans[key] += used
-    pair_scans["simplex_recipe"] = 0
+                record(f"{name}/{seed}", case.label, inst, case.force_primal_dual,
+                       case.solve_seed, case.score_against_opt)
     for seed in SIMPLEX_SEEDS:
-        cases[f"simplex_recipe/{seed}"], used = fingerprint(simplex_recipe(seed), True)
-        pair_scans["simplex_recipe"] += used
+        record("simplex_recipe", seed, simplex_recipe(seed), True)
 
     body = ",\n".join(f"{json.dumps(key)}: {json.dumps(value, sort_keys=True)}"
                       for key, value in cases.items())
-    print(f'{{"cases": {{\n{body}\n}},\n"pair_scans": {json.dumps(pair_scans)}}}')
+    counts = "".join(f',\n"{key}": {json.dumps(totals[name])}' for name, key in counted.items())
+    print(f'{{"cases": {{\n{body}\n}}{counts}}}')
 
 
 if __name__ == "__main__":
