@@ -10,17 +10,22 @@ grid therefore detects tightness exactly.
 The ascent itself is event driven: all active duals rise at unit rate until
 either an active point can afford to join an existing candidate cluster
 (computed exactly from the join arrays ``DualState`` keeps) or some
-constraint goes tight (located by bisection on the uniform increment, which
-is monotone).  Each bisection step asks only whether a pair fires, which the
-value scan ``_pair_scan`` answers from the pair's sorted margin values.
-``next_event`` returns the pause and what happens there: a ``JoinExisting``,
-or the new tight set as a ``ScaledCluster``, which ``_tight_set`` builds
-once, for the winning pair at the returned increment, from the same floats
-the scan read.  Before any exact scan, a vectorized screen drops
-every (y, j) pair that cannot fire by the next pause: its margin bound falls
-short of lam - tau, C(y, j) holds fewer than base**j points, or y is
-inactive and C(y, j) holds no active point.  The screen only rules pairs
-out; the exact, sorted scan decides every pair it passes.
+constraint goes tight (located by bisection on the uniform increment).  The
+value scan ``_pair_scan`` reads a pair's sorted margin values and returns
+its best margin sum and that sum's slope in the increment.  Whether a pair
+fires is nondecreasing in the increment, bit for bit, so the bisection
+scans only the midpoints that no earlier scan of the pair already decides;
+Newton steps down the margin-sum line and one scan at the grid point next
+to where they end usually leave none.  ``next_event`` returns the pause and
+what happens there: a ``JoinExisting``, or the new tight set as a
+``ScaledCluster``, which ``_tight_set`` builds once, for the winning pair at
+the returned increment, from the same floats the scan read.  Before any
+exact scan, a vectorized screen drops every (y, j) pair that cannot fire by
+the next pause: its margin bound falls short of lam - tau, C(y, j) holds
+fewer than base**j points, or y is inactive and C(y, j) holds no active
+point.  While no raised dual exceeds the last screen's, the screen only
+refilters that screen's pass list.  The screen only rules pairs out; the
+exact, sorted scan decides every pair it passes.
 """
 
 from __future__ import annotations
@@ -35,6 +40,18 @@ from .geometry import Instance, ScaledCluster, tightness_tolerance
 # Bisection for event times stops when the bracket shrinks below this
 # fraction of its initial width.
 EVENT_TIME_REL_TOL = 1e-12
+# Newton steps that seed an event-time bisection's bracket.
+NEWTON_STEPS = 4
+
+
+@dataclass
+class Screen:
+    """One screen's raised duals and active set, and per scale exponent the
+    rows that passed it, ascending."""
+
+    alpha: np.ndarray
+    active: np.ndarray
+    rows: list[np.ndarray]
 
 
 @dataclass
@@ -49,6 +66,8 @@ class DualState:
     so far; a cluster's number, ``created``, is its position there.  The join
     arrays hold, per point, the cheapest scaled connection to any of them and
     that cluster's number (-1 for none); ties keep the earliest cluster.
+    ``last_screen`` is what ``_screen`` last saw and passed; a copy made with
+    ``dataclasses.replace`` starts without it.
     """
 
     inst: Instance
@@ -60,6 +79,7 @@ class DualState:
     join_threshold: np.ndarray = field(init=False, repr=False)
     join_cluster: np.ndarray = field(init=False, repr=False)
     _scaled: dict[int, np.ndarray] = field(init=False, default_factory=dict, repr=False)
+    last_screen: Screen | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self) -> None:
         n = self.inst.n
@@ -156,15 +176,19 @@ def _admission(
 
 def _pair_scan(
     state: DualState, y: int, exp: int, require_active: bool, shift: float
-) -> float | None:
-    """Maximum admissible margin sum of the (y, exp) family, or None when no
+) -> tuple[float, int] | None:
+    """The line of the (y, exp) family's best admissible set at the shift:
+    its margin sum and the number of active points in it, or None when no
     admissible set exists.
 
     The best set is the forced points followed by the largest other
     candidate margins, up to the largest admissible size.  Only margin values
     enter the sum, and tied values are interchangeable, so sorting the values
     suffices.  The sum runs left to right in that order, as the prefix sums
-    of ``_tight_set`` do, so both read the same floats.
+    of ``_tight_set`` do, so both read the same floats.  Each active point in
+    the set adds one to the sum's slope in the shift; an active point tied
+    with the smallest summed margin counts too, so the slope never falls
+    short.
     """
     admitted = _admission(state, y, exp, require_active, shift)
     if admitted is None:
@@ -174,12 +198,13 @@ def _pair_scan(
     for x in forced:
         values.append(float(margins[x]))
         margins[x] = np.inf  # out of the rest: it sorts last
-    margins.sort()
-    values += margins[margins.size - size_hi : margins.size - len(forced)][::-1].tolist()
+    ordered = np.sort(margins)
+    values += ordered[ordered.size - size_hi : ordered.size - len(forced)][::-1].tolist()
     total = values[0]
     for value in values[1:]:
         total += value  # left to right like np.cumsum; np.sum adds pairwise
-    return total
+    slope = np.count_nonzero((margins >= ordered[ordered.size - size_hi]) & state.active)
+    return total, int(slope)
 
 
 def _tight_set(state: DualState, y: int, exp: int, shift: float) -> list[int]:
@@ -201,7 +226,7 @@ def _tight_set(state: DualState, y: int, exp: int, shift: float) -> list[int]:
 
 
 def _margin_bounds(
-    state: DualState, shift: float
+    state: DualState, shift: float, rows: list[np.ndarray] | None = None
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Per scale exponent, in order, the candidate-list mask of every row and
     an upper bound on each row's best margin sum, at the given shift.
@@ -211,12 +236,14 @@ def _margin_bounds(
     margins in the row (ignoring the forcing rules), so it dominates the
     exact value at this shift.  A row with fewer than base**exp candidates
     admits no set at all and gets the bound -inf; ``_pair_scan`` reads the
-    same floats and returns None for it.
+    same floats and returns None for it.  With ``rows``, one index array per
+    exponent, only those rows are computed, in that order.
     """
     alpha = state.raised_alpha(shift)
     n = alpha.size
     for exp in range(state.inst.top_exp + 1):
-        margins = alpha[None, :] - state.scaled_dists(exp)
+        scaled = state.scaled_dists(exp)
+        margins = alpha[None, :] - (scaled if rows is None else scaled[rows[exp]])
         in_list = margins >= 0.0
         pos = np.clip(margins, 0.0, None)
         cap = state.inst.base ** (exp + 1) - 1
@@ -238,15 +265,28 @@ def _screen(state: DualState, shift: float) -> list[tuple[int, int]]:
     has no qualifying prefix at any smaller shift either.  Passing is
     necessary, not sufficient: a passed pair may fire only after another
     pair does, or not at all.
+
+    The state remembers each screen's raised duals, active set and pass
+    list.  When no raised dual is higher now and no point has become active,
+    every margin is no larger and every candidate list no longer, so each
+    pair that passes now passed then: only the remembered rows are
+    recomputed, and the narrower list is remembered.  Otherwise every row
+    is.
     """
     threshold = state.lam - state.tau
-    candidates: list[tuple[int, int]] = []
-    for exp, (in_list, bound) in enumerate(_margin_bounds(state, shift)):
+    alpha = state.raised_alpha(shift)
+    last = state.last_screen
+    rows = None
+    if (last is not None and (alpha <= last.alpha).all()
+            and not (state.active & ~last.active).any()):
+        rows = last.rows
+    passed = []
+    for exp, (in_list, bound) in enumerate(_margin_bounds(state, shift, rows)):
+        ys = np.arange(state.inst.n) if rows is None else rows[exp]
         reaches_active = in_list[:, state.active].any(axis=1)
-        keep = (bound >= threshold) & (state.active | reaches_active)
-        candidates.extend((int(y), exp) for y in np.flatnonzero(keep))
-    candidates.sort()
-    return candidates
+        passed.append(ys[(bound >= threshold) & (state.active[ys] | reaches_active)])
+    state.last_screen = Screen(alpha.copy(), state.active.copy(), passed)
+    return sorted((y, exp) for exp, ys in enumerate(passed) for y in ys.tolist())
 
 
 def worst_slack(state: DualState) -> float:
@@ -267,8 +307,8 @@ def worst_slack(state: DualState) -> float:
         if flat_bound[pos] <= best:
             break
         exact = _pair_scan(state, int(ys[pos]), int(exps[pos]), False, 0.0)
-        if exact is not None and exact > best:
-            best = exact
+        if exact is not None and exact[0] > best:
+            best = exact[0]
     return best - state.lam
 
 
@@ -276,31 +316,73 @@ def _fire_time(state: DualState, y: int, exp: int, hi: float) -> float | None:
     """Smallest uniform increment in [0, hi] at which (y, exp) fires, on the
     bisection grid, or None when the pair does not fire by ``hi``.
 
-    Each step asks only whether the pair fires, through the value scan; the
-    caller builds the tight set of the pair that wins, at the returned
-    increment.  The scan at ``hi`` comes first, so a pair that does not fire
-    by then costs one scan.  Otherwise bisection on the increment; the margin
-    sum is nondecreasing in it.
+    Whether the pair fires is nondecreasing in the increment, bit for bit:
+    every margin is a rounded sum that grows with it, and the scan adds
+    order statistics of them left to right, its extra terms nonnegative.  So
+    every scan narrows a bracket, the largest increment seen not firing and
+    the smallest seen firing, and the bisection takes each midpoint outside
+    it as answered.  The scan at ``hi`` comes first, so a pair that does not
+    fire by then costs one scan.  Otherwise Newton steps down the pair's
+    margin-sum line seed the bracket: the sum is convex and piecewise linear
+    in the increment, so the steps approach its root from above, and a step
+    that a scan shows not firing (the size floor or a rounding) bounds the
+    bracket from below instead.  The bisection's path, on the same grid as
+    ever, is then predicted as if the pair first fired where the steps
+    ended; one scan at the path's end next to that shift usually confirms
+    it.  Otherwise the bisection runs, scanning what the bracket leaves
+    open.  The caller builds the tight set of the pair that wins, at the
+    returned increment.
     """
     threshold = state.lam - state.tau
+    tol = EVENT_TIME_REL_TOL * hi
+    no, yes = -np.inf, np.inf  # the bracket
+
+    def scan(shift: float) -> tuple[float, int] | None:
+        """The pair's line at the shift if it fires there, else None."""
+        nonlocal no, yes
+        line = _pair_scan(state, y, exp, True, shift)
+        if line is None or line[0] < threshold:
+            no = shift
+            return None
+        yes = shift
+        return line
 
     def fires(shift: float) -> bool:
-        best = _pair_scan(state, y, exp, True, shift)
-        return best is not None and best >= threshold
+        if shift <= no:
+            return False
+        return shift >= yes or scan(shift) is not None
 
-    if not fires(hi):
+    def bisect(answer) -> tuple[float, float]:
+        lo, top = 0.0, hi
+        while top - lo > tol:
+            mid = (lo + top) / 2.0
+            if answer(mid):
+                top = mid
+            else:
+                lo = mid
+        return lo, top
+
+    shift, line = hi, scan(hi)
+    if line is None:
         return None
+    for _ in range(NEWTON_STEPS):
+        value, slope = line
+        if slope == 0:
+            break
+        step = max(shift - (value - threshold) / slope, 0.0)
+        if shift - step <= tol:
+            break
+        shift, line = step, scan(step)
+        if line is None:
+            break
+    # the bisection's path if the pair first fired where the steps ended; it
+    # is the true path when the pair fires at its top and not at its bottom
+    lo, top = bisect((lambda mid: mid > no) if line is None else (lambda mid: mid >= yes))
+    if not fires(lo) and fires(top):
+        return top
     if hi > 0.0 and fires(0.0):
         return 0.0
-    lo, top = 0.0, hi
-    tol = EVENT_TIME_REL_TOL * hi
-    while top - lo > tol:
-        mid = (lo + top) / 2.0
-        if fires(mid):
-            top = mid
-        else:
-            lo = mid
-    return top
+    return bisect(fires)[1]
 
 
 def next_event(state: DualState) -> tuple[float, JoinExisting | ScaledCluster]:

@@ -122,9 +122,12 @@ def verify_dual_feasible(
     Fast mode scans the candidate-prefix family, which finds a violation iff
     one exists; exhaustive mode (n <= 12) enumerates every (subset, center)
     pair.  Both return the worst left-minus-right slack they saw.  The scale
-    base is the instance's.
+    base is the instance's.  A vector with a non-finite or negative dual
+    lies outside the dual program; both modes return (False, inf) for it.
     """
     alpha = np.asarray(alpha, dtype=float)
+    if not (np.isfinite(alpha).all() and (alpha >= 0.0).all()):
+        return False, np.inf
     tau = tightness_tolerance(inst, lam)
     if exhaustive:
         if inst.n > EXHAUSTIVE_MAX_N:

@@ -4,7 +4,9 @@ Candidate lists and tightness are observed through ``next_event``, the one
 entry into the ascent's event engine short of a full phase run.  The screen,
 and the tight sets ``next_event`` returns, are checked directly against the
 exact pair scan, on states recorded mid-ascent.  The value scan is checked
-bit for bit against the sorted prefix scan it replaced, written out here.
+bit for bit against the sorted prefix scan it replaced, and the bracketed
+event-time search against the plain bisection it replaced, both written out
+here.
 """
 
 import itertools
@@ -16,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from minsumclust import dual
 from minsumclust.dual import (
+    EVENT_TIME_REL_TOL,
     DualState,
     JoinExisting,
     _check_phase1,
@@ -378,17 +381,19 @@ def plane_instance(rng, mode, base, n):
     return inst, lam
 
 
-def mid_ascent_states(inst, lam, monkeypatch):
-    """(state, probe) at every screen of ``run_phase1``, where probe is the
-    increment ``next_event`` screens at."""
+def mid_ascent_states(inst, lam):
+    """(state, probe, screened) at every screen of ``run_phase1``: a copy of
+    the state, which remembers no screen, the increment ``next_event``
+    screens at, and the list the ascent's own screen returned."""
     snapshots = []
 
     def recording(state, shift):
         copy = replace(state, alpha=state.alpha.copy(), active=state.active.copy())
-        snapshots.append((copy, shift))
-        return _screen(state, shift)
+        screened = _screen(state, shift)
+        snapshots.append((copy, shift, screened))
+        return screened
 
-    with monkeypatch.context() as m:
+    with pytest.MonkeyPatch.context() as m:
         m.setattr(dual, "_screen", recording)
         run_phase1(inst, lam)
     return snapshots
@@ -401,21 +406,19 @@ class TestScreen:
     @pytest.mark.parametrize("mode", ["sqeuclid", "metric"])
     @pytest.mark.parametrize("base", [2, 3])
     @pytest.mark.parametrize("seed", range(3))
-    def test_passes_every_firing_pair_and_only_admissible_ones(
-        self, mode, base, seed, monkeypatch
-    ):
+    def test_passes_every_firing_pair_and_only_admissible_ones(self, mode, base, seed):
         rng = np.random.default_rng([seed, base])
         n = int(rng.integers(20, 41))
         inst, lam = plane_instance(rng, mode, base, n)
-        snapshots = mid_ascent_states(inst, lam, monkeypatch)
-        assert any(not state.active.all() for state, _ in snapshots)
-        for state, probe in snapshots[::3]:
+        snapshots = mid_ascent_states(inst, lam)
+        assert any(not state.active.all() for state, _, _ in snapshots)
+        for state, probe, _ in snapshots[::3]:
             for shift in (0.0, probe):
                 screened = set(_screen(state, shift))
                 alpha = state.raised_alpha(shift)
                 for y, exp in itertools.product(range(n), range(inst.top_exp + 1)):
-                    best = _pair_scan(state, y, exp, True, shift)
-                    if best is not None and best >= lam - state.tau:
+                    line = _pair_scan(state, y, exp, True, shift)
+                    if line is not None and line[0] >= lam - state.tau:
                         assert (y, exp) in screened
                         tight = _tight_set(state, y, exp, shift)
                         assert tight[0] == y and state.active[tight].any()
@@ -425,36 +428,59 @@ class TestScreen:
                         assert in_list.sum() >= base**exp
                         assert state.active[y] or (in_list & state.active).any()
 
+    @pytest.mark.parametrize("mode", ["sqeuclid", "metric"])
+    @pytest.mark.parametrize("base", [2, 3])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_refiltered_list_equals_a_full_screen(self, mode, base, seed, monkeypatch):
+        # the ascent's screens refilter their last pass list whenever no
+        # raised dual rose; a copy of the state remembers nothing, so its
+        # screen computes every row
+        rng = np.random.default_rng([seed, base])
+        inst, lam = plane_instance(rng, mode, base, int(rng.integers(20, 41)))
+        calls = record_calls(monkeypatch, "_margin_bounds")
+        snapshots = mid_ascent_states(inst, lam)
+        screens = [call[2] for call in calls if len(call) == 3]  # worst_slack passes no rows
+        refilters = sum(rows is not None for rows in screens)
+        assert 0 < refilters < len(snapshots) == len(screens)
+        for state, probe, screened in snapshots:
+            assert _screen(state, probe) == screened
+
 
 def sorted_prefix_scan(state, y, exp, require_active, shift):
-    """Reference for the value scan and the tight set: (best, minimal) from
-    one stable sort of the candidates' indices by decreasing margin, the
-    forced points first, and one running sum; minimal is None unless the
-    pair fires."""
+    """Reference for the value scan and the tight set: (best, slope,
+    minimal) from one stable sort of the candidates' indices by decreasing
+    margin, the forced points first, and one running sum.  slope counts the
+    active points summed, and the active ones left out that tie with the
+    smallest summed margin; minimal is None unless the pair fires."""
     base = state.inst.base
     margins = state.raised_alpha(shift) - state.scaled_dists(exp)[y]
     members = np.flatnonzero(margins >= 0.0)
     if members.size < base**exp:
-        return None, None
+        return None, None, None
     order = members[np.argsort(-margins[members], kind="stable")]
     forced = [y]
     if require_active and not state.active[y]:
         active_members = order[state.active[order]]
         if active_members.size == 0:
-            return None, None
+            return None, None, None
         forced.append(int(active_members[0]))
     size_hi = min(members.size, base ** (exp + 1) - 1)
     if size_hi < len(forced):
-        return None, None
+        return None, None, None
     ordered = np.array([*forced, *(x for x in order if x not in forced)])
     sums = np.cumsum(margins[ordered])
     best = float(sums[size_hi - 1])
+    slope = int(state.active[ordered[:size_hi]].sum())
+    if size_hi > len(forced):
+        left_out = ordered[size_hi:]
+        slope += int((state.active[left_out]
+                      & (margins[left_out] == margins[ordered[size_hi - 1]])).sum())
     threshold = state.lam - state.tau
     if best < threshold:
-        return best, None
+        return best, slope, None
     first = int(np.searchsorted(sums, threshold, side="left")) + 1
     take = min(max(first, base**exp, len(forced)), size_hi)
-    return best, ordered[:take].tolist()
+    return best, slope, ordered[:take].tolist()
 
 
 def tied_state(rng, mode, base):
@@ -491,15 +517,88 @@ class TestPairScan:
             (0.0, 0.5, rng.uniform(0.0, 3.0)), range(state.inst.n),
             range(state.inst.top_exp + 1), (True, False),
         ):
-            best, minimal = sorted_prefix_scan(state, y, exp, require_active, shift)
-            value = _pair_scan(state, y, exp, require_active, shift)
-            assert (value is None) == (best is None)
+            best, slope, minimal = sorted_prefix_scan(state, y, exp, require_active, shift)
+            line = _pair_scan(state, y, exp, require_active, shift)
+            assert (line is None) == (best is None)
             if best is None:
                 continue
-            assert value.hex() == best.hex()
-            assert (value >= threshold) == (minimal is not None)
+            assert line[0].hex() == best.hex()
+            assert line[1] == slope
+            assert (line[0] >= threshold) == (minimal is not None)
             if minimal is not None and require_active:
                 assert _tight_set(state, y, exp, shift) == minimal
+
+
+def plain_fire_time(state, y, exp, hi):
+    """Reference for the event-time search: the scan at hi, the scan at 0,
+    then one scan per step of the bisection on [0, hi]."""
+    threshold = state.lam - state.tau
+
+    def fires(shift):
+        line = _pair_scan(state, y, exp, True, shift)
+        return line is not None and line[0] >= threshold
+
+    if not fires(hi):
+        return None
+    if hi > 0.0 and fires(0.0):
+        return 0.0
+    lo, top = 0.0, hi
+    tol = EVENT_TIME_REL_TOL * hi
+    while top - lo > tol:
+        mid = (lo + top) / 2.0
+        if fires(mid):
+            top = mid
+        else:
+            lo = mid
+    return top
+
+
+class TestFireTime:
+    # The bracket only skips scans whose answer monotonicity already gives,
+    # so the search returns the plain bisection's float.
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["sqeuclid", "metric"]),
+           st.sampled_from([2, 3]), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_plain_bisection_and_firing_is_monotone(
+        self, seed, mode, base, mid_ascent
+    ):
+        rng = np.random.default_rng(seed)
+        if mid_ascent:
+            inst, lam = plane_instance(rng, mode, base, int(rng.integers(6, 16)))
+            snapshots = mid_ascent_states(inst, lam)
+            state = snapshots[rng.integers(len(snapshots))][0]
+        else:
+            state = tied_state(rng, mode, base)
+        threshold = state.lam - state.tau
+        his = (0.0, rng.uniform(0.0, max(state.lam, 1.0)))
+        for hi, y, exp in itertools.product(
+            his, range(state.inst.n), range(state.inst.top_exp + 1)
+        ):
+            want = plain_fire_time(state, y, exp, hi)
+            got = dual._fire_time(state, y, exp, hi)
+            assert (got is None) == (want is None)
+            if want is None:
+                continue
+            assert got.hex() == want.hex()
+            # shifts around the event time, where the answer turns
+            shifts = np.sort([*rng.uniform(0.0, hi, 4), hi, want,
+                              np.nextafter(want, -np.inf), want * (1.0 - 1e-9)])
+            fired = [line is not None and line[0] >= threshold
+                     for line in (_pair_scan(state, y, exp, True, float(shift))
+                                  for shift in shifts if shift >= 0.0)]
+            assert fired == sorted(fired)
+
+    def test_a_firing_pair_costs_three_scans(self, monkeypatch):
+        # {0, 1} about 0 fires at 2t = 1 + 2 * 0.25: the scan at hi, one
+        # Newton step to the root and one scan at the grid point below it;
+        # the plain bisection makes 42 scans
+        inst = line_instance(0.0, 0.5, 2.0)
+        want = plain_fire_time(state_for(inst, 1.0), 0, 1, 1.0)
+        calls = record_calls(monkeypatch, "_pair_scan")
+        assert dual._fire_time(state_for(inst, 1.0), 0, 1, 1.0) == want
+        assert want == pytest.approx(0.75)
+        assert len(calls) == 3
 
 
 class TestTightSet:
@@ -509,14 +608,12 @@ class TestTightSet:
 
     @pytest.mark.parametrize("mode", ["sqeuclid", "metric"])
     @pytest.mark.parametrize("base", [2, 3])
-    def test_is_the_minimal_prefix_at_the_returned_increment(
-        self, mode, base, monkeypatch
-    ):
+    def test_is_the_minimal_prefix_at_the_returned_increment(self, mode, base):
         rng = np.random.default_rng([7, base])
         inst, lam = plane_instance(rng, mode, base, int(rng.integers(20, 31)))
-        snapshots = mid_ascent_states(inst, lam, monkeypatch)
+        snapshots = mid_ascent_states(inst, lam)
         assert len(snapshots) > 1
-        for state, _ in snapshots:
+        for state, _, _ in snapshots:
             t, event = next_event(state)
             assert isinstance(event, ScaledCluster)
             tight = _tight_set(state, event.center, event.scale_exp, t)

@@ -104,6 +104,17 @@ class TestVerifyDualFeasible:
         assert not ok
         assert worst >= gamma - lam
 
+    @pytest.mark.parametrize("exhaustive", [False, True])
+    @pytest.mark.parametrize("value", [-1.0, np.nan, np.inf])
+    def test_duals_outside_the_program_are_infeasible(self, value, exhaustive):
+        # every constraint has slack here, yet no dual may be negative or
+        # non-finite; both modes say so with an infinite slack
+        inst = line_instance(0.0, 0.1, 5.0, 5.1, k=2)
+        assert verify_dual_feasible(inst, np.full(4, -1.0), 1.0, exhaustive) == (False, np.inf)
+        alpha = np.zeros(4)
+        alpha[2] = value
+        assert verify_dual_feasible(inst, alpha, 1.0, exhaustive) == (False, np.inf)
+
     @pytest.mark.parametrize("seed", range(8))
     def test_fast_and_exhaustive_agree_on_ascent_output(self, seed):
         rng = np.random.default_rng(seed)

@@ -1,6 +1,7 @@
 """Fingerprint the solver's outputs on a fixed set of 302 cases.
 
 Usage: python tools/fingerprint.py [TREE] > fingerprint.json
+       python tools/fingerprint.py --compare A.json B.json
 
 Imports ``minsumclust`` from TREE/src (default: this checkout) and solves
 every case of the ``pd_scale``, ``pd_small`` and ``small_k`` workloads at
@@ -22,10 +23,16 @@ line, so two fingerprints can be compared with ``diff``:
   the same way, when TREE has that function.  Reported, not compared.
 
 It takes about a minute on one core.
+
+``--compare A.json B.json`` reads two fingerprints and classifies each case
+as identical or moved.  For every moved case it lists the fields that
+differ and the change in ``total_cost``, then prints both files'
+``pair_scans``.  It exits 1 when a case moved, or is in one file only.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import sys
@@ -123,5 +130,45 @@ def main(tree: Path) -> None:
     print(f'{{"cases": {{\n{body}\n}}{counts}}}')
 
 
+def compare(path_a: Path, path_b: Path) -> int:
+    """Print how the cases of fingerprint B differ from those of A; returns
+    the exit code, 1 when a case moved."""
+    a, b = (json.loads(path.read_text()) for path in (path_a, path_b))
+    cases_a, cases_b = a["cases"], b["cases"]
+    keys = {**cases_a, **cases_b}  # A's order, then the cases only B has
+    moved = []
+    for key in keys:
+        if key not in cases_a or key not in cases_b:
+            moved.append(f"{key}: only in {'A' if key in cases_a else 'B'}")
+            continue
+        case_a, case_b = cases_a[key], cases_b[key]
+        fields = sorted(name for name in case_a.keys() | case_b.keys()
+                        if case_a.get(name) != case_b.get(name))
+        if not fields:
+            continue
+        line = f"{key}: {', '.join(fields)}"
+        if "total_cost" in fields and "total_cost" in case_a and "total_cost" in case_b:
+            cost_a, cost_b = (float.fromhex(case["total_cost"]) for case in (case_a, case_b))
+            change = f"{cost_b - cost_a:+.3g}"
+            if cost_a:
+                change += f", {100.0 * (cost_b / cost_a - 1.0):+.2f} %"
+            line += f"; total_cost {cost_a:.6g} -> {cost_b:.6g} ({change})"
+        moved.append(line)
+    print(f"identical {len(keys) - len(moved)} of {len(keys)}, moved {len(moved)}")
+    for line in moved:
+        print(f"moved {line}")
+    for name, data in (("A", a), ("B", b)):
+        print(f"pair_scans {name}: {json.dumps(data.get('pair_scans'))}")
+    return 1 if moved else 0
+
+
 if __name__ == "__main__":
-    main(Path(sys.argv[1]).resolve() if len(sys.argv) > 1 else HERE)
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("tree", nargs="?", type=Path, default=HERE,
+                        help="the tree whose src/ is fingerprinted (default: this checkout)")
+    parser.add_argument("--compare", nargs=2, type=Path, metavar=("A", "B"),
+                        help="compare two fingerprint files instead")
+    args = parser.parse_args()
+    if args.compare:
+        sys.exit(compare(*args.compare))
+    main(args.tree.resolve())
