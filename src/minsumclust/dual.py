@@ -40,7 +40,10 @@ from .geometry import Instance, ScaledCluster, tightness_tolerance
 # Bisection for event times stops when the bracket shrinks below this
 # fraction of its initial width.
 EVENT_TIME_REL_TOL = 1e-12
-# Newton steps that seed an event-time bisection's bracket.
+# Newton steps that seed an event-time bisection's bracket.  The cap bounds
+# the steps' scans on coincident points, where the tie-inclusive slope makes
+# the steps short: uncapped, a pair there took up to 90 steps.  Pairs of
+# spread points rarely use all 4.
 NEWTON_STEPS = 4
 
 

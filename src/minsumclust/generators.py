@@ -57,11 +57,20 @@ def _rings(rng, radii=(1.0, 5.0), counts=(16, 16), noise=0.0):
 
 
 def _gauss(rng, centers=((0.0, 0.0), (4.0, 0.0)), spreads=(0.5, 0.5), counts=(16, 16)):
-    centers = np.asarray(centers, dtype=float)
+    """Gaussian blobs: counts[i] points about centers[i], with standard
+    deviation spreads[i] in each coordinate."""
+    try:
+        centers = np.asarray(centers, dtype=float)
+    except ValueError:
+        raise InstanceError("gauss centers must be points of one dimension") from None
+    if centers.ndim != 2 or centers.shape[1] < 1:
+        raise InstanceError("gauss centers must be points of one dimension")
     spreads = [float(s) for s in spreads]
     counts = [int(c) for c in counts]
     if not (len(centers) == len(spreads) == len(counts)) or len(counts) == 0:
         raise InstanceError("gauss needs matching centers, spreads, counts")
+    if not all(0.0 <= s < np.inf for s in spreads):
+        raise InstanceError("gauss spreads must be finite and nonnegative")
     if any(c < 1 for c in counts):
         raise InstanceError("mixture counts must be positive")
     pieces = [
@@ -83,10 +92,12 @@ def _box(rng, n=32, dims=(1.0, 1.0)):
 
 def _metric(rng, n=16, embed_dim=3):
     """A guaranteed metric: Euclidean distances of hidden embedded points."""
-    n = int(n)
+    n, embed_dim = int(n), int(embed_dim)
     if n < 1:
         raise InstanceError("metric needs a positive point count")
-    pts = rng.uniform(0.0, 1.0, (n, int(embed_dim)))
+    if embed_dim < 1:
+        raise InstanceError("metric embed_dim must be positive")
+    pts = rng.uniform(0.0, 1.0, (n, embed_dim))
     diff = pts[:, None, :] - pts[None, :, :]
     dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
     dist = (dist + dist.T) / 2.0

@@ -16,11 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dual import DualState, worst_slack
-from .geometry import REL_TOL, Instance, cluster_cost, scale_exponent, tightness_tolerance
+from .geometry import REL_TOL, Instance, cluster_cost, tightness_tolerance
 from .search import Branch, ClusteringResult, approx_bound, cost_constant
 
-# Exhaustive feasibility checking enumerates all subsets; keep it honest.
-EXHAUSTIVE_MAX_N = 12
 # Step budget of the exact oracle's subset DP; it caps n at 15.
 ENUMERATION_BUDGET = 2e7
 
@@ -48,7 +46,7 @@ def brute_force_opt(inst: Instance) -> tuple[list[set[int]], float]:
         )
     n, k = inst.n, inst.k
     full = 1 << n
-    _, cost = _subset_tables(inst.distances())
+    cost = _subset_costs(inst.distances())
 
     inf = np.inf
     layer = np.full(full, inf)
@@ -95,12 +93,11 @@ def brute_force_opt(inst: Instance) -> tuple[list[set[int]], float]:
     return clusters, best_cost
 
 
-def _subset_tables(dmat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sums over every subset of the points, indexed by bit mask.
+def _subset_costs(dmat: np.ndarray) -> np.ndarray:
+    """The min-sum cost of every subset of the points, indexed by bit mask.
 
-    point_sum[x, m] is the total distance from x to the points in mask m, and
-    cost[m] the min-sum cost of mask m.  Each mask's sums extend those of the
-    mask without its lowest member.
+    Each mask's cost extends that of the mask without its lowest member, by
+    the member's distance sum to the rest, kept per point in ``point_sum``.
     """
     n = dmat.shape[0]
     full = 1 << n
@@ -111,50 +108,36 @@ def _subset_tables(dmat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         rest = m ^ (m & -m)
         point_sum[:, m] = point_sum[:, rest] + dmat[:, low]
         cost[m] = cost[rest] + point_sum[low, rest]
-    return point_sum, cost
+    return cost
 
 
-def verify_dual_feasible(
-    inst: Instance, alpha: np.ndarray, lam: float, exhaustive: bool = False
-) -> tuple[bool, float]:
+def _certificate_defect(inst: Instance, alpha: np.ndarray, lam: float) -> str | None:
+    """Why (alpha, lam) lies outside the dual program of ``inst`` (one finite,
+    nonnegative dual per point and a finite lambda), or None.  The length is
+    checked last, so a non-finite or negative vector reads so at any length."""
+    if not (math.isfinite(lam) and np.isfinite(alpha).all()):
+        return "holds a non-finite number"
+    if (alpha < 0.0).any():
+        return "holds a negative dual"
+    if alpha.shape != (inst.n,):
+        return f"has shape {alpha.shape}, not ({inst.n},)"
+    return None
+
+
+def verify_dual_feasible(inst: Instance, alpha: np.ndarray, lam: float) -> tuple[bool, float]:
     """Check the dual vector against every cluster constraint.
 
-    Fast mode scans the candidate-prefix family, which finds a violation iff
-    one exists; exhaustive mode (n <= 12) enumerates every (subset, center)
-    pair.  Both return the worst left-minus-right slack they saw.  The scale
-    base is the instance's.  A vector with a non-finite or negative dual
-    lies outside the dual program; both modes return (False, inf) for it.
+    Returns whether the worst left-minus-right slack of the candidate-prefix
+    family, which holds a violated constraint iff any (subset, center) pair
+    does, is within the tightness tolerance, and that slack.  A vector
+    outside the dual program (not n duals, a non-finite or negative one, or
+    a non-finite lambda) returns (False, inf).
     """
     alpha = np.asarray(alpha, dtype=float)
-    if not (np.isfinite(alpha).all() and (alpha >= 0.0).all()):
+    if _certificate_defect(inst, alpha, lam) is not None:
         return False, np.inf
-    tau = tightness_tolerance(inst, lam)
-    if exhaustive:
-        if inst.n > EXHAUSTIVE_MAX_N:
-            raise OracleError(f"exhaustive feasibility check needs n <= {EXHAUSTIVE_MAX_N}")
-        worst = _exhaustive_worst_slack(inst, alpha, lam)
-    else:
-        worst = worst_slack(DualState(inst, lam, alpha=alpha.copy()))
-    return worst <= tau, worst
-
-
-def _exhaustive_worst_slack(inst: Instance, alpha: np.ndarray, lam: float) -> float:
-    n, base = inst.n, inst.base
-    full = 1 << n
-    point_sum, _ = _subset_tables(inst.distances())
-    alpha_sum = np.zeros(full)
-
-    worst = -np.inf
-    members_of = [np.flatnonzero([(m >> i) & 1 for i in range(n)]) for m in range(full)]
-    for m in range(1, full):
-        members = members_of[m]
-        alpha_sum[m] = alpha_sum[m ^ (m & -m)] + alpha[members[0]]
-        scale = base ** scale_exponent(base, len(members))
-        cheapest = float(point_sum[members, m].min())
-        slack = alpha_sum[m] - lam - scale * cheapest
-        if slack > worst:
-            worst = slack
-    return float(worst)
+    worst = worst_slack(DualState(inst, lam, alpha=alpha.copy()))
+    return worst <= tightness_tolerance(inst, lam), worst
 
 
 @dataclass
@@ -199,18 +182,20 @@ def audit(
     """Check a result against its instance, from what a result file holds.
 
     Structural checks (disjointness, size bounds, recomputed cost) always
-    run.  A bipoint result needs one feasible certificate per distinct lambda
-    endpoint, in order, and the other branches none; a feasible certificate
-    holds finite, nonnegative duals that meet every cluster constraint within
-    tau.  The per-phase guarantees are checked by the solver on every probe,
-    so a result audits the same in memory and after ``save_result`` and
-    ``load_result``.
-    Every check uses the instance's mode, k, n', epsilon and scale base, not
-    the values the result states; each stated value must agree with them.
+    run, but a result of another n is not checked against this instance's
+    points.  A bipoint result needs one feasible certificate per distinct
+    lambda endpoint, in order, and the other branches none; a feasible
+    certificate holds one finite, nonnegative dual per point that meets every
+    cluster constraint within tau.  The per-phase guarantees are checked by
+    the solver on every probe, so a result audits the same in memory and
+    after ``save_result`` and ``load_result``.  Every check uses the
+    instance's n, mode, k, n', epsilon and scale base, not the values the
+    result states; each stated value must agree with them.
     """
     report = AuditReport()
     fail = report.invariant_failures.append
     for name, stated, actual in (
+        ("n", result.n, inst.n),
         ("mode", result.mode.value, inst.mode.value),
         ("k", result.k, inst.k),
         ("n_prime", result.n_prime, inst.n_prime),
@@ -234,8 +219,9 @@ def audit(
         if not c:
             fail(f"cluster {i} is empty")
         seen |= c
-    expected_outliers = set(range(inst.n)) - seen
-    if result.outliers != expected_outliers:
+    # clusters and outliers of another n index another instance's points
+    same_points = result.n == inst.n
+    if same_points and result.outliers != set(range(inst.n)) - seen:
         fail("outlier set is not the complement of the clustered points")
 
     size_fail = report.size_bound_violations.append
@@ -249,15 +235,13 @@ def audit(
             f"[{lower:.2f}, {inst.n_prime}]"
         )
 
-    recomputed = sum(cluster_cost(inst, c) for c in result.clusters)
-    scale = max(abs(recomputed), abs(result.total_cost))
     if not math.isfinite(result.total_cost):
         fail(f"stored cost {result.total_cost!r} is not finite")
-    elif abs(recomputed - result.total_cost) > REL_TOL * scale:
-        fail(
-            f"stored cost {result.total_cost!r} disagrees with recomputation "
-            f"{recomputed!r}"
-        )
+    elif same_points:
+        recomputed = sum(cluster_cost(inst, c) for c in result.clusters)
+        scale = max(abs(recomputed), abs(result.total_cost))
+        if abs(recomputed - result.total_cost) > REL_TOL * scale:
+            fail(f"stored cost {result.total_cost!r} disagrees with recomputation {recomputed!r}")
 
     endpoints = []
     if result.branch in (Branch.BIPOINT_LOW, Branch.BIPOINT_HIGH):
@@ -268,19 +252,14 @@ def audit(
         fail(f"{result.branch.value} result carries certificates at lambda "
              f"{stated}, expected {endpoints}")
     for cert in result.certificates:
-        if not (math.isfinite(cert.lam) and np.isfinite(cert.alpha).all()):
+        defect = _certificate_defect(inst, cert.alpha, cert.lam)
+        if defect is None:
+            feasible, slack = verify_dual_feasible(inst, cert.alpha, cert.lam)
+            report.worst_constraint_slack = max(report.worst_constraint_slack, slack)
+            defect = None if feasible else "is infeasible"
+        if defect is not None:
             report.dual_feasible = False
-            fail(f"dual certificate at lambda {cert.lam:.6g} holds a non-finite number")
-            continue
-        if (cert.alpha < 0.0).any():
-            report.dual_feasible = False
-            fail(f"dual certificate at lambda {cert.lam:.6g} holds a negative dual")
-            continue
-        feasible, slack = verify_dual_feasible(inst, cert.alpha, cert.lam)
-        report.worst_constraint_slack = max(report.worst_constraint_slack, slack)
-        if not feasible:
-            report.dual_feasible = False
-            fail(f"dual certificate at lambda {cert.lam:.6g} is infeasible")
+            fail(f"dual certificate at lambda {cert.lam:.6g} {defect}")
 
     if oracle_opt is not None:
         if oracle_opt > 0.0:

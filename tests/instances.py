@@ -1,8 +1,11 @@
-"""Instance recipes shared by the test modules and ``tools/fingerprint.py``."""
+"""Instance recipes shared by the test modules and ``tools/fingerprint.py``,
+and the tests' one exhaustive reference for the dual constraints."""
+
+import itertools
 
 import numpy as np
 
-from minsumclust.geometry import Instance
+from minsumclust.geometry import Instance, scale_exponent
 
 # An epsilon whose scale base is the key.
 EPS_OF_BASE = {2: 1.0, 3: 0.5}
@@ -34,3 +37,33 @@ def simplex_recipe(seed):
         dmat = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(axis=-1))
         return Instance(mode="metric", dist_matrix=dmat, **params)
     return Instance(mode="sqeuclid", points=pts, **params)
+
+
+def grid_instance(rng, mode, base, n):
+    """n points on a scaled integer grid, so full of ties (coincident points,
+    equal distances), at the epsilon of ``base``, with n' = n; metric mode
+    takes their L1 distances."""
+    pts = rng.uniform(0.3, 2.0) * rng.integers(0, 3, (n, 2))
+    params = dict(mode=mode, k=1, n_prime=n, epsilon=EPS_OF_BASE[base])
+    if mode == "sqeuclid":
+        return Instance(points=pts, **params)
+    return Instance(dist_matrix=np.abs(pts[:, None] - pts[None]).sum(axis=-1), **params)
+
+
+def exhaustive_worst_slack(inst, alpha, lam, active=None):
+    """Reference for the dual constraints: the largest slack, sum of alpha
+    over S minus lam minus base**j times the distance sum from S to y, over
+    every nonempty subset S, each center y in S and S's scale exponent j, or
+    -inf if none.  With ``active`` only subsets holding an active point
+    count.  It enumerates all 2**n subsets, so keep n small."""
+    alpha = np.asarray(alpha, dtype=float)
+    dmat = inst.distances()
+    worst = -np.inf
+    for size in range(1, inst.n + 1):
+        scale = inst.base ** scale_exponent(inst.base, size)
+        for members in map(list, itertools.combinations(range(inst.n), size)):
+            if active is not None and not np.asarray(active)[members].any():
+                continue
+            cheapest = dmat[np.ix_(members, members)].sum(axis=0).min()
+            worst = max(worst, alpha[members].sum() - lam - scale * cheapest)
+    return float(worst)

@@ -76,6 +76,20 @@ def test_oracle_reports_the_optimum(solved, capsys):
     assert out.startswith("opt_cost ")
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--family", "metric", "--embed-dim", "0"], "metric embed_dim must be positive"),
+    (["--family", "metric", "--embed-dim", "-2"], "metric embed_dim must be positive"),
+    (["--family", "gauss", "--spreads=-1,0.5"], "gauss spreads must be finite and nonnegative"),
+    (["--family", "gauss", "--centers", "0,0;4"], "gauss centers must be points of one dimension"),
+], ids=["embed-zero", "embed-negative", "spread-negative", "centers-ragged"])
+def test_gen_rejects_bad_parameters(flags, message, tmp_path, capsys):
+    output = tmp_path / "data.csv"
+    code, _, err = run(capsys, "gen", *flags, "--seed", 0, "--n", 4, "--output", output)
+    assert code == 2
+    assert err == f"error: {message}\n"
+    assert not output.exists()
+
+
 @pytest.mark.parametrize("error", [RuntimeError("planted"), AssignmentError("planted")])
 def test_internal_error_exits_one(solved, error, monkeypatch, capsys, tmp_path):
     def fail(*args, **kwargs):

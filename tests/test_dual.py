@@ -3,10 +3,11 @@
 Candidate lists and tightness are observed through ``next_event``, the one
 entry into the ascent's event engine short of a full phase run.  The screen,
 and the tight sets ``next_event`` returns, are checked directly against the
-exact pair scan, on states recorded mid-ascent.  The value scan is checked
-bit for bit against the sorted prefix scan it replaced, and the bracketed
-event-time search against the plain bisection it replaced, both written out
-here.
+exact pair scan, on states recorded mid-ascent, and tightness and the worst
+slack against the exhaustive reference in ``instances``.  The value scan is
+checked bit for bit against the sorted prefix scan it replaced, and the
+bracketed event-time search against the plain bisection it replaced, both
+written out here.
 """
 
 import itertools
@@ -32,7 +33,7 @@ from minsumclust.dual import (
 )
 from minsumclust.geometry import Instance, ScaledCluster, scale_exponent, tightness_tolerance
 
-from instances import EPS_OF_BASE, line_instance
+from instances import EPS_OF_BASE, exhaustive_worst_slack, grid_instance, line_instance
 
 
 def state_for(inst, lam, alpha=None, active=None):
@@ -41,23 +42,6 @@ def state_for(inst, lam, alpha=None, active=None):
     if active is not None:
         active = np.asarray(active, dtype=bool)
     return DualState(inst, lam, alpha=alpha, active=active)
-
-
-def enumerate_violation(inst, alpha, active, lam, tau, require_active=True):
-    """Independent ground truth: try every subset, center, and its scale."""
-    n, base = inst.n, inst.base
-    dmat = inst.distances()
-    for size in range(1, n + 1):
-        exp = scale_exponent(base, size)
-        for members in itertools.combinations(range(n), size):
-            if require_active and not any(active[x] for x in members):
-                continue
-            total = sum(alpha[x] for x in members)
-            for y in members:
-                rhs = lam + base**exp * sum(dmat[x, y] for x in members)
-                if total >= rhs - tau:
-                    return set(members), y, exp
-    return None
 
 
 class TestCandidateSet:
@@ -121,10 +105,7 @@ class TestDetectViolation:
     def test_example_agrees_with_enumeration(self):
         inst = line_instance(0.0, 0.1, 5.0)
         tau = tightness_tolerance(inst, 1.0)
-        found = enumerate_violation(
-            inst, np.array([0.6, 0.6, 0.0]), np.ones(3, bool), 1.0, tau
-        )
-        assert found is not None
+        assert exhaustive_worst_slack(inst, [0.6, 0.6, 0.0], 1.0, np.ones(3, bool)) >= -tau
 
     @pytest.mark.parametrize("seed", range(25))
     def test_agreement_with_enumeration_random(self, seed):
@@ -143,8 +124,7 @@ class TestDetectViolation:
         tau = tightness_tolerance(inst, lam)
         state = state_for(inst, lam, alpha=alpha, active=active)
         t, got = next_event(state)
-        want = enumerate_violation(inst, alpha, active, lam, tau)
-        assert (t == 0.0) == (want is not None)
+        assert (t == 0.0) == (exhaustive_worst_slack(inst, alpha, lam, active) >= -tau)
         if t == 0.0:
             # the reported constraint must genuinely be tight or violated
             assert isinstance(got, ScaledCluster)
@@ -347,19 +327,8 @@ class TestWorstSlack:
             )
             alpha = rng.uniform(0, 1.5, n)
             lam = float(rng.uniform(0, 2))
-            base = inst.base
-            state = state_for(inst, lam, alpha=alpha)
-            fast = worst_slack(state)
-            # exhaustive worst slack over all (subset, center) constraints
-            dmat = inst.distances()
-            worst = -np.inf
-            for size in range(1, n + 1):
-                exp = scale_exponent(base, size)
-                for members in itertools.combinations(range(n), size):
-                    total = alpha[list(members)].sum()
-                    for y in members:
-                        rhs = lam + base**exp * dmat[list(members), y].sum()
-                        worst = max(worst, total - rhs)
+            fast = worst_slack(state_for(inst, lam, alpha=alpha))
+            worst = exhaustive_worst_slack(inst, alpha, lam)
             # the scan family is a subfamily, so it can only under-report,
             # and it must agree on the violated / feasible verdict
             assert fast <= worst + 1e-12
@@ -484,16 +453,10 @@ def sorted_prefix_scan(state, y, exp, require_active, shift):
 
 
 def tied_state(rng, mode, base):
-    """A state full of ties: points on a scaled integer grid (coincident
-    points, equal distances), one active dual value, frozen duals that often
-    equal it, and one negative dual."""
-    n = int(rng.integers(2, 21))
-    pts = rng.uniform(0.3, 2.0) * rng.integers(0, 3, (n, 2))
-    params = dict(mode=mode, k=1, n_prime=n, epsilon=EPS_OF_BASE[base])
-    if mode == "sqeuclid":
-        inst = Instance(points=pts, **params)
-    else:
-        inst = Instance(dist_matrix=np.abs(pts[:, None] - pts[None]).sum(axis=-1), **params)
+    """A state full of ties: a grid instance, one active dual value, frozen
+    duals that often equal it, and one negative dual."""
+    inst = grid_instance(rng, mode, base, int(rng.integers(2, 21)))
+    n = inst.n
     level = rng.uniform(0.5, 4.0)
     active = rng.uniform(size=n) < 0.5
     alpha = np.where(rng.uniform(size=n) < 0.5, level, rng.uniform(0.0, level, n))

@@ -54,6 +54,19 @@ class TestGenerators:
         a, b = generate(spec), generate(spec)
         assert np.array_equal(a.points, b.points)
 
+    @pytest.mark.parametrize("family, params, message", [
+        ("metric", {"n": 4, "embed_dim": 0}, "metric embed_dim must be positive"),
+        ("metric", {"n": 4, "embed_dim": -2}, "metric embed_dim must be positive"),
+        ("gauss", {"spreads": [-1.0, 0.5]}, "gauss spreads must be finite and nonnegative"),
+        ("gauss", {"spreads": [np.nan, 0.5]}, "gauss spreads must be finite and nonnegative"),
+        ("gauss", {"centers": [[0.0, 0.0], [4.0]]}, "gauss centers must be points of one dimension"),
+        ("gauss", {"centers": [0.0, 4.0]}, "gauss centers must be points of one dimension"),
+    ], ids=["embed-zero", "embed-negative", "spread-negative", "spread-nan",
+            "centers-ragged", "centers-flat"])
+    def test_bad_parameters_are_named(self, family, params, message):
+        with pytest.raises(InstanceError, match=f"^{message}$"):
+            generate(GeneratorSpec(family=family, seed=0, params=params))
+
     def test_unknown_family_rejected(self):
         with pytest.raises(InstanceError):
             generate(GeneratorSpec(family="torus", seed=0))

@@ -16,7 +16,7 @@ from minsumclust.geometry import (
 )
 from minsumclust.oracle import verify_dual_feasible
 
-from instances import line_instance
+from instances import exhaustive_worst_slack, line_instance
 
 
 def centred_sum(inst, members):
@@ -170,27 +170,26 @@ class TestScaleBase:
 class TestScaledCost:
     # The scaled cost base**j * sum of d(x, y) over a set is the right side
     # of its dual constraint at center y, less lambda; the worst slack that
-    # verify_dual_feasible reports is the largest alpha sum minus both.
+    # verify_dual_feasible and the exhaustive reference report is the
+    # largest alpha sum minus both.
 
     def test_three_points(self):
         # the whole set at center 1: 2 * (1 + 0 + 1) = 4
         inst = line_instance(0.0, 1.0, 2.0)
-        for exhaustive in (False, True):
-            _, worst = verify_dual_feasible(inst, np.full(3, 10.0), 0.0, exhaustive)
-            assert worst == 30.0 - 4.0
+        assert verify_dual_feasible(inst, np.full(3, 10.0), 0.0)[1] == 30.0 - 4.0
+        assert exhaustive_worst_slack(inst, np.full(3, 10.0), 0.0) == 30.0 - 4.0
 
     def test_singleton(self):
-        for exhaustive in (False, True):
-            _, worst = verify_dual_feasible(line_instance(7.0), np.array([3.0]), 1.0, exhaustive)
-            assert worst == 3.0 - 1.0
+        inst = line_instance(7.0)
+        assert verify_dual_feasible(inst, np.array([3.0]), 1.0)[1] == 3.0 - 1.0
+        assert exhaustive_worst_slack(inst, np.array([3.0]), 1.0) == 3.0 - 1.0
 
     def test_with_far_point(self):
         # four points take scale 2**2; center 2 costs 4 * (4 + 1 + 0 + 64),
         # less than center 1's 4 * (1 + 0 + 1 + 81) = 332
         inst = line_instance(0.0, 1.0, 2.0, 10.0)
-        for exhaustive in (False, True):
-            _, worst = verify_dual_feasible(inst, np.full(4, 1000.0), 0.0, exhaustive)
-            assert worst == 4000.0 - 276.0
+        assert verify_dual_feasible(inst, np.full(4, 1000.0), 0.0)[1] == 4000.0 - 276.0
+        assert exhaustive_worst_slack(inst, np.full(4, 1000.0), 0.0) == 4000.0 - 276.0
 
     @given(st.integers(0, 2**31), st.integers(1, 40))
     @settings(max_examples=60, deadline=None)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from minsumclust.dual import run_phase1
 from minsumclust.geometry import DistanceMode, Instance, tightness_tolerance
@@ -19,7 +20,17 @@ from minsumclust.search import (
     small_k_solver,
 )
 
-from instances import line_instance
+from instances import exhaustive_worst_slack, grid_instance, line_instance
+
+
+def two_pairs(metric):
+    """Two close pairs far apart on a line, k = 2, with squared distances or,
+    in metric mode, plain ones."""
+    inst = line_instance(0.0, 0.1, 5.0, 5.1, k=2)
+    if not metric:
+        return inst
+    return Instance(mode="metric", k=2, n_prime=4, epsilon=1.0,
+                    dist_matrix=np.sqrt(inst.distances()))
 
 
 class TestBruteForce:
@@ -104,16 +115,28 @@ class TestVerifyDualFeasible:
         assert not ok
         assert worst >= gamma - lam
 
-    @pytest.mark.parametrize("exhaustive", [False, True])
+    @pytest.mark.parametrize("metric", [False, True])
     @pytest.mark.parametrize("value", [-1.0, np.nan, np.inf])
-    def test_duals_outside_the_program_are_infeasible(self, value, exhaustive):
+    def test_duals_outside_the_program_are_infeasible(self, value, metric):
         # every constraint has slack here, yet no dual may be negative or
-        # non-finite; both modes say so with an infinite slack
-        inst = line_instance(0.0, 0.1, 5.0, 5.1, k=2)
-        assert verify_dual_feasible(inst, np.full(4, -1.0), 1.0, exhaustive) == (False, np.inf)
+        # non-finite; in either distance mode the check says so with an
+        # infinite slack
+        inst = two_pairs(metric)
+        assert verify_dual_feasible(inst, np.full(4, -1.0), 1.0) == (False, np.inf)
         alpha = np.zeros(4)
         alpha[2] = value
-        assert verify_dual_feasible(inst, alpha, 1.0, exhaustive) == (False, np.inf)
+        assert verify_dual_feasible(inst, alpha, 1.0) == (False, np.inf)
+
+    @pytest.mark.parametrize("shape", [(0,), (1,), (3,), (5,), (4, 1)])
+    def test_a_vector_of_another_shape_is_infeasible(self, shape):
+        # one dual of 0.05 would broadcast over all four points and meet
+        # every constraint; only one dual per point is a certificate
+        inst = two_pairs(False)
+        assert verify_dual_feasible(inst, np.full(shape, 0.05), 1.0) == (False, np.inf)
+
+    @pytest.mark.parametrize("lam", [np.inf, np.nan])
+    def test_a_non_finite_lambda_is_infeasible(self, lam):
+        assert verify_dual_feasible(two_pairs(False), np.zeros(4), lam) == (False, np.inf)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_fast_and_exhaustive_agree_on_ascent_output(self, seed):
@@ -125,21 +148,13 @@ class TestVerifyDualFeasible:
         lam = float(rng.uniform(0.1, 1.5))
         out = run_phase1(inst, lam)
         fast_ok, fast_worst = verify_dual_feasible(inst, out.alpha, lam)
-        exact_ok, exact_worst = verify_dual_feasible(inst, out.alpha, lam, exhaustive=True)
-        assert fast_ok and exact_ok
+        exact_worst = exhaustive_worst_slack(inst, out.alpha, lam)
+        assert fast_ok and exact_worst <= tightness_tolerance(inst, lam)
         assert fast_worst <= exact_worst + 1e-12
-
-    def test_exhaustive_rejects_large_instances(self):
-        rng = np.random.default_rng(1)
-        inst = Instance(
-            mode="sqeuclid", k=1, n_prime=13, epsilon=1.0,
-            points=rng.normal(size=(13, 1)),
-        )
-        with pytest.raises(OracleError):
-            verify_dual_feasible(inst, np.zeros(13), 0.0, exhaustive=True)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_modes_agree_on_random_duals(self, seed):
+        # the scan and the exhaustive reference reach the same verdict
         rng = np.random.default_rng(50 + seed)
         n = int(rng.integers(3, 9))
         inst = Instance(
@@ -149,8 +164,27 @@ class TestVerifyDualFeasible:
         alpha = rng.uniform(0, 1.0, n)
         lam = float(rng.uniform(0, 1.0))
         fast_ok, _ = verify_dual_feasible(inst, alpha, lam)
-        exact_ok, _ = verify_dual_feasible(inst, alpha, lam, exhaustive=True)
-        assert fast_ok == exact_ok
+        exact_worst = exhaustive_worst_slack(inst, alpha, lam)
+        assert fast_ok == (exact_worst <= tightness_tolerance(inst, lam))
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["sqeuclid", "metric"]),
+           st.sampled_from([2, 3]))
+    @settings(max_examples=60, deadline=None)
+    def test_agrees_with_the_reference_on_tied_duals(self, seed, mode, base):
+        # grid points and one raised level that many duals share, as in an
+        # ascent, but every dual nonnegative
+        rng = np.random.default_rng(seed)
+        inst = grid_instance(rng, mode, base, int(rng.integers(1, 9)))
+        level = rng.uniform(0.5, 4.0)
+        alpha = np.where(rng.uniform(size=inst.n) < 0.5, level, rng.uniform(0.0, level, inst.n))
+        lam = rng.uniform(0.0, inst.n * level)
+        feasible, worst = verify_dual_feasible(inst, alpha, lam)
+        want = exhaustive_worst_slack(inst, alpha, lam)
+        tau = tightness_tolerance(inst, lam)
+        assert feasible == (want <= tau)
+        # the scan family is a subfamily; its sums round another way, far
+        # inside tau
+        assert worst <= want + 1e-3 * tau
 
 
 class TestAudit:
@@ -250,6 +284,36 @@ class TestAudit:
             f"dual certificate at lambda {res.certificates[0].lam:.6g} holds a negative dual"
         ]
 
+    @pytest.mark.parametrize("length", [1, 3, 5])
+    def test_certificate_of_another_length_fails(self, length):
+        # one dual would broadcast over all four points and pass the scan
+        inst = line_instance(0.0, 0.1, 5.0, 5.1, k=2)
+        res = min_sum_clustering(inst, force_primal_dual=True)
+        for cert in res.certificates:
+            cert.alpha = np.full(length, 0.05)
+        report = audit(inst, res)
+        assert not report.ok and not report.dual_feasible
+        assert report.invariant_failures == [
+            f"dual certificate at lambda {cert.lam:.6g} has shape ({length},), not (4,)"
+            for cert in res.certificates
+        ]
+
+    def test_result_of_another_size_fails_without_raising(self):
+        # the 14-point result's clusters and duals index points the 13-point
+        # instance lacks; its certificates fail for their length
+        rng = np.random.default_rng(5)
+        pts = rng.uniform(0, 2, (14, 2))
+        params = dict(mode="sqeuclid", k=5, n_prime=12, epsilon=1.0)
+        res = min_sum_clustering(Instance(points=pts, **params))
+        assert res.certificates and 13 in set().union(*res.clusters)
+        report = audit(Instance(points=pts[:13], **params), res)
+        assert not report.ok and not report.dual_feasible
+        assert report.invariant_failures == [
+            "result states n 14, but the instance has 13",
+            *(f"dual certificate at lambda {cert.lam:.6g} has shape (14,), not (13,)"
+              for cert in res.certificates),
+        ]
+
     def test_checks_use_the_base_of_epsilon(self):
         # lambda = 9 and alpha 5 on the unit triangle: 15 - 9 exceeds the
         # scaled cost 2 * 2 at base 2 (eps = 1) but not 3 * 2 at base 3
@@ -257,9 +321,9 @@ class TestAudit:
         pts = np.array([[0, 0], [1, 0], [0.5, h], [50, 50], [50, 51], [80, 0]])
         inst = Instance(mode="sqeuclid", k=3, n_prime=6, epsilon=1.0, points=pts)
         alpha = np.array([5.0, 5.0, 5.0, 0.0, 0.0, 0.0])
-        for exhaustive in (False, True):
-            feasible, slack = verify_dual_feasible(inst, alpha, 9.0, exhaustive)
-            assert not feasible and slack == pytest.approx(2.0)
+        feasible, slack = verify_dual_feasible(inst, alpha, 9.0)
+        assert not feasible and slack == pytest.approx(2.0)
+        assert exhaustive_worst_slack(inst, alpha, 9.0) == pytest.approx(2.0)
         res = min_sum_clustering(inst)
         res.certificates = [DualCertificate(9.0, alpha)]
         res.base = 3
@@ -280,6 +344,7 @@ class TestAudit:
         assert report.invariant_failures == ["result states c_eps 1, but base 2 gives 144"]
 
     @pytest.mark.parametrize("name, value, message", [
+        ("n", 5, "n 5, but the instance has 4"),
         ("mode", DistanceMode.EXPLICIT_METRIC, "mode metric, but the instance has sqeuclid"),
         ("k", 3, "k 3, but the instance has 2"),
         ("n_prime", 3, "n_prime 3, but the instance has 4"),
