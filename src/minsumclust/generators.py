@@ -48,6 +48,11 @@ def _rings(rng, radii=(1.0, 5.0), counts=(16, 16), noise=0.0):
         raise InstanceError("rings needs matching, nonempty radii and counts")
     if any(c < 1 for c in counts):
         raise InstanceError("ring counts must be positive")
+    if not all(0.0 <= r < np.inf for r in radii):
+        raise InstanceError("rings radii must be finite and nonnegative")
+    noise = float(noise)
+    if not 0.0 <= noise < np.inf:
+        raise InstanceError("rings noise must be finite and nonnegative")
     pieces = []
     for r, c in zip(radii, counts):
         angles = 2.0 * np.pi * np.arange(c) / c
@@ -85,8 +90,8 @@ def _box(rng, n=32, dims=(1.0, 1.0)):
     if n < 1:
         raise InstanceError("box needs a positive point count")
     dims = np.asarray(dims, dtype=float)
-    if dims.ndim != 1 or dims.size < 1 or (dims <= 0).any():
-        raise InstanceError("box dims must be positive lengths")
+    if dims.ndim != 1 or dims.size < 1 or not ((dims > 0) & (dims < np.inf)).all():
+        raise InstanceError("box dims must be finite positive lengths")
     return rng.uniform(0.0, 1.0, (n, dims.size)) * dims, None
 
 

@@ -6,6 +6,18 @@ cluster.  Each layer splits every mask into a cluster holding the mask's
 lowest point and a rest, (3**n - 1) / 2 splits over all masks, so the DP
 takes k (3**n - 1) / 2 steps.  It stays independent of the primal-dual
 solver it checks.
+
+Both passes are numpy array operations, with no interpreter step per mask
+or split.  The subset costs go one lowest point at a time, over strided
+slices of the masks.  A layer takes the masks by the popcount p of their
+rest, and for a block of them builds a table of each rest's 2**p submasks
+in decreasing order, the order of ``sub = (sub - 1) & rest``; ``argmin``
+along a row picks the first cheapest split, as a scan keeping the first
+strict minimum would.  Each cost is the same float addition a scan over the
+splits makes, so costs and clusters do not depend on the vectorization,
+bit for bit.  The tables hold the same k (3**n - 1) / 2 splits that
+``ENUMERATION_BUDGET`` counts, cut into blocks of at most
+``_TABLE_ENTRIES`` entries.
 """
 
 from __future__ import annotations
@@ -21,6 +33,10 @@ from .search import Branch, ClusteringResult, approx_bound, cost_constant
 
 # Step budget of the exact oracle's subset DP; it caps n at 15.
 ENUMERATION_BUDGET = 2e7
+
+# Entries of one submask table of the DP (1 MB of int64), so a table's
+# temporaries stay small at any n.
+_TABLE_ENTRIES = 1 << 17
 
 
 class OracleError(ValueError):
@@ -47,36 +63,15 @@ def brute_force_opt(inst: Instance) -> tuple[list[set[int]], float]:
     n, k = inst.n, inst.k
     full = 1 << n
     cost = _subset_costs(inst.distances())
+    popcounts = _popcounts(n)
 
-    inf = np.inf
-    layer = np.full(full, inf)
+    layer = np.full(full, np.inf)
     layer[0] = 0.0
     parents = []
     for _ in range(k):
-        nxt = np.full(full, inf)
-        nxt[0] = 0.0
-        parent = np.zeros(full, dtype=np.int64)
-        for m in range(1, full):
-            lowbit = m & -m
-            rest = m ^ lowbit
-            best = inf
-            best_s = 0
-            sub = rest
-            while True:
-                s = sub | lowbit
-                val = cost[s] + layer[m ^ s]
-                if val < best:
-                    best = val
-                    best_s = s
-                if sub == 0:
-                    break
-                sub = (sub - 1) & rest
-            nxt[m] = best
-            parent[m] = best_s
+        layer, parent = _partition_layer(cost, layer, popcounts)
         parents.append(parent)
-        layer = nxt
 
-    popcounts = np.array([int(m).bit_count() for m in range(full)])
     eligible = np.flatnonzero(popcounts == inst.n_prime)
     pos = eligible[int(np.argmin(layer[eligible]))]
     best_cost = float(layer[pos])
@@ -93,21 +88,77 @@ def brute_force_opt(inst: Instance) -> tuple[list[set[int]], float]:
     return clusters, best_cost
 
 
+def _popcounts(n: int) -> np.ndarray:
+    """The number of set bits of every mask below 2**n: each doubling
+    appends the masks that hold the next bit."""
+    counts = np.zeros(1, dtype=np.intp)
+    for _ in range(n):
+        counts = np.concatenate([counts, counts + 1])
+    return counts
+
+
+def _partition_layer(
+    cost: np.ndarray, layer: np.ndarray, popcounts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """One more allowed cluster: the cheapest split of every mask into a
+    cluster holding its lowest point and a rest partitioned by ``layer``,
+    and each mask's cluster (0 for the empty mask)."""
+    full = layer.size
+    nxt = np.empty(full)
+    nxt[0] = 0.0
+    parent = np.zeros(full, dtype=np.intp)
+    for bits in range(popcounts[-1]):
+        masks = np.flatnonzero(popcounts == bits + 1)
+        rows = max(1, _TABLE_ENTRIES >> bits)
+        for start in range(0, masks.size, rows):
+            m = masks[start:start + rows]
+            lowbit = m & -m
+            rest = m ^ lowbit
+            sub = _submask_table(rest, bits)
+            vals = cost[sub | lowbit[:, None]] + layer[rest[:, None] ^ sub]
+            best = np.argmin(vals, axis=1)
+            row = np.arange(m.size)
+            nxt[m] = vals[row, best]
+            parent[m] = sub[row, best] | lowbit
+    return nxt, parent
+
+
+def _submask_table(rest: np.ndarray, bits: int) -> np.ndarray:
+    """Every submask of each row's ``rest`` (which has ``bits`` bits), in
+    decreasing order, the order of ``sub = (sub - 1) & rest`` from ``rest``
+    down to 0.  The last ``width`` columns hold the submasks of the lowest
+    bits taken so far; adding the next bit to each fills the ``width``
+    columns before them."""
+    table = np.empty((rest.size, 1 << bits), dtype=np.intp)
+    table[:, -1] = 0
+    left = rest.copy()
+    width = 1
+    for _ in range(bits):
+        low = left & -left
+        left ^= low
+        np.bitwise_or(table[:, -width:], low[:, None], out=table[:, -2 * width:-width])
+        width *= 2
+    return table
+
+
 def _subset_costs(dmat: np.ndarray) -> np.ndarray:
     """The min-sum cost of every subset of the points, indexed by bit mask.
 
     Each mask's cost extends that of the mask without its lowest member, by
     the member's distance sum to the rest, kept per point in ``point_sum``.
+    The masks whose lowest member is ``low`` are the stride ``2 << low``
+    from ``1 << low``, and their rests the same stride from 0; their lowest
+    members lie above ``low``, so going down from the top point finds every
+    rest done.
     """
     n = dmat.shape[0]
     full = 1 << n
     point_sum = np.zeros((n, full))
     cost = np.zeros(full)
-    for m in range(1, full):
-        low = (m & -m).bit_length() - 1
-        rest = m ^ (m & -m)
-        point_sum[:, m] = point_sum[:, rest] + dmat[:, low]
-        cost[m] = cost[rest] + point_sum[low, rest]
+    for low in range(n - 1, -1, -1):
+        masks, rests = slice(1 << low, full, 2 << low), slice(0, full, 2 << low)
+        point_sum[:, masks] = point_sum[:, rests] + dmat[:, low, None]
+        cost[masks] = cost[rests] + point_sum[low, rests]
     return cost
 
 

@@ -286,6 +286,9 @@ def _local_search(inst: Instance, seed: int) -> list[set[int]]:
         for c in range(k):
             conn[:, c] = dmat[:, labels == c].sum(axis=1)
         cost = 0.5 * sum(conn[labels == c, c].sum() for c in range(k))
+        # ascending, so argmin picks the lowest-numbered of tied outliers;
+        # only an accepted swap changes it
+        outliers = np.flatnonzero(labels < 0)
 
         for _sweep in range(1000):
             improved = False
@@ -295,7 +298,7 @@ def _local_search(inst: Instance, seed: int) -> list[set[int]]:
                     continue
                 # relocate x to a cheaper cluster
                 deltas = conn[x] - conn[x, c0]
-                c1 = int(np.argmin(deltas))
+                c1 = int(deltas.argmin())
                 if deltas[c1] < -tol:
                     labels[x] = c1
                     conn[:, c0] -= dmat[:, x]
@@ -304,10 +307,9 @@ def _local_search(inst: Instance, seed: int) -> list[set[int]]:
                     improved = True
                     continue
                 # swap x with an outlier staying in the same cluster
-                outliers = np.flatnonzero(labels < 0)
                 if outliers.size:
                     swap = conn[outliers, c0] - dmat[outliers, x] - conn[x, c0]
-                    o = int(np.argmin(swap))
+                    o = int(swap.argmin())
                     if swap[o] < -tol:
                         out_point = int(outliers[o])
                         labels[x] = -1
@@ -315,6 +317,7 @@ def _local_search(inst: Instance, seed: int) -> list[set[int]]:
                         for col, sign in ((x, -1.0), (out_point, 1.0)):
                             conn[:, c0] += sign * dmat[:, col]
                         cost += swap[o]
+                        outliers = np.flatnonzero(labels < 0)
                         improved = True
             if not improved:
                 break

@@ -1,5 +1,6 @@
 """Instance recipes shared by the test modules and ``tools/fingerprint.py``,
-and the tests' one exhaustive reference for the dual constraints."""
+and the tests' references: exhaustive ones for the dual constraints and for
+the optimum, and the exact oracle's subset DP as a loop over every split."""
 
 import itertools
 
@@ -39,15 +40,27 @@ def simplex_recipe(seed):
     return Instance(mode="sqeuclid", points=pts, **params)
 
 
-def grid_instance(rng, mode, base, n):
+def grid_instance(rng, mode, base, n, k=1, n_prime=None):
     """n points on a scaled integer grid, so full of ties (coincident points,
-    equal distances), at the epsilon of ``base``, with n' = n; metric mode
-    takes their L1 distances."""
+    equal distances), at the epsilon of ``base``, with n' = n by default;
+    metric mode takes their L1 distances."""
     pts = rng.uniform(0.3, 2.0) * rng.integers(0, 3, (n, 2))
-    params = dict(mode=mode, k=1, n_prime=n, epsilon=EPS_OF_BASE[base])
+    n_prime = n if n_prime is None else n_prime
+    params = dict(mode=mode, k=k, n_prime=n_prime, epsilon=EPS_OF_BASE[base])
     if mode == "sqeuclid":
         return Instance(points=pts, **params)
     return Instance(dist_matrix=np.abs(pts[:, None] - pts[None]).sum(axis=-1), **params)
+
+
+def untied_instance(rng, mode, base, n, k=1, n_prime=None):
+    """n uniform random points in the unit cube, at the epsilon of ``base``,
+    with n' = n by default; metric mode takes their Euclidean distances."""
+    pts = rng.uniform(0.0, 1.0, (n, 3))
+    n_prime = n if n_prime is None else n_prime
+    params = dict(mode=mode, k=k, n_prime=n_prime, epsilon=EPS_OF_BASE[base])
+    if mode == "sqeuclid":
+        return Instance(points=pts, **params)
+    return Instance(dist_matrix=np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(axis=-1)), **params)
 
 
 def exhaustive_worst_slack(inst, alpha, lam, active=None):
@@ -67,3 +80,59 @@ def exhaustive_worst_slack(inst, alpha, lam, active=None):
             cheapest = dmat[np.ix_(members, members)].sum(axis=0).min()
             worst = max(worst, alpha[members].sum() - lam - scale * cheapest)
     return float(worst)
+
+
+def exhaustive_opt(inst):
+    """Reference for the optimum: the least cost of any assignment of
+    exactly n' points to k labels (so at most k clusters), over every choice
+    of the n' points and every labelling of them.  It enumerates
+    C(n, n') k**n' assignments, so keep n at 8 or below."""
+    dmat = inst.distances()
+    labels = np.array(list(itertools.product(range(inst.k), repeat=inst.n_prime)))
+    same = labels[:, :, None] == labels[:, None, :]
+    best = np.inf
+    for members in map(list, itertools.combinations(range(inst.n), inst.n_prime)):
+        costs = (same * dmat[np.ix_(members, members)]).sum(axis=(1, 2)) / 2.0
+        best = min(best, float(costs.min()))
+    return best
+
+
+def scalar_subset_dp(inst):
+    """The exact oracle's subset DP one mask and one split at a time: the
+    subset costs, and the clusters and cost of the optimum, which the
+    oracle's array passes must reproduce bit for bit.  Each layer keeps, per
+    mask, the first cheapest split in the order ``sub = (sub - 1) & rest``."""
+    n, dmat = inst.n, inst.distances()
+    full = 1 << n
+    point_sum = np.zeros((n, full))
+    cost = np.zeros(full)
+    for m in range(1, full):
+        low, rest = (m & -m).bit_length() - 1, m ^ (m & -m)
+        point_sum[:, m] = point_sum[:, rest] + dmat[:, low]
+        cost[m] = cost[rest] + point_sum[low, rest]
+    layer = np.full(full, np.inf)
+    layer[0] = 0.0
+    parents = []
+    for _ in range(inst.k):
+        nxt, parent = layer.copy(), [0] * full
+        for m in range(1, full):
+            lowbit = m & -m
+            rest, sub, nxt[m] = m ^ lowbit, m ^ lowbit, np.inf
+            while True:
+                val = cost[sub | lowbit] + layer[rest ^ sub]
+                if val < nxt[m]:
+                    nxt[m], parent[m] = val, sub | lowbit
+                if sub == 0:
+                    break
+                sub = (sub - 1) & rest
+        parents.append(parent)
+        layer = nxt
+    eligible = [m for m in range(full) if m.bit_count() == inst.n_prime]
+    m = min(eligible, key=lambda e: layer[e])
+    best = float(layer[m])
+    clusters = []
+    for parent in reversed(parents):
+        if m:
+            clusters.append({i for i in range(n) if parent[m] >> i & 1})
+            m ^= parent[m]
+    return cost, sorted(clusters, key=min), best

@@ -81,7 +81,12 @@ def test_oracle_reports_the_optimum(solved, capsys):
     (["--family", "metric", "--embed-dim", "-2"], "metric embed_dim must be positive"),
     (["--family", "gauss", "--spreads=-1,0.5"], "gauss spreads must be finite and nonnegative"),
     (["--family", "gauss", "--centers", "0,0;4"], "gauss centers must be points of one dimension"),
-], ids=["embed-zero", "embed-negative", "spread-negative", "centers-ragged"])
+    (["--family", "rings", "--noise=-1"], "rings noise must be finite and nonnegative"),
+    (["--family", "rings", "--noise=nan"], "rings noise must be finite and nonnegative"),
+    (["--family", "rings", "--radii=-1,5"], "rings radii must be finite and nonnegative"),
+    (["--family", "box", "--dims", "1,nan"], "box dims must be finite positive lengths"),
+], ids=["embed-zero", "embed-negative", "spread-negative", "centers-ragged",
+        "noise-negative", "noise-nan", "radius-negative", "dims-nan"])
 def test_gen_rejects_bad_parameters(flags, message, tmp_path, capsys):
     output = tmp_path / "data.csv"
     code, _, err = run(capsys, "gen", *flags, "--seed", 0, "--n", 4, "--output", output)

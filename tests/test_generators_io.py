@@ -61,11 +61,40 @@ class TestGenerators:
         ("gauss", {"spreads": [np.nan, 0.5]}, "gauss spreads must be finite and nonnegative"),
         ("gauss", {"centers": [[0.0, 0.0], [4.0]]}, "gauss centers must be points of one dimension"),
         ("gauss", {"centers": [0.0, 4.0]}, "gauss centers must be points of one dimension"),
+        ("rings", {"noise": -1.0}, "rings noise must be finite and nonnegative"),
+        ("rings", {"noise": np.nan}, "rings noise must be finite and nonnegative"),
+        ("rings", {"noise": np.inf}, "rings noise must be finite and nonnegative"),
+        ("rings", {"radii": [-1.0, 5.0]}, "rings radii must be finite and nonnegative"),
+        ("rings", {"radii": [1.0, np.nan]}, "rings radii must be finite and nonnegative"),
+        ("rings", {"radii": [np.inf, 5.0]}, "rings radii must be finite and nonnegative"),
+        ("box", {"dims": [1.0, np.nan]}, "box dims must be finite positive lengths"),
+        ("box", {"dims": [np.inf, 1.0]}, "box dims must be finite positive lengths"),
+        ("box", {"dims": [1.0, 0.0]}, "box dims must be finite positive lengths"),
     ], ids=["embed-zero", "embed-negative", "spread-negative", "spread-nan",
-            "centers-ragged", "centers-flat"])
+            "centers-ragged", "centers-flat", "noise-negative", "noise-nan",
+            "noise-inf", "radius-negative", "radius-nan", "radius-inf",
+            "dims-nan", "dims-inf", "dims-zero"])
     def test_bad_parameters_are_named(self, family, params, message):
         with pytest.raises(InstanceError, match=f"^{message}$"):
             generate(GeneratorSpec(family=family, seed=0, params=params))
+
+    def test_valid_specs_generate_the_same_bits(self):
+        # checked values pass through unchanged: a noise of 0 gives exact
+        # rings, an int noise draws as its float, a radius may be 0
+        rings = {"radii": [0.0, 2.0], "counts": [3, 5]}
+        exact = generate(GeneratorSpec(family="rings", seed=4, params={**rings, "noise": 0}))
+        assert np.array_equal(np.linalg.norm(exact.points[:3], axis=1), np.zeros(3))
+        noisy = [generate(GeneratorSpec(family="rings", seed=4, params={**rings, "noise": v}))
+                 for v in (1, 1.0)]
+        rng = np.random.default_rng(4)
+        radial = np.concatenate([rng.normal(0.0, 1.0, 3), 2.0 + rng.normal(0.0, 1.0, 5)])
+        angles = np.concatenate([2.0 * np.pi * np.arange(c) / c for c in (3, 5)])
+        want = np.column_stack([radial * np.cos(angles), radial * np.sin(angles)])
+        for inst in noisy:
+            assert np.array_equal(inst.points, want)
+        box = generate(GeneratorSpec(family="box", seed=6, params={"n": 5, "dims": [2, 3]}))
+        want = np.random.default_rng(6).uniform(0.0, 1.0, (5, 2)) * np.array([2.0, 3.0])
+        assert np.array_equal(box.points, want)
 
     def test_unknown_family_rejected(self):
         with pytest.raises(InstanceError):

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from minsumclust.dual import run_phase1
-from minsumclust.geometry import DistanceMode, Instance, tightness_tolerance
+from minsumclust.geometry import REL_TOL, DistanceMode, Instance, cluster_cost, tightness_tolerance
 from minsumclust.oracle import (
     OracleError,
+    _subset_costs,
     audit,
     brute_force_opt,
     enumeration_tractable,
@@ -20,7 +21,14 @@ from minsumclust.search import (
     small_k_solver,
 )
 
-from instances import exhaustive_worst_slack, grid_instance, line_instance
+from instances import (
+    exhaustive_opt,
+    exhaustive_worst_slack,
+    grid_instance,
+    line_instance,
+    scalar_subset_dp,
+    untied_instance,
+)
 
 
 def two_pairs(metric):
@@ -100,6 +108,40 @@ class TestBruteForce:
             res = small_k_solver(inst)
             assert res.exact
             assert res.total_cost == pytest.approx(opt, rel=1e-9, abs=1e-12)
+
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["sqeuclid", "metric"]),
+           st.sampled_from([2, 3]), st.integers(1, 3), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_agrees_with_the_references(self, seed, mode, base, k, tied):
+        # the scalar DP bit for bit, and the exhaustive optimum and the
+        # clusters' own costs up to summation order
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 9))
+        n_prime = int(rng.integers(1, n + 1))
+        inst = (grid_instance(rng, mode, base, n, k=k, n_prime=n_prime) if tied
+                else untied_instance(rng, mode, base, n, k=k, n_prime=n_prime))
+        clusters, cost = brute_force_opt(inst)
+        want_costs, want_clusters, want_cost = scalar_subset_dp(inst)
+        assert np.array_equal(_subset_costs(inst.distances()), want_costs)
+        assert (clusters, cost) == (want_clusters, want_cost)
+        assert sum(len(c) for c in clusters) == inst.n_prime
+        assert len(set().union(*clusters)) == inst.n_prime
+        assert 0 < len(clusters) <= k
+        recomputed = sum(cluster_cost(inst, c) for c in clusters)
+        for want in (exhaustive_opt(inst), recomputed):
+            assert abs(cost - want) <= REL_TOL * max(abs(cost), abs(want))
+
+    @pytest.mark.parametrize("mode", ["sqeuclid", "metric"])
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    def test_subset_costs_agree_with_cluster_cost(self, n, mode):
+        rng = np.random.default_rng(n)
+        for inst in (grid_instance(rng, mode, 2, n), untied_instance(rng, mode, 2, n)):
+            cost = _subset_costs(inst.distances())
+            assert cost.shape == (1 << n,) and cost[0] == 0.0
+            for mask in range(1, 1 << n):
+                want = cluster_cost(inst, [i for i in range(n) if mask >> i & 1])
+                assert abs(cost[mask] - want) <= REL_TOL * want
 
 
 class TestVerifyDualFeasible:

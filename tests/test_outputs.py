@@ -6,7 +6,8 @@ order returned), outliers, branch, exactness and the number of certificates
 must match exactly; the total cost, the lambda bracket and rho1 within
 ``REL_TOL``.  Regenerate a literal only for a deliberate change of output.
 Each result must also audit the same after ``save_result`` and
-``load_result``.
+``load_result``.  The exact oracle's pick among tied optima is pinned the
+same way, on coincident points and a unit grid.
 """
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 
 from minsumclust.geometry import REL_TOL, Instance
 from minsumclust.io import load_result, save_result
-from minsumclust.oracle import audit
+from minsumclust.oracle import audit, brute_force_opt
 from minsumclust.search import min_sum_clustering
 
 from instances import line_instance, simplex_recipe
@@ -112,6 +113,38 @@ EXPECTED = {
         lambda_high=33.408562538282396, rho1=0.6666666666666666,
     ),
 }
+
+
+def _unit_grid(mode, k, n_prime):
+    """The 3 x 3 grid of unit spacing, numbered row by row; metric mode
+    takes L1 distances.  Many clusterings tie at the optimum."""
+    pts = np.array([(x, y) for y in range(3) for x in range(3)], dtype=float)
+    if mode == "sqeuclid":
+        return Instance(mode=mode, k=k, n_prime=n_prime, epsilon=1.0, points=pts)
+    dmat = np.abs(pts[:, None] - pts[None]).sum(axis=-1)
+    return Instance(mode=mode, k=k, n_prime=n_prime, epsilon=1.0, dist_matrix=dmat)
+
+
+# The exact oracle's choice among tied optima: name -> (instance builder,
+# clusters in the order returned, cost).  Every cost is a sum of integers.
+ORACLE_TIES = {
+    "coincident": (lambda: line_instance(*[2.0] * 7, k=3, n_prime=5),
+                   [[0, 1, 2, 3, 4]], 0.0),
+    "unit-grid-k2": (lambda: _unit_grid("sqeuclid", 2, 7),
+                     [[1, 2, 4, 5], [3, 6, 7]], 12.0),
+    "unit-grid-k3": (lambda: _unit_grid("sqeuclid", 3, 9),
+                     [[0, 3, 6], [1, 2, 5], [4, 7, 8]], 14.0),
+    "unit-grid-l1-k3": (lambda: _unit_grid("metric", 3, 9),
+                        [[0, 3, 6], [1, 4, 7], [2, 5, 8]], 12.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_TIES))
+def test_oracle_tie_breaking_is_pinned(name):
+    build, clusters, cost = ORACLE_TIES[name]
+    got_clusters, got_cost = brute_force_opt(build())
+    assert [sorted(c) for c in got_clusters] == clusters
+    assert got_cost == cost
 
 
 def _close(got, want):

@@ -22,7 +22,7 @@ line, so two fingerprints can be compared with ``diff``:
 - ``tight_sets``: calls of ``dual._tight_set`` made by the solves, counted
   the same way, when TREE has that function.  Reported, not compared.
 
-It takes about a minute on one core.
+It takes about 20 s on one core of a shared 2-core host.
 
 ``--compare A.json B.json`` reads two fingerprints and classifies each case
 as identical or moved.  For every moved case it lists the fields that
