@@ -18,8 +18,6 @@ from .io import FormatError, load_instance, load_result, save_points, save_plot_
 from .oracle import OracleError, audit, brute_force_opt, enumeration_tractable
 from .search import min_sum_clustering
 
-_AUTO_ORACLE_MAX_N = 10
-
 
 def main(argv=None) -> int:
     parser = _build_parser()
@@ -91,10 +89,7 @@ def _cmd_cluster(args) -> int:
     result = min_sum_clustering(
         inst, force_primal_dual=args.force_primal_dual, seed=args.seed
     )
-    opt = None
-    if inst.n <= _AUTO_ORACLE_MAX_N and enumeration_tractable(inst):
-        _, opt = brute_force_opt(inst)
-    report = audit(inst, result, oracle_opt=opt)
+    report = _audit(inst, result)
     save_result(result, args.output)
     if args.emit_plot_data:
         save_plot_data(inst, result, args.emit_plot_data)
@@ -123,10 +118,17 @@ def _cmd_verify(args) -> int:
         print(f"error: result was computed on n={result.n}, input has n={inst.n}",
               file=sys.stderr)
         return 2
-    report = audit(inst, result)
+    report = _audit(inst, result)
     for line in report.lines():
         print(line)
     return 0 if report.ok else 1
+
+
+def _audit(inst, result):
+    """The audit ``cluster`` and ``verify`` print, so both print the same
+    lines: scored against the exact optimum wherever the oracle is tractable."""
+    opt = brute_force_opt(inst)[1] if enumeration_tractable(inst) else None
+    return audit(inst, result, oracle_opt=opt)
 
 
 def _cmd_gen(args) -> int:

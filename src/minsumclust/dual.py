@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Instance, ScaledCluster, tightness_tolerance
+from .geometry import UNIT_ROUNDOFF, Instance, ScaledCluster, tightness_tolerance
 
 # Bisection for event times stops when the bracket shrinks below this
 # fraction of its initial width.
@@ -59,26 +59,30 @@ class Screen:
 
 @dataclass
 class DualState:
-    """Mutable state of one dual-ascent run.
+    """Mutable state of one dual-ascent run, and its result.
 
     Without ``alpha`` and ``active`` the state is the start of an ascent:
     every dual zero and every point active.  All active points carry the
     identical current dual value (they rise at a uniform rate from zero);
     inactive values are frozen where they stopped.  ``tau`` is the tightness
     tolerance of (inst, lam).  ``clusters`` lists the candidate clusters added
-    so far; a cluster's number, ``created``, is its position there.  The join
-    arrays hold, per point, the cheapest scaled connection to any of them and
-    that cluster's number (-1 for none); ties keep the earliest cluster.
+    so far; a cluster's number, ``created``, is its position there.
+    ``overflow`` is the tight set ``run_phase1`` withheld because deactivating
+    it would push the clustered count past the n' budget, numbered as if it
+    were the next cluster; None when no set was withheld.  The join arrays
+    hold, per point, the cheapest scaled connection to any candidate cluster
+    and that cluster's number (-1 for none); ties keep the earliest cluster.
     ``last_screen`` is what ``_screen`` last saw and passed; a copy made with
-    ``dataclasses.replace`` starts without it.
+    ``dataclasses.replace`` starts without it, its clusters and overflow.
     """
 
     inst: Instance
     lam: float
     alpha: np.ndarray | None = None
     active: np.ndarray | None = None
-    _tau: float = field(init=False, repr=False)
+    tau: float = field(init=False, repr=False)
     clusters: list[ScaledCluster] = field(init=False, default_factory=list, repr=False)
+    overflow: ScaledCluster | None = field(init=False, default=None, repr=False)
     join_threshold: np.ndarray = field(init=False, repr=False)
     join_cluster: np.ndarray = field(init=False, repr=False)
     _scaled: dict[int, np.ndarray] = field(init=False, default_factory=dict, repr=False)
@@ -91,13 +95,9 @@ class DualState:
             self.alpha = np.zeros(n)
         if self.active is None:
             self.active = np.ones(n, dtype=bool)
-        self._tau = tightness_tolerance(self.inst, self.lam)
+        self.tau = tightness_tolerance(self.inst, self.lam)
         self.join_threshold = np.full(n, np.inf)
         self.join_cluster = np.full(n, -1, dtype=int)
-
-    @property
-    def tau(self) -> float:
-        return self._tau
 
     def scaled_dists(self, exp: int) -> np.ndarray:
         """base**exp times the distance matrix, computed once per state."""
@@ -122,19 +122,6 @@ class DualState:
         better = vals < self.join_threshold
         self.join_threshold[better] = vals[better]
         self.join_cluster[better] = cluster.created
-
-
-@dataclass
-class Phase1Output:
-    """Result of the ascent: duals, candidate clusters, optional overflow.
-
-    ``overflow`` is the final tight cluster, withheld because deactivating
-    it would push the clustered count past the n' budget.
-    """
-
-    alpha: np.ndarray
-    clusters: list[ScaledCluster]
-    overflow: ScaledCluster | None
 
 
 @dataclass
@@ -235,12 +222,21 @@ def _margin_bounds(
     an upper bound on each row's best margin sum, at the given shift.
 
     ``in_list[y, x]`` says x is in C(y, exp), that is its margin is
-    nonnegative.  The bound sums the largest admissible number of nonnegative
-    margins in the row (ignoring the forcing rules), so it dominates the
-    exact value at this shift.  A row with fewer than base**exp candidates
-    admits no set at all and gets the bound -inf; ``_pair_scan`` reads the
-    same floats and returns None for it.  With ``rows``, one index array per
-    exponent, only those rows are computed, in that order.
+    nonnegative.  The bound sums the largest m = min(cap, n) nonnegative
+    margins in the row, cap the largest admissible size (ignoring the forcing
+    rules), and widens that float by 1 + 2 m u, u the unit roundoff, so it
+    dominates the exact scan's float at this shift.  The rounding argument:
+    in the program's domain alpha >= 0, y's own margin is alpha_y, so every
+    term ``_pair_scan`` adds is a nonnegative margin of the row, and its at
+    most m terms sum to no more than the bound's m largest, in reals.  Any
+    order of summing m nonnegative floats is within a factor 1 +- g of the
+    real sum, g = (m - 1) u / (1 - (m - 1) u), so the exact scan's float is
+    at most (1 + g) / (1 - g) = 1 / (1 - 2 (m - 1) u) times the bound's
+    unwidened float; the widening, with its own rounding, exceeds that while
+    4 m**2 u < 1.  A row with fewer than base**exp candidates admits no set
+    at all and gets the bound -inf; ``_pair_scan`` reads the same floats and
+    returns None for it.  With ``rows``, one index array per exponent, only
+    those rows are computed, in that order.
     """
     alpha = state.raised_alpha(shift)
     n = alpha.size
@@ -254,6 +250,7 @@ def _margin_bounds(
             bound = pos.sum(axis=1)
         else:
             bound = np.partition(pos, n - cap, axis=1)[:, n - cap :].sum(axis=1)
+        bound *= 1.0 + 2 * min(cap, n) * UNIT_ROUNDOFF
         bound[np.count_nonzero(in_list, axis=1) < state.inst.base**exp] = -np.inf
         yield in_list, bound
 
@@ -426,19 +423,19 @@ def next_event(state: DualState) -> tuple[float, JoinExisting | ScaledCluster]:
     return best_t, ScaledCluster(set(_tight_set(state, y, exp, best_t)), exp, y)
 
 
-def run_phase1(inst: Instance, lam: float) -> Phase1Output:
+def run_phase1(inst: Instance, lam: float) -> DualState:
     """Raise duals uniformly, emitting candidate clusters, until the number
-    of active points falls to n - n'.
+    of active points falls to n - n', and return the state the ascent ran.
 
+    Its ``alpha`` and ``clusters`` are the duals and candidate clusters.
     Joining points inherit the cluster's frozen scale and center.  If
     deactivating a new tight set would drop the active count strictly below
-    n - n', that set is returned as the overflow cluster instead.
+    n - n', the ascent stops and that set is the state's ``overflow``.
     """
     if lam < 0:
         raise ValueError("opening cost lambda must be nonnegative")
     state = DualState(inst, lam)
     target = inst.n - inst.n_prime
-    overflow: ScaledCluster | None = None
 
     while (active := np.count_nonzero(state.active)) > target:
         t, event = next_event(state)
@@ -449,13 +446,13 @@ def run_phase1(inst: Instance, lam: float) -> Phase1Output:
             state.active[event.point] = False
         elif active - np.count_nonzero(state.active[list(event.members)]) < target:
             event.created = len(state.clusters)
-            overflow = event
+            state.overflow = event
             break
         else:
             state.add_cluster(event)
 
     _check_phase1(state)
-    return Phase1Output(alpha=state.alpha.copy(), clusters=state.clusters, overflow=overflow)
+    return state
 
 
 def _check_phase1(state: DualState) -> None:
@@ -471,27 +468,23 @@ def _check_phase1(state: DualState) -> None:
     slack = worst_slack(state)
     if slack > state.tau:
         raise RuntimeError(f"dual constraint violated by {slack:.3e} after ascent")
-    failures = check_dual_support(state.inst, state.alpha, state.clusters, state.tau)
+    failures = check_dual_support(state)
     if failures:
         raise RuntimeError(failures[0])
 
 
-def check_dual_support(
-    inst: Instance,
-    alpha: np.ndarray,
-    clusters: list[ScaledCluster],
-    tau: float,
-) -> list[str]:
-    """Check alpha_x >= base**j * d(x, center) - tau for all cluster members."""
-    dmat = inst.distances()
+def check_dual_support(state: DualState) -> list[str]:
+    """Check alpha_x >= base**j * d(x, center) - tau for every member x of
+    the state's clusters, in cluster order, members ascending; the scaled
+    distances are the state's own."""
     failures = []
-    for c in clusters:
+    for c in state.clusters:
         members = sorted(c.members)
-        need = float(inst.base**c.scale_exp) * dmat[members, c.center]
-        bad = np.flatnonzero(alpha[members] < need - tau)
+        need = state.scaled_dists(c.scale_exp)[members, c.center]
+        bad = np.flatnonzero(state.alpha[members] < need - state.tau)
         for pos in bad:
             failures.append(
                 f"point {members[pos]} underpays its cluster "
-                f"(alpha {alpha[members[pos]]:.6g} < {need[pos]:.6g})"
+                f"(alpha {state.alpha[members[pos]]:.6g} < {need[pos]:.6g})"
             )
     return failures

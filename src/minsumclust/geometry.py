@@ -25,6 +25,10 @@ REL_TOL = 1e-9
 # Checks on explicit distance matrices from outside the program (symmetry,
 # zero diagonal, sign, triangle inequality), relative to the largest entry.
 MATRIX_REL_TOL = 1e-6
+# Unit roundoff of float64: one rounded operation moves a value by at most
+# this fraction of it.  A float bound that must dominate another float sum of
+# the same terms is widened by the sums' rounding in units of it.
+UNIT_ROUNDOFF = 2.0**-53
 
 
 def tightness_tolerance(inst: Instance, lam: float) -> float:

@@ -91,6 +91,8 @@ def approx_bound(epsilon: float) -> float:
 def probe(inst: Instance, lam: float) -> ProbeOutcome:
     """Run the full pipeline at one opening cost.
 
+    Phases 2 and 3 read the duals, candidate clusters and overflow of the
+    ascent's ``DualState``, and the probe's certificate holds its duals.
     Each phase's guarantee is checked on every probe (the ascent's by
     ``run_phase1``), and the first failure raises ``RuntimeError``.
     ``k_prime`` is one less than the number of assembled clusters, recorded

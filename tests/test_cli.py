@@ -69,6 +69,21 @@ def test_gen_cluster_verify(solved, capsys):
     assert "certificate" in solved.result.read_text()
 
 
+@pytest.mark.parametrize("mode", ["sqeuclid", "metric"])
+def test_cluster_and_verify_print_the_same_scored_audit(mode, tmp_path, capsys):
+    # the oracle is tractable at n = 10, so both commands print cost_ratio
+    data, result = tmp_path / "data.csv", tmp_path / "result.txt"
+    family = "box" if mode == "sqeuclid" else "metric"
+    assert run(capsys, "gen", "--family", family, "--seed", 3, "--n", 10, "--output", data)[0] == 0
+    flags = ["--input", data, "--mode", mode, "--k", 5, "--nprime", 9, "--epsilon", 1]
+    code, clustered, _ = run(capsys, "cluster", *flags, "--output", result)
+    assert code == 0
+    code, verified, _ = run(capsys, "verify", *flags, "--result", result)
+    assert code == 0
+    assert clustered.splitlines()[1:] == verified.splitlines()
+    assert any(line.startswith("cost_ratio ") for line in verified.splitlines())
+
+
 def test_oracle_reports_the_optimum(solved, capsys):
     code, out, _ = run(capsys, "oracle", "--input", solved.data, "--mode", solved.mode,
                        "--k", 2, "--nprime", 11)

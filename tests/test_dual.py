@@ -31,7 +31,9 @@ from minsumclust.dual import (
     run_phase1,
     worst_slack,
 )
-from minsumclust.geometry import Instance, ScaledCluster, scale_exponent, tightness_tolerance
+from minsumclust.geometry import (
+    REL_TOL, Instance, ScaledCluster, scale_exponent, tightness_tolerance,
+)
 
 from instances import EPS_OF_BASE, exhaustive_worst_slack, grid_instance, line_instance
 
@@ -261,8 +263,7 @@ class TestRunPhase1:
         )
         lam = 1.3
         out = run_phase1(inst, lam)
-        tau = tightness_tolerance(inst, lam)
-        assert check_dual_support(inst, out.alpha, out.clusters, tau) == []
+        assert check_dual_support(out) == []
 
     def test_deterministic(self):
         rng = np.random.default_rng(3)
@@ -463,6 +464,47 @@ def tied_state(rng, mode, base):
     alpha[active] = level
     alpha[rng.integers(n)] = -rng.uniform(0.1, 2.0)
     return DualState(inst, rng.uniform(0.0, n * level), alpha=alpha, active=active)
+
+
+def at_threshold(state, target):
+    """A copy of the state whose lam - tau is ``target`` bit for bit, or None
+    when no lam next to the real solution rounds there."""
+    # lam - tau = lam (1 - REL_TOL) - tau at lam 0, in real arithmetic
+    lam = (target + tightness_tolerance(state.inst, 0.0)) / (1.0 - REL_TOL)
+    for _ in range(8):
+        threshold = lam - tightness_tolerance(state.inst, lam)
+        if threshold == target:
+            return replace(state, lam=lam)
+        lam = float(np.nextafter(lam, np.inf if threshold < target else -np.inf))
+    return None
+
+
+class TestMarginBound:
+    # The screen's bound sums the capped margins in another order than the
+    # exact scan, so it is widened by their rounding: on nonnegative duals it
+    # is at least the exact scan's float, and a pair whose exact value just
+    # reaches lam - tau stays in the screen.
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["sqeuclid", "metric"]),
+           st.sampled_from([2, 3]))
+    @settings(max_examples=60, deadline=None)
+    def test_dominates_the_exact_scan_on_nonnegative_tied_states(self, seed, mode, base):
+        rng = np.random.default_rng(seed)
+        state = tied_state(rng, mode, base)
+        state = replace(state, alpha=np.maximum(state.alpha, 0.0))
+        pairs = list(itertools.product(range(state.inst.n), range(state.inst.top_exp + 1)))
+        for shift in (0.0, rng.uniform(0.0, 3.0)):
+            bounds = [bound for _, bound in dual._margin_bounds(state, shift)]
+            for (y, exp), require_active in itertools.product(pairs, (True, False)):
+                line = _pair_scan(state, y, exp, require_active, shift)
+                if line is not None:
+                    assert bounds[exp][y] >= line[0]
+        # with lam - tau at a pair's exact value the pair fires at shift 0
+        for y, exp in pairs:
+            line = _pair_scan(state, y, exp, True, 0.0)
+            at = None if line is None else at_threshold(state, line[0])
+            if at is not None:
+                assert (y, exp) in _screen(at, 0.0)
 
 
 class TestPairScan:

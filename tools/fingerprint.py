@@ -20,7 +20,7 @@ line, so two fingerprints can be compared with ``diff``:
 - ``pair_scans``: calls of ``dual._pair_scan`` made by the solves (not by
   the audits), per workload and seed.  Reported, not compared.
 - ``tight_sets``: calls of ``dual._tight_set`` made by the solves, counted
-  the same way, when TREE has that function.  Reported, not compared.
+  the same way.  Reported, not compared.
 
 It takes about 20 s on one core of a shared 2-core host.
 
@@ -58,10 +58,8 @@ def main(tree: Path) -> None:
     from minsumclust.oracle import audit, brute_force_opt
     from minsumclust.search import min_sum_clustering
 
-    # the output key of each counted function; older trees have no _tight_set
-    counted = {"_pair_scan": "pair_scans"}
-    if hasattr(dual, "_tight_set"):
-        counted["_tight_set"] = "tight_sets"
+    # the output key of each counted function
+    counted = {"_pair_scan": "pair_scans", "_tight_set": "tight_sets"}
     calls = dict.fromkeys(counted, 0)
 
     def counting(name, func):
