@@ -93,10 +93,9 @@ def run_phase3(assignments: list[MetaAssignment], base: int) -> AssembledCluster
     return AssembledClustering(clusters, discarded, discard_events)
 
 
-def check_size_windows(
-    assembled: AssembledClustering, base: int, n_prime: int
-) -> list[str]:
-    """Check the cluster-size and discard guarantees of the assembly step.
+def check_size_windows(assembled: AssembledClustering, base: int, n_prime: int) -> None:
+    """Check the cluster-size and discard guarantees of the assembly step;
+    the first failure raises ``RuntimeError``.
 
     Top-bucket clusters hold at most 2 * base**(2+p) points and, unless the
     anchor is the overflow cluster, at least base**p.  Low-scale clusters
@@ -104,37 +103,35 @@ def check_size_windows(
     opens none discards fewer than base**(2+p').  Total discards stay below
     n' / (base - 1).
     """
-    failures = []
     for i, c in enumerate(assembled.clusters):
         size = len(c.points)
         if c.from_top_bucket:
             cap = 2 * base ** (2 + c.scale_exp)
             if size > cap:
-                failures.append(f"cluster {i} has {size} points, cap {cap}")
+                raise RuntimeError(f"cluster {i} has {size} points, cap {cap}")
             if not c.anchor_is_overflow and size < base**c.scale_exp:
-                failures.append(
+                raise RuntimeError(
                     f"cluster {i} has {size} points, floor {base ** c.scale_exp}"
                 )
         else:
             capacity = base ** (2 + c.scale_exp)
             if not capacity <= size < 2 * capacity:
-                failures.append(
+                raise RuntimeError(
                     f"cluster {i} has {size} points outside [{capacity}, {2 * capacity})"
                 )
     for key, scale, points in assembled.discard_events:
         if len(points) >= base ** (2 + scale):
-            failures.append(
+            raise RuntimeError(
                 f"anchor {key} discarded {len(points)} points at scale {scale}, "
                 f"enough to open a cluster"
             )
     bound = n_prime / (base - 1)
     if len(assembled.discarded) >= bound:
-        failures.append(
+        raise RuntimeError(
             f"discarded {len(assembled.discarded)} points, bound {bound:.3f}"
         )
     clustered = sum(len(c.points) for c in assembled.clusters)
     if not clustered <= n_prime:
-        failures.append(f"clustered {clustered} points, more than n' = {n_prime}")
+        raise RuntimeError(f"clustered {clustered} points, more than n' = {n_prime}")
     if clustered < n_prime - len(assembled.discarded):
-        failures.append("clustered plus discarded points do not cover the assignment")
-    return failures
+        raise RuntimeError("clustered plus discarded points do not cover the assignment")

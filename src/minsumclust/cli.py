@@ -27,7 +27,7 @@ def main(argv=None) -> int:
     except (InstanceError, FormatError, OracleError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:  # an internal check failed, AssignmentError too
+    except RuntimeError as exc:  # an internal check failed; a probe's names its lambda
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -86,6 +86,8 @@ def _instance_flags(p: argparse.ArgumentParser) -> None:
 
 def _cmd_cluster(args) -> int:
     inst = load_instance(args.input, args.mode, args.k, args.nprime, args.epsilon)
+    if args.emit_plot_data and inst.mode is not DistanceMode.SQEUCLIDEAN:
+        raise InstanceError("plot data needs coordinate (sqeuclid) input")
     result = min_sum_clustering(
         inst, force_primal_dual=args.force_primal_dual, seed=args.seed
     )

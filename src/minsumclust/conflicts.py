@@ -10,7 +10,9 @@ conflict witness: a point that joined a cluster paid its connection cost
 exactly and can never witness a conflict, so every witness froze no later
 than the cluster's own tight time, and the donation keeps the per-point
 connection guarantee intact while covering every clustered point.  The
-result assigns exactly n' points to anchors.
+result assigns exactly n' points to anchors.  ``check_assignments`` checks
+these guarantees; the search runs it on every probe, and its first failure
+raises ``RuntimeError``.
 """
 
 from __future__ import annotations
@@ -35,10 +37,6 @@ class MetaAssignment:
     part: set[int]
     part_scale: int
     anchor_is_overflow: bool = False
-
-
-class AssignmentError(RuntimeError):
-    """Conflict resolution could not assign exactly n' points."""
 
 
 def conflict_witnesses(
@@ -73,7 +71,9 @@ def run_phase2(
     previously emitted parts; a rejected cluster donates its unassigned
     members whose dual value reaches the conflict's cheapest witness to the
     earliest blocking anchor.  Finally, unassigned points from the overflow
-    cluster (lowest indices first) top the total up to exactly n'.
+    cluster (lowest indices first) top the total up to exactly n'; when too
+    few remain, ``RuntimeError`` names the shortfall.  The parts' guarantees
+    are checked by ``check_assignments``, not here.
     """
     dmat = inst.distances()
     tau = resolution_tolerance(inst, alpha)
@@ -123,12 +123,12 @@ def run_phase2(
     missing = inst.n_prime - len(assigned)
     if missing > 0:
         if overflow is None:
-            raise AssignmentError(
+            raise RuntimeError(
                 f"{missing} points short of n' and no overflow cluster to draw from"
             )
         pool = sorted(overflow.members - assigned)
         if len(pool) < missing:
-            raise AssignmentError(
+            raise RuntimeError(
                 f"{missing} points short of n' but only {len(pool)} available"
             )
         top_up = set(pool[:missing])
@@ -141,53 +141,41 @@ def run_phase2(
             )
         )
         assigned |= top_up
-
-    if len(assigned) != inst.n_prime:
-        raise AssignmentError(
-            f"assigned {len(assigned)} points, expected exactly {inst.n_prime}"
-        )
     return parts
 
 
-def check_connection_factors(
+def check_assignments(
     inst: Instance, assignments: list[MetaAssignment], alpha: np.ndarray
-) -> list[str]:
-    """Check the per-point connection guarantee of the resolution step.
+) -> None:
+    """Check the guarantees of the resolution step; the first failure raises
+    ``RuntimeError``.
 
-    Every assigned point must retain at least a 1/9 fraction (1/3 with a
-    true metric, where the triangle inequality is not squared away) of its
-    scaled connection cost to the part's center in its dual value.
+    In one pass over the parts: parts are pairwise disjoint, no part's scale
+    exceeds its anchor's, and every assigned point retains at least a 1/9
+    fraction (1/3 with a true metric, where the triangle inequality is not
+    squared away) of its scaled connection cost to the anchor's center in
+    its dual value.  Then the parts must cover exactly n' points.
     """
     factor = 3.0 if inst.mode is DistanceMode.EXPLICIT_METRIC else 9.0
     dmat = inst.distances()
     tau = resolution_tolerance(inst, alpha)
-    failures = []
+    seen: set[int] = set()
     for ma in assignments:
+        if ma.part & seen:
+            raise RuntimeError(f"parts overlap on {sorted(ma.part & seen)}")
+        seen |= ma.part
+        if ma.part_scale > ma.anchor.scale_exp:
+            raise RuntimeError(
+                f"part scale {ma.part_scale} exceeds anchor scale {ma.anchor.scale_exp}"
+            )
         idx = sorted(ma.part)
         need = float(inst.base**ma.part_scale) * dmat[idx, ma.anchor.center] / factor
         bad = np.flatnonzero(alpha[idx] < need - tau)
-        for pos in bad:
-            failures.append(
-                f"point {idx[pos]} holds alpha {alpha[idx[pos]]:.6g} "
-                f"< connection share {need[pos]:.6g}"
+        if bad.size:
+            x = idx[bad[0]]
+            raise RuntimeError(
+                f"point {x} holds alpha {alpha[x]:.6g} "
+                f"< connection share {need[bad[0]]:.6g}"
             )
-    return failures
-
-
-def check_assignment_counts(assignments: list[MetaAssignment], n_prime: int) -> list[str]:
-    """Parts must be pairwise disjoint and cover exactly n' points."""
-    failures = []
-    seen: set[int] = set()
-    total = 0
-    for ma in assignments:
-        if ma.part & seen:
-            failures.append(f"parts overlap on {sorted(ma.part & seen)}")
-        seen |= ma.part
-        total += len(ma.part)
-        if ma.part_scale > ma.anchor.scale_exp:
-            failures.append(
-                f"part scale {ma.part_scale} exceeds anchor scale {ma.anchor.scale_exp}"
-            )
-    if total != n_prime:
-        failures.append(f"assigned {total} points, expected {n_prime}")
-    return failures
+    if len(seen) != inst.n_prime:
+        raise RuntimeError(f"assigned {len(seen)} points, expected {inst.n_prime}")

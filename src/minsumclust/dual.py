@@ -460,31 +460,22 @@ def _check_phase1(state: DualState) -> None:
 
     Active duals rise from zero by the same increments, so they are equal bit
     for bit, and no frozen dual exceeds them.  No constraint is violated
-    beyond tau, and every cluster member pays its scaled distance to the
-    center (``check_dual_support``).
+    beyond tau.  Every cluster member pays its scaled distance to the center,
+    alpha_x >= base**j * d(x, center) - tau, checked in cluster order with
+    members ascending on the state's own scaled distances.
     """
     if (state.alpha[state.active] != state.alpha.max()).any():
         raise RuntimeError("active duals diverged from the uniform value")
     slack = worst_slack(state)
     if slack > state.tau:
         raise RuntimeError(f"dual constraint violated by {slack:.3e} after ascent")
-    failures = check_dual_support(state)
-    if failures:
-        raise RuntimeError(failures[0])
-
-
-def check_dual_support(state: DualState) -> list[str]:
-    """Check alpha_x >= base**j * d(x, center) - tau for every member x of
-    the state's clusters, in cluster order, members ascending; the scaled
-    distances are the state's own."""
-    failures = []
     for c in state.clusters:
         members = sorted(c.members)
         need = state.scaled_dists(c.scale_exp)[members, c.center]
         bad = np.flatnonzero(state.alpha[members] < need - state.tau)
-        for pos in bad:
-            failures.append(
-                f"point {members[pos]} underpays its cluster "
-                f"(alpha {state.alpha[members[pos]]:.6g} < {need[pos]:.6g})"
+        if bad.size:
+            x = members[bad[0]]
+            raise RuntimeError(
+                f"point {x} underpays its cluster "
+                f"(alpha {state.alpha[x]:.6g} < {need[bad[0]]:.6g})"
             )
-    return failures

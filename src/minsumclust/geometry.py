@@ -75,7 +75,9 @@ class Instance:
 
     ``k`` and ``n_prime`` must be integers.  Treat instances as immutable
     after construction.  ``base``, the scale base of epsilon, and
-    ``top_exp``, the largest j with base**j <= n, are derived once here.
+    ``top_exp``, the largest j with base**j <= n, are derived once here; an
+    epsilon so small that the cost constant of its base is not a finite
+    float is rejected.
     """
 
     mode: DistanceMode
@@ -116,7 +118,16 @@ class Instance:
             raise InstanceError("n_prime must satisfy 1 <= n_prime <= n")
         if not 0.0 < self.epsilon <= 1.0:
             raise InstanceError("epsilon must lie in (0, 1]")
-        self.base = scale_base(self.epsilon)
+        try:
+            self.base = scale_base(self.epsilon)
+            finite = math.isfinite(cost_constant(self.base))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise InstanceError(
+                f"epsilon {self.epsilon!r} is too small: the cost constant of its "
+                "scale base does not fit a finite float"
+            )
         self.top_exp = scale_exponent(self.base, self.n)
 
     @property
@@ -196,6 +207,11 @@ def cluster_cost(inst: Instance, members) -> float:
 def scale_base(epsilon: float) -> int:
     """Integer scale base: at least 2 and at least (1 + eps) / eps."""
     return max(2, math.ceil((1.0 + epsilon) / epsilon - REL_TOL))
+
+
+def cost_constant(base: int) -> float:
+    """Per-cluster cost constant of the primal-dual guarantee."""
+    return 18.0 * base**3 / (base - 1)
 
 
 def scale_exponent(base: int, m: int) -> int:

@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dual import DualState, worst_slack
-from .geometry import REL_TOL, Instance, cluster_cost, tightness_tolerance
-from .search import Branch, ClusteringResult, approx_bound, cost_constant
+from .geometry import REL_TOL, Instance, cluster_cost, cost_constant, tightness_tolerance
+from .search import Branch, ClusteringResult, approx_bound
 
 # Step budget of the exact oracle's subset DP; it caps n at 15.
 ENUMERATION_BUDGET = 2e7

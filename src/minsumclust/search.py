@@ -16,9 +16,9 @@ from enum import Enum
 import numpy as np
 
 from .assembly import AssembledCluster, check_size_windows, partition_evenly, run_phase3
-from .conflicts import check_assignment_counts, check_connection_factors, run_phase2
+from .conflicts import check_assignments, run_phase2
 from .dual import run_phase1
-from .geometry import REL_TOL, DistanceMode, Instance, cluster_cost, scale_base
+from .geometry import REL_TOL, DistanceMode, Instance, cluster_cost, cost_constant, scale_base
 
 # Random restarts of the small-k local search.
 LOCAL_SEARCH_RESTARTS = 20
@@ -77,11 +77,6 @@ class ClusteringResult:
         return sum(len(c) for c in self.clusters)
 
 
-def cost_constant(base: int) -> float:
-    """Per-cluster cost constant of the primal-dual guarantee."""
-    return 18.0 * base**3 / (base - 1)
-
-
 def approx_bound(epsilon: float) -> float:
     """End-to-end approximation factor guaranteed against the exact optimum,
     at the scale base of epsilon."""
@@ -93,20 +88,22 @@ def probe(inst: Instance, lam: float) -> ProbeOutcome:
 
     Phases 2 and 3 read the duals, candidate clusters and overflow of the
     ascent's ``DualState``, and the probe's certificate holds its duals.
-    Each phase's guarantee is checked on every probe (the ascent's by
-    ``run_phase1``), and the first failure raises ``RuntimeError``.
+    Each phase's guarantee is checked on every probe: the ascent's by
+    ``run_phase1``, the resolution's by ``check_assignments`` and the
+    assembly's by ``check_size_windows``.  The first failure of any phase
+    raises ``RuntimeError`` as ``probe at lambda {lam}: {message}``.
     ``k_prime`` is one less than the number of assembled clusters, recorded
     before the smallest cluster is dropped (which happens when it holds at
     most eps/3 of the n' budget; ties drop the earliest such cluster).
     """
-    phase1 = run_phase1(inst, lam)
-    assignments = run_phase2(inst, phase1.alpha, phase1.clusters, phase1.overflow)
-    assembled = run_phase3(assignments, inst.base)
-    failures = (check_assignment_counts(assignments, inst.n_prime)
-                + check_connection_factors(inst, assignments, phase1.alpha)
-                + check_size_windows(assembled, inst.base, inst.n_prime))
-    if failures:
-        raise RuntimeError(f"probe at lambda {lam:.6g}: {failures[0]}")
+    try:
+        phase1 = run_phase1(inst, lam)
+        assignments = run_phase2(inst, phase1.alpha, phase1.clusters, phase1.overflow)
+        check_assignments(inst, assignments, phase1.alpha)
+        assembled = run_phase3(assignments, inst.base)
+        check_size_windows(assembled, inst.base, inst.n_prime)
+    except RuntimeError as exc:
+        raise RuntimeError(f"probe at lambda {lam:.6g}: {exc}") from exc
     clusters = list(assembled.clusters)
     k_prime = len(clusters) - 1
     if clusters:

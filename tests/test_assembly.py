@@ -106,7 +106,7 @@ class TestRunPhase3:
         p1 = run_phase1(inst, lam)
         meta = run_phase2(inst, p1.alpha, p1.clusters, p1.overflow)
         out = run_phase3(meta, base)
-        assert check_size_windows(out, base, n_prime) == []
+        check_size_windows(out, base, n_prime)
         # every assigned point lands in exactly one cluster or is discarded
         assigned = set().union(*(ma.part for ma in meta))
         seen = set(out.discarded)
@@ -119,4 +119,5 @@ class TestRunPhase3:
         anchor = ScaledCluster(set(range(5)), 0, 0, 0)
         out = run_phase3([_assignment(anchor, range(5))], 2)
         out.clusters[0].points |= set(range(100, 120))  # blow past the cap
-        assert check_size_windows(out, 2, 5)
+        with pytest.raises(RuntimeError, match="cluster 0 has 25 points, cap 8"):
+            check_size_windows(out, 2, 5)

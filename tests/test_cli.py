@@ -6,9 +6,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from minsumclust import cli, search
+from minsumclust import cli, dual, search
 from minsumclust.assembly import AssembledCluster, AssembledClustering
-from minsumclust.conflicts import AssignmentError
 from minsumclust.io import save_points
 
 SUBCOMMANDS = ["gen", "cluster", "verify", "oracle"]
@@ -110,7 +109,7 @@ def test_gen_rejects_bad_parameters(flags, message, tmp_path, capsys):
     assert not output.exists()
 
 
-@pytest.mark.parametrize("error", [RuntimeError("planted"), AssignmentError("planted")])
+@pytest.mark.parametrize("error", [RuntimeError("planted")])
 def test_internal_error_exits_one(solved, error, monkeypatch, capsys, tmp_path):
     def fail(*args, **kwargs):
         raise error
@@ -122,14 +121,74 @@ def test_internal_error_exits_one(solved, error, monkeypatch, capsys, tmp_path):
     assert err == "error: planted\n"
 
 
-def test_broken_phase_guarantee_exits_one(solved, monkeypatch, capsys, tmp_path):
+def plant_phase1_fault(monkeypatch):
+    monkeypatch.setattr(dual, "worst_slack", lambda state: 1.0)
+    return "dual constraint violated by 1.000e+00 after ascent"
+
+
+def plant_phase2_fault(monkeypatch):
+    run_phase2 = search.run_phase2
+
+    def overlapping(*args):
+        parts = run_phase2(*args)
+        return [*parts, parts[0]]
+
+    monkeypatch.setattr(search, "run_phase2", overlapping)
+    return "parts overlap on ["
+
+
+def plant_phase3_fault(monkeypatch):
     # a top-bucket cluster at scale 0 holds at most 2 * 2**2 = 8 points
     oversized = AssembledClustering([AssembledCluster(set(range(9)), 0, True, False)], set())
     monkeypatch.setattr(search, "run_phase3", lambda assignments, base: oversized)
+    return "cluster 0 has 9 points, cap 8"
+
+
+@pytest.mark.parametrize("plant", [plant_phase1_fault, plant_phase2_fault, plant_phase3_fault],
+                         ids=["phase1", "phase2", "phase3"])
+def test_broken_phase_guarantee_exits_one(solved, plant, monkeypatch, capsys, tmp_path):
+    message = plant(monkeypatch)
+    output = tmp_path / "out.txt"
     code, _, err = run(capsys, "cluster", "--input", solved.data, "--mode", solved.mode,
-                       *CLUSTER_FLAGS, "--output", tmp_path / "out.txt")
+                       *CLUSTER_FLAGS, "--output", output)
     assert code == 1
-    assert err.startswith("error: probe at lambda ") and "cluster 0 has 9 points, cap 8" in err
+    assert err.startswith("error: probe at lambda ") and message in err
+    assert not output.exists()
+
+
+@pytest.mark.parametrize("epsilon", ["1e-310", "1e-120", "3e-103"])
+@pytest.mark.parametrize("sub", ["cluster", "oracle"])
+def test_too_small_epsilon_exits_two(solved, sub, epsilon, tmp_path, capsys):
+    output = tmp_path / "out.txt"
+    extra = ["--output", output] if sub == "cluster" else []
+    code, _, err = run(capsys, sub, "--input", solved.data, "--mode", solved.mode,
+                       "--k", 5, "--nprime", 11, "--epsilon", epsilon, *extra)
+    assert code == 2
+    assert err == (f"error: epsilon {float(epsilon)!r} is too small: the cost constant "
+                   "of its scale base does not fit a finite float\n")
+    assert not output.exists()
+
+
+def test_plot_data_lists_every_point(tmp_path, capsys):
+    data, output, plot = tmp_path / "data.csv", tmp_path / "out.txt", tmp_path / "plot.csv"
+    assert run(capsys, "gen", "--family", "box", "--seed", 3, "--n", 12, "--output", data)[0] == 0
+    code, _, _ = run(capsys, "cluster", "--input", data, *CLUSTER_FLAGS, "--output", output,
+                     "--emit-plot-data", plot)
+    assert code == 0
+    lines = plot.read_text().splitlines()
+    assert lines[0] == "x,y,label"
+    assert len(lines) == 1 + 12 and all(len(line.split(",")) == 3 for line in lines)
+
+
+def test_plot_data_of_a_metric_instance_exits_two_before_solving(tmp_path, capsys):
+    data, output, plot = tmp_path / "data.csv", tmp_path / "out.txt", tmp_path / "plot.csv"
+    assert run(capsys, "gen", "--family", "metric", "--seed", 3, "--n", 12,
+               "--output", data)[0] == 0
+    code, _, err = run(capsys, "cluster", "--input", data, "--mode", "metric", *CLUSTER_FLAGS,
+                       "--output", output, "--emit-plot-data", plot)
+    assert code == 2
+    assert err == "error: plot data needs coordinate (sqeuclid) input\n"
+    assert not output.exists() and not plot.exists()
 
 
 def test_edited_cost_fails_the_audit(solved, tmp_path, capsys):

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from minsumclust.conflicts import (
-    AssignmentError,
-    check_assignment_counts,
-    check_connection_factors,
+    MetaAssignment,
+    check_assignments,
     conflict_witnesses,
     run_phase2,
 )
@@ -95,7 +94,7 @@ class TestRunPhase2:
     def test_unreachable_budget_raises(self):
         inst = line_instance(0.0, 1.0, 2.0)
         clusters = [ScaledCluster({0}, 0, 0, 0)]
-        with pytest.raises(AssignmentError):
+        with pytest.raises(RuntimeError, match="2 points short of n' and no overflow"):
             run_phase2(inst, np.zeros(3), clusters, None)
 
     @pytest.mark.parametrize("seed", range(12))
@@ -117,8 +116,7 @@ class TestRunPhase2:
         lam = float(rng.uniform(0.05, 1.5))
         p1 = run_phase1(inst, lam)
         out = run_phase2(inst, p1.alpha, p1.clusters, p1.overflow)
-        assert check_assignment_counts(out, n_prime) == []
-        assert check_connection_factors(inst, out, p1.alpha) == []
+        check_assignments(inst, out, p1.alpha)
 
     def test_anchors_form_independent_set(self):
         rng = np.random.default_rng(33)
@@ -137,3 +135,31 @@ class TestRunPhase2:
         for i, a in enumerate(anchors):
             for b in anchors[i + 1 :]:
                 assert not conflict_witnesses(a, b, p1.alpha, inst.distances(), base, tau)
+
+
+class TestCheckAssignments:
+    # points 0..3 on a line; the anchor sits at point 0 with scale 1 (base 2),
+    # so point x needs alpha >= 2 * x**2 / 9
+    ANCHOR = ScaledCluster({0, 1}, 1, 0, 0)
+
+    def check(self, parts, alpha=10.0):
+        inst = line_instance(0.0, 1.0, 2.0, 3.0)
+        alpha = np.array([10.0, 10.0, 10.0, alpha])
+        check_assignments(
+            inst, [MetaAssignment(self.ANCHOR, set(p), scale) for p, scale in parts], alpha
+        )
+
+    def test_disjoint_parts_covering_n_prime_pass(self):
+        self.check([({0, 1}, 1), ({2, 3}, 0)])
+
+    @pytest.mark.parametrize("parts, alpha, message", [
+        ([({0, 1}, 1), ({1, 2, 3}, 1)], 10.0, r"parts overlap on \[1\]"),
+        ([({0, 1, 2, 3}, 2)], 10.0, "part scale 2 exceeds anchor scale 1"),
+        ([({0, 1, 2, 3}, 1)], 0.0, "point 3 holds alpha 0 < connection share 2"),
+        ([({0, 1, 2}, 1)], 10.0, "assigned 3 points, expected 4"),
+        # the underpaying point comes first, so it is reported, not the overlap
+        ([({0, 1, 2, 3}, 1), ({0}, 1)], 0.0, "point 3 holds alpha 0"),
+    ], ids=["overlap", "scale", "connection", "count", "first-failure"])
+    def test_raises_its_first_failure(self, parts, alpha, message):
+        with pytest.raises(RuntimeError, match=message):
+            self.check(parts, alpha)

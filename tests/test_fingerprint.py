@@ -46,3 +46,16 @@ def test_a_moved_case_lists_its_fields_and_cost_change(tmp_path):
         "moved x/gone: only in A",
         "moved x/new: only in B",
     ]
+
+
+def test_a_changed_verdict_is_printed(tmp_path):
+    failing = {**case(1.0, [[0]]), "audit_ok": False}
+    run = compare(tmp_path, {"x/fails": case(1.0, [[0]]), "x/passes": failing},
+                  {"x/fails": failing, "x/passes": case(2.0, [[0]])})
+    assert run.returncode == 1
+    assert run.stdout.splitlines()[:3] == [
+        "identical 0 of 2, moved 2",
+        "moved x/fails: audit_ok; audit PASS -> FAIL",
+        "moved x/passes: audit_ok, total_cost; total_cost 1 -> 2 (+1, +100.00 %); "
+        "audit FAIL -> PASS",
+    ]

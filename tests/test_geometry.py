@@ -1,5 +1,6 @@
 """Distance models, cluster costs, and scale arithmetic."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,7 @@ from minsumclust.geometry import (
     Instance,
     InstanceError,
     cluster_cost,
+    cost_constant,
     scale_base,
     scale_exponent,
 )
@@ -245,6 +247,17 @@ class TestInstanceValidation:
             Instance(mode="sqeuclid", k=1, n_prime=3, epsilon=0.0, points=pts)
         with pytest.raises(InstanceError):
             Instance(mode="sqeuclid", k=1, n_prime=3, epsilon=1.5, points=pts)
+
+    # b**3 overflows a float at 1e-310 and 1e-120 (b itself at 1e-310); at
+    # 3e-103 it fits, but 18 * b**3 rounds to inf
+    @pytest.mark.parametrize("eps", [1e-310, 1e-120, 3e-103])
+    def test_epsilon_needs_a_finite_cost_constant(self, eps):
+        with pytest.raises(InstanceError, match=f"epsilon {eps!r} is too small"):
+            line_instance(0.0, 1.0, eps=eps)
+
+    def test_small_epsilon_with_a_finite_cost_constant_is_kept(self):
+        inst = line_instance(0.0, 1.0, eps=1e-102)
+        assert math.isfinite(cost_constant(inst.base))
 
     @pytest.mark.parametrize("name, value", [
         ("k", 2.5), ("k", 10.0), ("n_prime", 2.5), ("n_prime", 10.0),

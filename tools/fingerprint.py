@@ -26,8 +26,8 @@ It takes about 20 s on one core of a shared 2-core host.
 
 ``--compare A.json B.json`` reads two fingerprints and classifies each case
 as identical or moved.  For every moved case it lists the fields that
-differ and the change in ``total_cost``, then prints both files'
-``pair_scans``.  It exits 1 when a case moved, or is in one file only.
+differ, the change in ``total_cost`` and a change of audit verdict
+(``audit PASS -> FAIL``), then prints both files' ``pair_scans``.  It exits 1 when a case moved, or is in one file only.
 """
 
 from __future__ import annotations
@@ -151,6 +151,9 @@ def compare(path_a: Path, path_b: Path) -> int:
             if cost_a:
                 change += f", {100.0 * (cost_b / cost_a - 1.0):+.2f} %"
             line += f"; total_cost {cost_a:.6g} -> {cost_b:.6g} ({change})"
+        if "audit_ok" in fields and "audit_ok" in case_a and "audit_ok" in case_b:
+            line += "; audit {} -> {}".format(
+                *("PASS" if case["audit_ok"] else "FAIL" for case in (case_a, case_b)))
         moved.append(line)
     print(f"identical {len(keys) - len(moved)} of {len(keys)}, moved {len(moved)}")
     for line in moved:
