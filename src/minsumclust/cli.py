@@ -42,7 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cluster", help="solve an instance and write a result file")
     _instance_flags(p)
     p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--seed", type=int, default=0, help="seed for the local-search fallback")
+    p.add_argument("--seed", type=_seed, default=0, help="seed for the local-search fallback")
     p.add_argument("--output", required=True)
     p.add_argument("--emit-plot-data", metavar="PATH", default=None,
                    help="also dump x,y,label rows for external plotting")
@@ -63,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate an instance file")
     p.add_argument("--family", choices=FAMILIES, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--radii", default="1,5", help="rings: circle radii")
     p.add_argument("--counts", default="16,16", help="rings/gauss: points per component")
@@ -75,6 +75,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embed-dim", type=int, default=3, help="metric: embedding dimension")
     p.set_defaults(func=_cmd_gen)
     return parser
+
+
+def _seed(text: str) -> int:
+    """``--seed``: numpy's generators take only nonnegative integers."""
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
 
 
 def _instance_flags(p: argparse.ArgumentParser) -> None:

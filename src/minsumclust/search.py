@@ -268,61 +268,95 @@ def small_k_solver(inst: Instance, seed: int = 0) -> ClusteringResult:
 
 
 def _local_search(inst: Instance, seed: int) -> list[set[int]]:
-    """Randomized first-improvement search over point moves and swaps."""
+    """Randomized first-improvement search over point moves and swaps.
+
+    Each of ``LOCAL_SEARCH_RESTARTS`` restarts deals a random n' of the
+    points round-robin to the k clusters; the start permutations are drawn
+    from ``default_rng(seed)`` in restart order, and nothing else is drawn.
+    A sweep visits the points in index order.  A clustered point moves to
+    the cluster it is closest to in total if that saves more than the
+    tolerance, and otherwise trades places with the outlier whose swap into
+    its cluster saves most, if that saves more than the tolerance; ties go
+    to the lowest-numbered cluster or outlier.  A restart ends after a sweep
+    that improves nothing, or after 1000 sweeps.  The cheapest restart wins;
+    a later one must be cheaper by more than the tolerance.
+
+    The restarts run in lockstep: their labels, distance sums, costs and
+    outlier lists are stacked along a leading restart axis, and one numpy
+    step tests a point in every restart still running and updates those
+    that accept.  Each decision reads the same floats as a loop over one
+    restart and one point at a time, so the clusters are the same bit for
+    bit.
+    """
     dmat = inst.distances()
     n, k, n_prime = inst.n, inst.k, inst.n_prime
     rng = np.random.default_rng(seed)
     tol = REL_TOL * max(1.0, float(dmat.max()))
+    restarts = LOCAL_SEARCH_RESTARTS
+
+    labels = np.full((restarts, n), -1, dtype=int)
+    # conn[r, x, c] = total distance from x to cluster c in restart r
+    conn = np.zeros((restarts, n, k))
+    cost = np.zeros(restarts)
+    for r in range(restarts):
+        labels[r, rng.permutation(n)[:n_prime]] = np.arange(n_prime) % k
+        for c in range(k):
+            conn[r, :, c] = dmat[:, labels[r] == c].sum(axis=1)
+        cost[r] = 0.5 * sum(conn[r, labels[r] == c, c].sum() for c in range(k))
+    # ascending per restart, so argmin picks the lowest-numbered of tied
+    # outliers; only an accepted swap changes a row
+    outliers = np.nonzero(labels < 0)[1].reshape(restarts, n - n_prime)
+
+    running = np.arange(restarts)
+    for _sweep in range(1000):
+        improved = np.zeros(restarts, dtype=bool)
+        for x in range(n):
+            rows, c0 = running, labels[running, x]
+            if n_prime < n:  # x may be an outlier in some restarts
+                clustered = c0 >= 0
+                rows, c0 = rows[clustered], c0[clustered]
+            own = conn[rows, x, c0]
+            # relocate x to a cheaper cluster; a row's minimum is the float at
+            # its first argmin, so the cost adds the same value
+            deltas = conn[rows, x] - own[:, None]
+            gain = deltas.min(axis=1)
+            moved = gain < -tol
+            if np.count_nonzero(moved):
+                r, c_from = rows[moved], c0[moved]
+                c_to = deltas[moved].argmin(axis=1)
+                labels[r, x] = c_to
+                conn[r, :, c_from] -= dmat[:, x]
+                conn[r, :, c_to] += dmat[:, x]
+                cost[r] += gain[moved]
+                improved[r] = True
+                stay = ~moved
+                rows, c0, own = rows[stay], c0[stay], own[stay]
+            # swap x with an outlier staying in the same cluster
+            if n_prime < n:
+                out = outliers[rows]
+                swap = conn[rows[:, None], out, c0[:, None]] - dmat[:, x][out] - own[:, None]
+                gain = swap.min(axis=1)
+                swapped = gain < -tol
+                if np.count_nonzero(swapped):
+                    r, c_in, out = rows[swapped], c0[swapped], out[swapped]
+                    o = out[np.arange(r.size), swap[swapped].argmin(axis=1)]
+                    labels[r, x] = -1
+                    labels[r, o] = c_in
+                    conn[r, :, c_in] -= dmat[:, x]
+                    conn[r, :, c_in] += dmat[:, o].T
+                    cost[r] += gain[swapped]
+                    outliers[r] = np.sort(np.where(out == o[:, None], x, out), axis=1)
+                    improved[r] = True
+        running = np.flatnonzero(improved)
+        if not running.size:
+            break
+
     best_cost = np.inf
     best_labels: np.ndarray | None = None
-
-    for _ in range(LOCAL_SEARCH_RESTARTS):
-        labels = np.full(n, -1, dtype=int)
-        chosen = rng.permutation(n)[:n_prime]
-        labels[chosen] = np.arange(n_prime) % k
-        # conn[x, c] = total distance from x to cluster c
-        conn = np.zeros((n, k))
-        for c in range(k):
-            conn[:, c] = dmat[:, labels == c].sum(axis=1)
-        cost = 0.5 * sum(conn[labels == c, c].sum() for c in range(k))
-        # ascending, so argmin picks the lowest-numbered of tied outliers;
-        # only an accepted swap changes it
-        outliers = np.flatnonzero(labels < 0)
-
-        for _sweep in range(1000):
-            improved = False
-            for x in range(n):
-                c0 = labels[x]
-                if c0 < 0:
-                    continue
-                # relocate x to a cheaper cluster
-                deltas = conn[x] - conn[x, c0]
-                c1 = int(deltas.argmin())
-                if deltas[c1] < -tol:
-                    labels[x] = c1
-                    conn[:, c0] -= dmat[:, x]
-                    conn[:, c1] += dmat[:, x]
-                    cost += deltas[c1]
-                    improved = True
-                    continue
-                # swap x with an outlier staying in the same cluster
-                if outliers.size:
-                    swap = conn[outliers, c0] - dmat[outliers, x] - conn[x, c0]
-                    o = int(swap.argmin())
-                    if swap[o] < -tol:
-                        out_point = int(outliers[o])
-                        labels[x] = -1
-                        labels[out_point] = c0
-                        for col, sign in ((x, -1.0), (out_point, 1.0)):
-                            conn[:, c0] += sign * dmat[:, col]
-                        cost += swap[o]
-                        outliers = np.flatnonzero(labels < 0)
-                        improved = True
-            if not improved:
-                break
-        if cost < best_cost - tol:
-            best_cost = cost
-            best_labels = labels.copy()
+    for r in range(restarts):
+        if cost[r] < best_cost - tol:
+            best_cost = cost[r]
+            best_labels = labels[r]
 
     return [
         set(np.flatnonzero(best_labels == c).tolist())

@@ -1,12 +1,14 @@
 """Instance recipes shared by the test modules and ``tools/fingerprint.py``,
 and the tests' references: exhaustive ones for the dual constraints and for
-the optimum, and the exact oracle's subset DP as a loop over every split."""
+the optimum, the exact oracle's subset DP as a loop over every split, and
+the small-k local search one restart and one point at a time."""
 
 import itertools
 
 import numpy as np
 
-from minsumclust.geometry import Instance, scale_exponent
+from minsumclust.geometry import REL_TOL, Instance, scale_exponent
+from minsumclust.search import LOCAL_SEARCH_RESTARTS
 
 # An epsilon whose scale base is the key.
 EPS_OF_BASE = {2: 1.0, 3: 0.5}
@@ -136,3 +138,69 @@ def scalar_subset_dp(inst):
             clusters.append({i for i in range(n) if parent[m] >> i & 1})
             m ^= parent[m]
     return cost, sorted(clusters, key=min), best
+
+
+def local_search_reference(inst, seed):
+    """``search._local_search`` one restart after another and one visited
+    point at a time, as the loop the lockstep search must reproduce bit for
+    bit: the same start permutations, the same float groupings, the same
+    first-minimum ties and the same choice of the best restart."""
+    dmat = inst.distances()
+    n, k, n_prime = inst.n, inst.k, inst.n_prime
+    rng = np.random.default_rng(seed)
+    tol = REL_TOL * max(1.0, float(dmat.max()))
+    best_cost = np.inf
+    best_labels = None
+
+    for _ in range(LOCAL_SEARCH_RESTARTS):
+        labels = np.full(n, -1, dtype=int)
+        chosen = rng.permutation(n)[:n_prime]
+        labels[chosen] = np.arange(n_prime) % k
+        # conn[x, c] = total distance from x to cluster c
+        conn = np.zeros((n, k))
+        for c in range(k):
+            conn[:, c] = dmat[:, labels == c].sum(axis=1)
+        cost = 0.5 * sum(conn[labels == c, c].sum() for c in range(k))
+        # ascending, so argmin picks the lowest-numbered of tied outliers
+        outliers = np.flatnonzero(labels < 0)
+
+        for _sweep in range(1000):
+            improved = False
+            for x in range(n):
+                c0 = labels[x]
+                if c0 < 0:
+                    continue
+                # relocate x to a cheaper cluster
+                deltas = conn[x] - conn[x, c0]
+                c1 = int(deltas.argmin())
+                if deltas[c1] < -tol:
+                    labels[x] = c1
+                    conn[:, c0] -= dmat[:, x]
+                    conn[:, c1] += dmat[:, x]
+                    cost += deltas[c1]
+                    improved = True
+                    continue
+                # swap x with an outlier staying in the same cluster
+                if outliers.size:
+                    swap = conn[outliers, c0] - dmat[outliers, x] - conn[x, c0]
+                    o = int(swap.argmin())
+                    if swap[o] < -tol:
+                        out_point = int(outliers[o])
+                        labels[x] = -1
+                        labels[out_point] = c0
+                        for col, sign in ((x, -1.0), (out_point, 1.0)):
+                            conn[:, c0] += sign * dmat[:, col]
+                        cost += swap[o]
+                        outliers = np.flatnonzero(labels < 0)
+                        improved = True
+            if not improved:
+                break
+        if cost < best_cost - tol:
+            best_cost = cost
+            best_labels = labels.copy()
+
+    return [
+        set(np.flatnonzero(best_labels == c).tolist())
+        for c in range(k)
+        if (best_labels == c).any()
+    ]

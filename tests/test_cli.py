@@ -8,7 +8,7 @@ import pytest
 
 from minsumclust import cli, dual, search
 from minsumclust.assembly import AssembledCluster, AssembledClustering
-from minsumclust.io import save_points
+from minsumclust.io import load_result, save_points
 
 SUBCOMMANDS = ["gen", "cluster", "verify", "oracle"]
 # k > 4 / epsilon, so the primal-dual branch runs and certificates are saved
@@ -107,6 +107,41 @@ def test_gen_rejects_bad_parameters(flags, message, tmp_path, capsys):
     assert code == 2
     assert err == f"error: {message}\n"
     assert not output.exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", "1.5"])
+def test_gen_rejects_a_seed_numpy_cannot_take(seed, tmp_path, capsys):
+    output = tmp_path / "data.csv"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["gen", "--family", "box", "--seed", seed, "--n", "4", "--output", str(output)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"error: argument --seed: expected a nonnegative integer, got '{seed}'\n")
+    assert not output.exists()
+
+
+# k > 4/epsilon runs the primal-dual search; k <= 4/epsilon runs the subset
+# DP at n = 12 and the local search at n = 20
+@pytest.mark.parametrize("n, k, branch, exact", [
+    (12, 5, "bipoint", False), (12, 2, "small_k", True), (20, 2, "small_k", False),
+], ids=["primal-dual", "subset-dp", "local-search"])
+@pytest.mark.parametrize("mode", ["sqeuclid", "metric"])
+def test_cluster_rejects_a_negative_seed_on_every_branch(mode, n, k, branch, exact,
+                                                         tmp_path, capsys):
+    data, output = tmp_path / "data.csv", tmp_path / "out.txt"
+    family = "box" if mode == "sqeuclid" else "metric"
+    assert run(capsys, "gen", "--family", family, "--seed", 3, "--n", n, "--output", data)[0] == 0
+    flags = ["cluster", "--input", data, "--mode", mode, "--k", k, "--nprime", n - 1,
+             "--epsilon", 1, "--output", output]
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, *flags, "--seed", -1)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "error: argument --seed: expected a nonnegative integer, got '-1'\n")
+    assert not output.exists()
+    code, out, _ = run(capsys, *flags, "--seed", 1)
+    assert code == 0 and out.startswith(f"branch {branch}")
+    assert load_result(output).exact is exact
 
 
 @pytest.mark.parametrize("error", [RuntimeError("planted")])

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from minsumclust import search
 from minsumclust.assembly import AssembledCluster, AssembledClustering
 from minsumclust.geometry import Instance, cluster_cost, scale_base
+from minsumclust.oracle import enumeration_tractable
 from minsumclust.search import (
     Branch,
     _local_search,
@@ -17,7 +19,14 @@ from minsumclust.search import (
     small_k_solver,
 )
 
-from instances import line_instance, simplex_groups, simplex_recipe
+from instances import (
+    grid_instance,
+    line_instance,
+    local_search_reference,
+    simplex_groups,
+    simplex_recipe,
+    untied_instance,
+)
 
 
 class TestParameters:
@@ -233,3 +242,27 @@ class TestSmallK:
         clusters = _local_search(inst, seed=1)
         assert sum(len(c) for c in clusters) == 5
         assert all(50.0 not in {inst.points[i, 0] for i in c} for c in clusters)
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["sqeuclid", "metric"]),
+           st.integers(1, 4), st.integers(0, 3), st.booleans(), st.integers(1, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    # tied outliers, where only an ascending outlier list picks the reference's
+    @example(2661941425, "sqeuclid", 2, 3, True, 735850878)
+    @example(4153481458, "metric", 4, 2, True, 2799751284)
+    def test_local_search_matches_the_sequential_reference(
+        self, data_seed, mode, k, dropped, tied, seed
+    ):
+        # the lockstep restarts give the clusters of one restart and one
+        # point at a time, and small_k_solver their cost bit for bit wherever
+        # the subset DP is out of budget; n' = n never swaps, and the grid's
+        # coincident points tie argmin
+        rng = np.random.default_rng(data_seed)
+        n = int(rng.integers(k + dropped + 1, 25))
+        make = grid_instance if tied else untied_instance
+        inst = make(rng, mode, 2, n, k=k, n_prime=n - dropped)
+        want = local_search_reference(inst, seed)
+        assert _local_search(inst, seed) == want
+        if not enumeration_tractable(inst):
+            res = small_k_solver(inst, seed=seed)
+            assert not res.exact and res.clusters == want
+            assert res.total_cost == float(sum(cluster_cost(inst, c) for c in want))
