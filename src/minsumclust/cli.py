@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .generators import FAMILIES, GeneratorSpec, generate
+from .generators import FAMILIES, GeneratorSpec, check_seed, generate
 from .geometry import DistanceMode, InstanceError
 from .io import FormatError, load_instance, load_result, save_points, save_plot_data, save_result
 from .oracle import OracleError, audit, brute_force_opt, enumeration_tractable
@@ -78,13 +78,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _seed(text: str) -> int:
-    """``--seed``: numpy's generators take only nonnegative integers."""
+    """``--seed``: an integer that passes the library's ``check_seed``."""
     try:
-        if int(text) >= 0:
-            return int(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+        return check_seed(int(text))
+    except ValueError:  # from int() or from check_seed (an InstanceError)
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}") from None
 
 
 def _instance_flags(p: argparse.ArgumentParser) -> None:

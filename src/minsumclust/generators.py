@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +27,7 @@ def generate(spec: GeneratorSpec) -> Instance:
     maker = _MAKERS.get(spec.family)
     if maker is None:
         raise InstanceError(f"unknown generator family {spec.family!r}")
-    points, dist = maker(np.random.default_rng(spec.seed), **spec.params)
+    points, dist = maker(np.random.default_rng(check_seed(spec.seed)), **spec.params)
     n = points.shape[0] if points is not None else dist.shape[0]
     n_prime = n if spec.n_prime is None else spec.n_prime
     mode = DistanceMode.EXPLICIT_METRIC if dist is not None else DistanceMode.SQEUCLIDEAN
@@ -38,6 +39,17 @@ def generate(spec: GeneratorSpec) -> Instance:
         points=points,
         dist_matrix=dist,
     )
+
+
+def check_seed(seed) -> int:
+    """The one rule for a seed: a nonnegative integer, as numpy's generators
+    take it.  Anything else raises an ``InstanceError`` that names the seed."""
+    try:
+        if operator.index(seed) >= 0:
+            return operator.index(seed)
+    except TypeError:
+        pass
+    raise InstanceError(f"seed must be a nonnegative integer, got {seed!r}")
 
 
 def _rings(rng, radii=(1.0, 5.0), counts=(16, 16), noise=0.0):

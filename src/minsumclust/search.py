@@ -6,6 +6,11 @@ brackets the target count k between a cheap-opening solution with more than
 k clusters and an expensive-opening one with at most k; the final output is
 one of the two bracket endpoints, chosen by the convex combination weight
 that would mix them into exactly k clusters.
+
+Each answer leaves ``min_sum_clustering`` by one exit: one for degenerate
+instances, one for the small-k fallback, one for the lambda = 0 probe at or
+below k, one for a probe that hits k' = k exactly, and one for a bracket of
+two endpoints.  Every result's lambda endpoints are its certificates' own.
 """
 
 from __future__ import annotations
@@ -15,9 +20,10 @@ from enum import Enum
 
 import numpy as np
 
-from .assembly import AssembledCluster, check_size_windows, partition_evenly, run_phase3
+from .assembly import check_size_windows, partition_evenly, run_phase3
 from .conflicts import check_assignments, run_phase2
 from .dual import run_phase1
+from .generators import check_seed
 from .geometry import REL_TOL, DistanceMode, Instance, cluster_cost, cost_constant, scale_base
 
 # Random restarts of the small-k local search.
@@ -43,13 +49,17 @@ class DualCertificate:
 
 @dataclass
 class ProbeOutcome:
-    """What the search needs of one pipeline run: the opening cost, the
-    clusters kept, the count k' and the ascent's duals (the certificate)."""
+    """What the search needs of one pipeline run: the point sets of the
+    clusters kept, the count k' and the certificate, which holds the opening
+    cost (read as ``lam``) and the ascent's duals."""
 
-    lam: float
-    clusters: list[AssembledCluster]
+    clusters: list[set[int]]
     k_prime: int
-    alpha: np.ndarray
+    certificate: DualCertificate
+
+    @property
+    def lam(self) -> float:
+        return self.certificate.lam
 
 
 @dataclass
@@ -94,7 +104,9 @@ def probe(inst: Instance, lam: float) -> ProbeOutcome:
     raises ``RuntimeError`` as ``probe at lambda {lam}: {message}``.
     ``k_prime`` is one less than the number of assembled clusters, recorded
     before the smallest cluster is dropped (which happens when it holds at
-    most eps/3 of the n' budget; ties drop the earliest such cluster).
+    most eps/3 of the n' budget; ties drop the earliest such cluster).  The
+    outcome keeps the remaining clusters' point sets and a certificate of
+    ``lam`` with the ascent's duals.
     """
     try:
         phase1 = run_phase1(inst, lam)
@@ -104,13 +116,13 @@ def probe(inst: Instance, lam: float) -> ProbeOutcome:
         check_size_windows(assembled, inst.base, inst.n_prime)
     except RuntimeError as exc:
         raise RuntimeError(f"probe at lambda {lam:.6g}: {exc}") from exc
-    clusters = list(assembled.clusters)
+    clusters = [c.points for c in assembled.clusters]
     k_prime = len(clusters) - 1
     if clusters:
-        smallest = min(range(len(clusters)), key=lambda i: (len(clusters[i].points), i))
-        if len(clusters[smallest].points) <= inst.epsilon * inst.n_prime / 3.0 + REL_TOL:
+        smallest = min(range(len(clusters)), key=lambda i: (len(clusters[i]), i))
+        if len(clusters[smallest]) <= inst.epsilon * inst.n_prime / 3.0 + REL_TOL:
             del clusters[smallest]
-    return ProbeOutcome(float(lam), clusters, k_prime, phase1.alpha)
+    return ProbeOutcome(clusters, k_prime, DualCertificate(float(lam), phase1.alpha))
 
 
 def min_sum_clustering(
@@ -125,16 +137,14 @@ def min_sum_clustering(
     ``force_primal_dual`` skips the small-k fallback; the bracket endpoints'
     guarantees then still hold but the returned clustering may use up to
     k + 1 clusters, since the smallest-cluster rule only enforces k of them
-    when k exceeds 4 / eps.
+    when k exceeds 4 / eps.  ``seed`` feeds only the local search, but every
+    branch first checks it by ``check_seed`` (a nonnegative integer), so a
+    bad seed raises ``InstanceError``, a ``ValueError``, on every instance.
     """
+    seed = check_seed(seed)
     n, k, n_prime, eps = inst.n, inst.k, inst.n_prime, inst.epsilon
-
-    if k >= n_prime:
-        clusters = [{i} for i in range(n_prime)]
-        return _result(inst, clusters, Branch.DEGENERATE, exact=True)
-
     lam_top = float(inst.distances().sum())
-    if lam_top <= 0.0:
+    if k >= n_prime or lam_top <= 0.0:
         clusters = partition_evenly(range(n_prime), min(k, n_prime))
         return _result(inst, clusters, Branch.DEGENERATE, exact=True)
 
@@ -144,47 +154,36 @@ def min_sum_clustering(
     delta = 2.0 / ((n + k) * lam_top)
     low = probe(inst, 0.0)
     if low.k_prime <= k:
-        return _from_probe(inst, low, Branch.BIPOINT_HIGH)
+        return _result(inst, low.clusters, Branch.BIPOINT_HIGH, certificates=[low.certificate])
     high = probe(inst, lam_top)
     if high.k_prime > k:
         raise RuntimeError(
             "opening cost equal to the total pairwise cost still produced "
             f"{high.k_prime + 1} clusters"
         )
-    if high.k_prime == k:
-        return _from_probe(inst, high, Branch.BIPOINT_HIGH)
 
-    while high.lam - low.lam > delta:
+    while high.k_prime < k and high.lam - low.lam > delta:
         mid = (low.lam + high.lam) / 2.0
         if not low.lam < mid < high.lam:
             break  # float resolution exhausted before reaching delta
         out = probe(inst, mid)
-        if out.k_prime == k:
-            return _from_probe(inst, out, Branch.BIPOINT_HIGH)
         if out.k_prime > k:
             low = out
         else:
             high = out
+    if high.k_prime == k:
+        return _result(inst, high.clusters, Branch.BIPOINT_HIGH, certificates=[high.certificate])
 
     rho1 = (k - high.k_prime) / (low.k_prime - high.k_prime)
     if rho1 >= 1.0 - eps / 4.0:
-        ranked = sorted(
-            range(len(low.clusters)), key=lambda i: (-len(low.clusters[i].points), i)
-        )
-        chosen = [set(low.clusters[i].points) for i in ranked[:k]]
+        ranked = sorted(range(len(low.clusters)), key=lambda i: (-len(low.clusters[i]), i))
+        chosen = [low.clusters[i] for i in ranked[:k]]
         branch = Branch.BIPOINT_LOW
     else:
-        chosen = _split_to_k([set(c.points) for c in high.clusters], k)
+        chosen = _split_to_k(high.clusters, k)
         branch = Branch.BIPOINT_HIGH
-
     return _result(
-        inst,
-        chosen,
-        branch,
-        lambda_low=low.lam,
-        lambda_high=high.lam,
-        rho1=rho1,
-        certificates=[_certificate(low), _certificate(high)],
+        inst, chosen, branch, rho1=rho1, certificates=[low.certificate, high.certificate]
     )
 
 
@@ -205,43 +204,27 @@ def _split_to_k(clusters: list[set[int]], k: int) -> list[set[int]]:
     return clusters
 
 
-def _certificate(out: ProbeOutcome) -> DualCertificate:
-    return DualCertificate(out.lam, out.alpha)
-
-
-def _from_probe(inst: Instance, out: ProbeOutcome, branch: Branch) -> ClusteringResult:
-    return _result(
-        inst,
-        [set(c.points) for c in out.clusters],
-        branch,
-        lambda_low=out.lam,
-        lambda_high=out.lam,
-        certificates=[_certificate(out)],
-    )
-
-
 def _result(
     inst: Instance,
     clusters: list[set[int]],
     branch: Branch,
     *,
     exact: bool = False,
-    lambda_low: float = 0.0,
-    lambda_high: float = 0.0,
     rho1: float = 1.0,
     certificates: list[DualCertificate] = (),
 ) -> ClusteringResult:
     """The result for a chosen clustering: empty clusters dropped, the
-    outliers and the total cost derived from the rest."""
+    outliers and the total cost derived from the rest, and the lambda
+    endpoints read off the first and the last certificate (0.0 without
+    one)."""
     clusters = [set(c) for c in clusters if c]
-    covered = set().union(*clusters) if clusters else set()
     total = sum(cluster_cost(inst, c) for c in clusters)
     return ClusteringResult(
         clusters=clusters,
-        outliers=set(range(inst.n)) - covered,
+        outliers=set(range(inst.n)).difference(*clusters),
         total_cost=float(total),
-        lambda_low=float(lambda_low),
-        lambda_high=float(lambda_high),
+        lambda_low=certificates[0].lam if certificates else 0.0,
+        lambda_high=certificates[-1].lam if certificates else 0.0,
         rho1=float(rho1),
         branch=branch,
         base=inst.base,
@@ -258,9 +241,11 @@ def _result(
 
 def small_k_solver(inst: Instance, seed: int = 0) -> ClusteringResult:
     """Direct optimization for small k: the exact subset DP within the
-    oracle's step budget, seeded local search otherwise (flagged non-exact)."""
+    oracle's step budget, seeded local search otherwise (flagged non-exact).
+    Both check ``seed`` by ``check_seed`` first."""
     from .oracle import brute_force_opt, enumeration_tractable
 
+    seed = check_seed(seed)
     if enumeration_tractable(inst):
         clusters, _ = brute_force_opt(inst)
         return _result(inst, clusters, Branch.SMALL_K, exact=True)

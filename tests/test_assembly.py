@@ -1,10 +1,18 @@
 """Cluster assembly: even partitioning and the scale capacity rule."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minsumclust.assembly import check_size_windows, partition_evenly, run_phase3
+from minsumclust.assembly import (
+    AssembledCluster,
+    AssembledClustering,
+    check_size_windows,
+    partition_evenly,
+    run_phase3,
+)
 from minsumclust.conflicts import MetaAssignment, run_phase2
 from minsumclust.dual import run_phase1
 from minsumclust.geometry import Instance, ScaledCluster
@@ -121,3 +129,51 @@ class TestRunPhase3:
         out.clusters[0].points |= set(range(100, 120))  # blow past the cap
         with pytest.raises(RuntimeError, match="cluster 0 has 25 points, cap 8"):
             check_size_windows(out, 2, 5)
+
+
+def _top(points, scale, overflow=False):
+    return AssembledCluster(set(points), scale, True, overflow)
+
+
+def _low(points, scale):
+    return AssembledCluster(set(points), scale, False, False)
+
+
+# (clusters, discard events (anchor, scale, points), base, n', message): each
+# plants one violation, and every rule checked before it passes
+WINDOW_VIOLATIONS = {
+    "top-cap": ([_top(range(9), 0)], [], 2, 9, "cluster 0 has 9 points, cap 8"),
+    # an overflow anchor's cluster has no floor
+    "top-floor": ([_top(range(3), 2, overflow=True), _top(range(3, 6), 2)], [], 2, 6,
+                  "cluster 1 has 3 points, floor 4"),
+    "low-underfull": ([_top(range(4), 0), _low(range(4, 7), 0)], [], 2, 7,
+                      "cluster 1 has 3 points outside [4, 8)"),
+    "low-overfull": ([_low(range(8), 0)], [], 2, 8, "cluster 0 has 8 points outside [4, 8)"),
+    "one-discard": ([_top(range(4), 0)], [(1, 0, range(4, 8))], 2, 8,
+                    "anchor 1 discarded 4 points at scale 0, enough to open a cluster"),
+    # at base 3 the bound is n' / 2, and each discard stays below 9
+    "all-discards": ([_top(range(4), 0)], [(0, 0, range(4, 7)), (1, 0, [7])], 3, 8,
+                     "discarded 4 points, bound 4.000"),
+    "more-than-n-prime": ([_top(range(6), 1)], [], 2, 5, "clustered 6 points, more than n' = 5"),
+    "coverage": ([_top(range(3), 1)], [(0, 0, [3])], 2, 5,
+                 "clustered plus discarded points do not cover the assignment"),
+}
+
+
+class TestCheckSizeWindows:
+    @pytest.mark.parametrize("case", WINDOW_VIOLATIONS.values(), ids=WINDOW_VIOLATIONS.keys())
+    def test_each_rule_raises_its_message(self, case):
+        clusters, events, base, n_prime, message = case
+        events = [(key, scale, frozenset(points)) for key, scale, points in events]
+        discarded = set().union(*(points for _, _, points in events))
+        with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+            check_size_windows(AssembledClustering(clusters, discarded, events), base, n_prime)
+
+    # the inputs of the two low-scale tests of run_phase3, with n' the
+    # number of points assigned
+    @pytest.mark.parametrize("low_part, n_prime", [({16, 17, 18}, 19), (range(16, 25), 25)],
+                             ids=["underfull-discarded", "full-opens-clusters"])
+    def test_low_scale_outputs_pass(self, low_part, n_prime):
+        anchor = ScaledCluster(set(range(16)), 4, 0, 0)
+        parts = [_assignment(anchor, range(16)), _assignment(anchor, low_part, scale=0)]
+        check_size_windows(run_phase3(parts, 2), 2, n_prime)

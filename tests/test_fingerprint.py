@@ -59,3 +59,23 @@ def test_a_changed_verdict_is_printed(tmp_path):
         "moved x/passes: audit_ok, total_cost; total_cost 1 -> 2 (+1, +100.00 %); "
         "audit FAIL -> PASS",
     ]
+
+
+def test_probe_counts_follow_the_pair_scans(tmp_path):
+    cases = {"pd_scale/0/gauss-k8": case(2.5, [[0, 1], [2]])}
+    paths = []
+    for name, probes in (("a", 70), ("b", 64)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"cases": cases, "pair_scans": {"pd_scale/0": 100},
+                                    "probes": {"pd_scale/0": probes}}))
+        paths.append(str(path))
+    run = subprocess.run([sys.executable, str(TOOL), "--compare", *paths],
+                         capture_output=True, text=True)
+    assert run.returncode == 0
+    assert run.stdout.splitlines() == [
+        "identical 1 of 1, moved 0",
+        'pair_scans A: {"pd_scale/0": 100}',
+        'pair_scans B: {"pd_scale/0": 100}',
+        'probes A: {"pd_scale/0": 70}',
+        'probes B: {"pd_scale/0": 64}',
+    ]

@@ -1,6 +1,7 @@
 """Instance generators and file round trips."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -95,6 +96,18 @@ class TestGenerators:
         box = generate(GeneratorSpec(family="box", seed=6, params={"n": 5, "dims": [2, 3]}))
         want = np.random.default_rng(6).uniform(0.0, 1.0, (5, 2)) * np.array([2.0, 3.0])
         assert np.array_equal(box.points, want)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "6", None])
+    def test_a_bad_seed_is_named(self, seed):
+        # None would draw fresh entropy, so equal specs would differ
+        message = f"^seed must be a nonnegative integer, got {re.escape(repr(seed))}$"
+        with pytest.raises(InstanceError, match=message):
+            generate(GeneratorSpec(family="box", seed=seed, params={"n": 5}))
+
+    def test_a_numpy_integer_seed_is_the_same_seed(self):
+        a, b = (generate(GeneratorSpec(family="metric", seed=s, params={"n": 5}))
+                for s in (6, np.int64(6)))
+        assert np.array_equal(a.dist_matrix, b.dist_matrix)
 
     def test_unknown_family_rejected(self):
         with pytest.raises(InstanceError):

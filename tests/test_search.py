@@ -1,12 +1,15 @@
 """Opening-cost search, endpoint selection, and the small-k fallback."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from minsumclust import search
 from minsumclust.assembly import AssembledCluster, AssembledClustering
-from minsumclust.geometry import Instance, cluster_cost, scale_base
+from minsumclust.generators import GeneratorSpec, generate
+from minsumclust.geometry import Instance, InstanceError, cluster_cost, scale_base
 from minsumclust.oracle import enumeration_tractable
 from minsumclust.search import (
     Branch,
@@ -59,7 +62,7 @@ class TestProbe:
         inst = line_instance(0.0, 1.0, 3.0, n_prime=1)
         out = probe(inst, 0.3)
         assert out.k_prime == 0
-        assert len(out.clusters) == 1 and len(out.clusters[0].points) == 1
+        assert len(out.clusters) == 1 and len(out.clusters[0]) == 1
 
     def test_small_cluster_removal_rule(self):
         # eps/3 of the budget: clusters at or below that size are dropped
@@ -188,6 +191,22 @@ class TestMinSumClustering:
         else:
             assert low > inst.k >= high
 
+    # k >= n' is degenerate, k > 4/epsilon runs the primal-dual search, and
+    # k <= 4/epsilon runs the subset DP at n = 12 and the local search at n = 20
+    @pytest.mark.parametrize("seed", [-1, 1.5, "1", None])
+    @pytest.mark.parametrize("n, k, branch", [
+        (12, 11, "degenerate"), (12, 5, "bipoint"), (12, 2, "small_k"), (20, 2, "small_k"),
+    ], ids=["degenerate", "primal-dual", "subset-dp", "local-search"])
+    def test_a_bad_seed_raises_on_every_branch(self, n, k, branch, seed):
+        inst = generate(GeneratorSpec("box", seed=3, params={"n": n}, k=k, n_prime=n - 1))
+        message = f"^seed must be a nonnegative integer, got {re.escape(repr(seed))}$"
+        with pytest.raises(InstanceError, match=message) as exc:
+            min_sum_clustering(inst, seed=seed)
+        assert isinstance(exc.value, ValueError)
+        res = min_sum_clustering(inst, seed=np.int64(1))
+        assert res.branch.value.startswith(branch)
+        assert res.exact is (n == 12 and k != 5)
+
 
 class TestSplitToK:
     def test_peels_singletons_from_largest(self):
@@ -230,6 +249,12 @@ class TestSmallK:
         res = small_k_solver(inst)
         assert res.total_cost == pytest.approx(12.0)
         assert sorted(map(sorted, res.clusters)) == [[0, 1, 2], [3, 4, 5]]
+
+    @pytest.mark.parametrize("n", [12, 20], ids=["subset-dp", "local-search"])
+    def test_a_bad_seed_raises_on_both_branches(self, n):
+        inst = generate(GeneratorSpec("box", seed=3, params={"n": n}, k=2, n_prime=n - 1))
+        with pytest.raises(InstanceError, match="^seed must be a nonnegative integer, got -1$"):
+            small_k_solver(inst, seed=-1)
 
     def test_local_search_finds_separated_optimum(self):
         inst = line_instance(0.0, 0.1, 0.2, 9.0, 9.1, 9.2, k=2)

@@ -21,13 +21,17 @@ line, so two fingerprints can be compared with ``diff``:
   the audits), per workload and seed.  Reported, not compared.
 - ``tight_sets``: calls of ``dual._tight_set`` made by the solves, counted
   the same way.  Reported, not compared.
+- ``probes``: calls of ``search.probe`` (one pipeline run at one lambda)
+  made by the solves, counted the same way.  Reported, not compared.
 
 It takes about 20 s on one core of a shared 2-core host.
 
 ``--compare A.json B.json`` reads two fingerprints and classifies each case
 as identical or moved.  For every moved case it lists the fields that
 differ, the change in ``total_cost`` and a change of audit verdict
-(``audit PASS -> FAIL``), then prints both files' ``pair_scans``.  It exits 1 when a case moved, or is in one file only.
+(``audit PASS -> FAIL``), then prints both files' ``pair_scans`` and then
+their ``probes`` (each count only if a file has it).  It exits 1 when a case
+moved, or is in one file only.
 """
 
 from __future__ import annotations
@@ -54,12 +58,14 @@ def main(tree: Path) -> None:
     import numpy as np
     import workloads
     from instances import simplex_recipe
-    from minsumclust import dual
+    from minsumclust import dual, search
     from minsumclust.oracle import audit, brute_force_opt
     from minsumclust.search import min_sum_clustering
 
-    # the output key of each counted function
-    counted = {"_pair_scan": "pair_scans", "_tight_set": "tight_sets"}
+    # the output key of each counted function; min_sum_clustering looks each
+    # one up as a module global, so patching the module counts its calls
+    counted = {(dual, "_pair_scan"): "pair_scans", (dual, "_tight_set"): "tight_sets",
+               (search, "probe"): "probes"}
     calls = dict.fromkeys(counted, 0)
 
     def counting(name, func):
@@ -69,7 +75,8 @@ def main(tree: Path) -> None:
         return wrapper
 
     for name in counted:
-        setattr(dual, name, counting(name, getattr(dual, name)))
+        module, attr = name
+        setattr(module, attr, counting(name, getattr(module, attr)))
 
     def fingerprint(inst, force_primal_dual, seed=0, score=False):
         """(fingerprint of one solve and its audit, calls of each counted
@@ -158,8 +165,10 @@ def compare(path_a: Path, path_b: Path) -> int:
     print(f"identical {len(keys) - len(moved)} of {len(keys)}, moved {len(moved)}")
     for line in moved:
         print(f"moved {line}")
-    for name, data in (("A", a), ("B", b)):
-        print(f"pair_scans {name}: {json.dumps(data.get('pair_scans'))}")
+    for key in ("pair_scans", "probes"):
+        if key in a or key in b:
+            for name, data in (("A", a), ("B", b)):
+                print(f"{key} {name}: {json.dumps(data.get(key))}")
     return 1 if moved else 0
 
 
