@@ -116,7 +116,7 @@ def _cmd_oracle(args) -> int:
     print(f"opt_cost {cost:.17g}")
     for c in clusters:
         print("cluster " + " ".join(str(i) for i in sorted(c)))
-    outliers = sorted(set(range(inst.n)) - set().union(*clusters) if clusters else set(range(inst.n)))
+    outliers = sorted(set(range(inst.n)).difference(*clusters))
     print("outliers " + " ".join(str(i) for i in outliers))
     return 0
 

@@ -431,9 +431,10 @@ def run_phase1(inst: Instance, lam: float) -> DualState:
     Joining points inherit the cluster's frozen scale and center.  If
     deactivating a new tight set would drop the active count strictly below
     n - n', the ascent stops and that set is the state's ``overflow``.
+    ``lam`` must be finite and nonnegative; otherwise ``ValueError``.
     """
-    if lam < 0:
-        raise ValueError("opening cost lambda must be nonnegative")
+    if not 0.0 <= lam < np.inf:
+        raise ValueError(f"opening cost lambda must be finite and nonnegative, got {lam!r}")
     state = DualState(inst, lam)
     target = inst.n - inst.n_prime
 

@@ -70,8 +70,10 @@ class Instance:
 
     Exactly one of ``points`` (squared-Euclidean mode) or ``dist_matrix``
     (explicit-metric mode) must be given.  Explicit matrices are validated at
-    construction: symmetric, zero diagonal, nonnegative, and triangle
-    inequality within relative ``MATRIX_REL_TOL``.
+    construction: finite, symmetric, zero diagonal, nonnegative, and triangle
+    inequality within relative ``MATRIX_REL_TOL``.  Points are checked when
+    their distances are first computed: a squared distance that overflows
+    a float is rejected.
 
     ``k`` and ``n_prime`` must be integers.  Treat instances as immutable
     after construction.  ``base``, the scale base of epsilon, and
@@ -137,12 +139,18 @@ class Instance:
         return self.dist_matrix.shape[0]
 
     def distances(self) -> np.ndarray:
-        """Full n x n pairwise distance matrix (cached)."""
+        """Full n x n pairwise distance matrix (cached).  Points whose
+        squared distances overflow a float raise ``InstanceError`` here."""
         dmat = self._cache.get("dmat")
         if dmat is None:
             if self.mode is DistanceMode.SQEUCLIDEAN:
-                diff = self.points[:, None, :] - self.points[None, :, :]
-                dmat = np.einsum("ijk,ijk->ij", diff, diff)
+                with np.errstate(over="ignore"):  # an overflow is rejected below
+                    diff = self.points[:, None, :] - self.points[None, :, :]
+                    dmat = np.einsum("ijk,ijk->ij", diff, diff)
+                if not np.isfinite(dmat).all():
+                    raise InstanceError(
+                        "points too far apart: a squared distance overflows a float"
+                    )
                 # exact symmetry and zero diagonal despite rounding
                 dmat = np.maximum(dmat, dmat.T)
                 np.fill_diagonal(dmat, 0.0)

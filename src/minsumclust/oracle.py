@@ -289,7 +289,7 @@ def audit(
     if not math.isfinite(result.total_cost):
         fail(f"stored cost {result.total_cost!r} is not finite")
     elif same_points:
-        recomputed = sum(cluster_cost(inst, c) for c in result.clusters)
+        recomputed = sum(cluster_cost(inst, c) for c in result.clusters if c)
         scale = max(abs(recomputed), abs(result.total_cost))
         if abs(recomputed - result.total_cost) > REL_TOL * scale:
             fail(f"stored cost {result.total_cost!r} disagrees with recomputation {recomputed!r}")

@@ -15,6 +15,7 @@ two endpoints.  Every result's lambda endpoints are its certificates' own.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -24,7 +25,10 @@ from .assembly import check_size_windows, partition_evenly, run_phase3
 from .conflicts import check_assignments, run_phase2
 from .dual import run_phase1
 from .generators import check_seed
-from .geometry import REL_TOL, DistanceMode, Instance, cluster_cost, cost_constant, scale_base
+from .geometry import (
+    REL_TOL, DistanceMode, Instance, InstanceError, cluster_cost, cost_constant, scale_base,
+    tightness_tolerance,
+)
 
 # Random restarts of the small-k local search.
 LOCAL_SEARCH_RESTARTS = 20
@@ -140,17 +144,27 @@ def min_sum_clustering(
     when k exceeds 4 / eps.  ``seed`` feeds only the local search, but every
     branch first checks it by ``check_seed`` (a nonnegative integer), so a
     bad seed raises ``InstanceError``, a ``ValueError``, on every instance.
+    The primal-dual search also raises ``InstanceError`` for distances so
+    large that the tightness tolerance at the total pairwise cost is not a
+    finite float.
     """
     seed = check_seed(seed)
     n, k, n_prime, eps = inst.n, inst.k, inst.n_prime, inst.epsilon
-    lam_top = float(inst.distances().sum())
-    if k >= n_prime or lam_top <= 0.0:
+    if k >= n_prime or inst.max_distance() <= 0.0:
         clusters = partition_evenly(range(n_prime), min(k, n_prime))
         return _result(inst, clusters, Branch.DEGENERATE, exact=True)
 
     if not force_primal_dual and k <= 4.0 / eps:
         return small_k_solver(inst, seed=seed)
 
+    with np.errstate(over="ignore"):  # an infinite sum is rejected below
+        lam_top = float(inst.distances().sum())
+
+    if not math.isfinite(tightness_tolerance(inst, lam_top)):
+        raise InstanceError(
+            f"distances too large for the primal-dual search: the tightness "
+            f"tolerance at the total pairwise cost {lam_top:.6g} overflows a float"
+        )
     delta = 2.0 / ((n + k) * lam_top)
     low = probe(inst, 0.0)
     if low.k_prime <= k:

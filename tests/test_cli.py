@@ -1,5 +1,10 @@
-"""Command line, run in-process through ``main``: gen -> cluster -> verify,
-clean exit codes on internal errors, and tampered result files."""
+"""Command line, run in-process through ``main``.
+
+``test_flow`` is the table of end-to-end flows, gen -> cluster (twice) ->
+verify, and oracle on an exact result, one row per branch and distance
+mode; CI runs it again on the installed package, from outside the
+checkout.  The other tests cover bad parameters, clean exit codes on
+internal errors, and tampered result files."""
 
 from types import SimpleNamespace
 
@@ -8,6 +13,7 @@ import pytest
 
 from minsumclust import cli, dual, search
 from minsumclust.assembly import AssembledCluster, AssembledClustering
+from minsumclust.geometry import REL_TOL
 from minsumclust.io import load_result, save_points
 
 SUBCOMMANDS = ["gen", "cluster", "verify", "oracle"]
@@ -61,33 +67,72 @@ def test_help_for_every_subcommand(sub, capsys):
     assert "usage" in capsys.readouterr().out
 
 
-def test_gen_cluster_verify(solved, capsys):
-    code, out, _ = verify(capsys, solved, solved.result)
-    assert code == 0
-    assert "audit PASS" in out
-    assert "certificate" in solved.result.read_text()
+# The end-to-end flows, one row each: (gen family, gen flags, mode, k, n',
+# expected branch).  Every row generates with --seed 3 and clusters with
+# --epsilon 1 and --seed 7.  CI runs this table on the installed package.
+FLOWS = [
+    # the README flow: k > 4/epsilon runs the primal-dual search
+    pytest.param("box", ["--n", 12], "sqeuclid", 5, 11, "bipoint_high", id="readme-sqeuclid-12"),
+    pytest.param("metric", ["--n", 12], "metric", 5, 11, "bipoint_high", id="readme-metric-12"),
+    pytest.param("box", ["--n", 10], "sqeuclid", 5, 9, "bipoint_high", id="readme-sqeuclid-10"),
+    pytest.param("metric", ["--n", 10], "metric", 5, 9, "bipoint_high", id="readme-metric-10"),
+    # k <= 4/epsilon: the exact subset DP at n = 13, the local search past
+    # its budget at n = 40
+    pytest.param("box", ["--n", 13], "sqeuclid", 2, 12, "small_k", id="subset-dp-sqeuclid"),
+    pytest.param("metric", ["--n", 13], "metric", 2, 12, "small_k", id="subset-dp-metric"),
+    pytest.param("box", ["--n", 40], "sqeuclid", 3, 36, "small_k", id="local-search-sqeuclid"),
+    pytest.param("metric", ["--n", 40], "metric", 3, 36, "small_k", id="local-search-metric"),
+    # the degenerate exit: coincident points, and k >= n'
+    pytest.param("rings", ["--radii", 0, "--counts", 6], "sqeuclid", 2, 5, "degenerate",
+                 id="coincident"),
+    pytest.param("box", ["--n", 8], "sqeuclid", 7, 7, "degenerate", id="k-ge-nprime-sqeuclid"),
+    pytest.param("metric", ["--n", 8], "metric", 7, 7, "degenerate", id="k-ge-nprime-metric"),
+]
 
 
-@pytest.mark.parametrize("mode", ["sqeuclid", "metric"])
-def test_cluster_and_verify_print_the_same_scored_audit(mode, tmp_path, capsys):
-    # the oracle is tractable at n = 10, so both commands print cost_ratio
-    data, result = tmp_path / "data.csv", tmp_path / "result.txt"
-    family = "box" if mode == "sqeuclid" else "metric"
-    assert run(capsys, "gen", "--family", family, "--seed", 3, "--n", 10, "--output", data)[0] == 0
-    flags = ["--input", data, "--mode", mode, "--k", 5, "--nprime", 9, "--epsilon", 1]
-    code, clustered, _ = run(capsys, "cluster", *flags, "--output", result)
+@pytest.mark.parametrize("family, gen_flags, mode, k, nprime, branch", FLOWS)
+def test_flow(family, gen_flags, mode, k, nprime, branch, tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    code, out, _ = run(capsys, "gen", "--family", family, "--seed", 3, *gen_flags,
+                       "--output", data)
     assert code == 0
-    code, verified, _ = run(capsys, "verify", *flags, "--result", result)
-    assert code == 0
-    assert clustered.splitlines()[1:] == verified.splitlines()
-    assert any(line.startswith("cost_ratio ") for line in verified.splitlines())
+    n = int(out.split()[1])
+    tractable = n <= 15  # the oracle's subset DP fits its budget
+    flags = ["--input", data, "--mode", mode, "--k", k, "--nprime", nprime, "--epsilon", 1]
 
+    # one --seed writes the same result file twice
+    results = [tmp_path / "result.txt", tmp_path / "again.txt"]
+    printed = []
+    for result in results:
+        code, out, _ = run(capsys, "cluster", *flags, "--seed", 7, "--output", result)
+        assert code == 0
+        printed.append(out.splitlines())
+    assert results[0].read_bytes() == results[1].read_bytes()
+    head, *audit_lines = printed[0]
+    assert head.startswith(f"branch {branch} ")
+    assert audit_lines[-1] == "audit PASS"
+    # scored against the oracle wherever it is tractable
+    assert any(line.startswith("cost_ratio ") for line in audit_lines) == tractable
 
-def test_oracle_reports_the_optimum(solved, capsys):
-    code, out, _ = run(capsys, "oracle", "--input", solved.data, "--mode", solved.mode,
-                       "--k", 2, "--nprime", 11)
+    code, out, _ = run(capsys, "verify", *flags, "--result", results[0])
     assert code == 0
-    assert out.startswith("opt_cost ")
+    assert out.splitlines() == audit_lines
+
+    result = load_result(results[0])
+    assert bool(result.certificates) == branch.startswith("bipoint")
+    assert result.exact == (branch == "degenerate" or branch == "small_k" and tractable)
+    if result.exact:
+        code, out, _ = run(capsys, "oracle", *flags)
+        assert code == 0
+        opt, *clusters, outliers = out.splitlines()
+        assert opt.startswith("opt_cost ") and outliers.split(" ")[0] == "outliers"
+        members = [set(map(int, line.split()[1:])) for line in clusters]
+        assert all(line.split(" ")[0] == "cluster" for line in clusters)
+        assert set(map(int, outliers.split()[1:])) == set(range(n)).difference(*members)
+        # the subset DP and cluster_cost sum a cluster's distances in
+        # different orders
+        cost, opt_cost = float(head.split()[-1]), float(opt.split()[1])
+        assert abs(cost - opt_cost) <= REL_TOL * max(abs(cost), abs(opt_cost))
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -99,11 +144,18 @@ def test_oracle_reports_the_optimum(solved, capsys):
     (["--family", "rings", "--noise=nan"], "rings noise must be finite and nonnegative"),
     (["--family", "rings", "--radii=-1,5"], "rings radii must be finite and nonnegative"),
     (["--family", "box", "--dims", "1,nan"], "box dims must be finite positive lengths"),
+    (["--family", "rings", "--radii", "1,2", "--counts", "3"],
+     "rings needs matching, nonempty radii and counts"),
+    (["--family", "rings", "--counts", "0,3"], "ring counts must be positive"),
+    (["--family", "gauss", "--spreads", "0.5"], "gauss needs matching centers, spreads, counts"),
+    (["--family", "gauss", "--counts", "0,3"], "mixture counts must be positive"),
+    (["--family", "metric", "--n", "0"], "metric needs a positive point count"),
 ], ids=["embed-zero", "embed-negative", "spread-negative", "centers-ragged",
-        "noise-negative", "noise-nan", "radius-negative", "dims-nan"])
+        "noise-negative", "noise-nan", "radius-negative", "dims-nan", "rings-unmatched",
+        "ring-count-zero", "gauss-unmatched", "gauss-count-zero", "metric-no-points"])
 def test_gen_rejects_bad_parameters(flags, message, tmp_path, capsys):
     output = tmp_path / "data.csv"
-    code, _, err = run(capsys, "gen", *flags, "--seed", 0, "--n", 4, "--output", output)
+    code, _, err = run(capsys, "gen", "--seed", 0, "--n", 4, *flags, "--output", output)
     assert code == 2
     assert err == f"error: {message}\n"
     assert not output.exists()
@@ -204,6 +256,32 @@ def test_too_small_epsilon_exits_two(solved, sub, epsilon, tmp_path, capsys):
     assert not output.exists()
 
 
+# Each instance overflows a float somewhere: a squared distance (1e160**2,
+# and (2e200)**2 on the small-k branch), the total pairwise cost (every
+# distance finite, the largest 1.69e308), or only the tightness tolerance at
+# that total (127 points in [0, 1] and one at 3.2e152, k = 20, n' = 120).
+@pytest.mark.parametrize("points, k, nprime, force, message", [
+    ([0, 1e160, 3, 4], 2, 4, True, "points too far apart: a squared distance overflows a float"),
+    ([0, 1e200, 2e200, 5], 2, 4, False,
+     "points too far apart: a squared distance overflows a float"),
+    ([0, 1e154, -3e153, 3, 4, 5], 2, 5, True,
+     "distances too large for the primal-dual search: the tightness tolerance at the "
+     "total pairwise cost inf overflows a float"),
+    ([*np.random.default_rng(0).uniform(0, 1, 127), 3.2e152], 20, 120, True,
+     "distances too large for the primal-dual search: the tightness tolerance at the "
+     "total pairwise cost 2.60096e+307 overflows a float"),
+], ids=["squared-distance", "squared-distance-small-k", "total-cost", "tolerance"])
+def test_overflowing_distances_exit_two(points, k, nprime, force, message, tmp_path, capsys):
+    data, output = tmp_path / "data.csv", tmp_path / "out.txt"
+    save_points(np.reshape(points, (-1, 1)), data)
+    code, _, err = run(capsys, "cluster", "--input", data, "--k", k, "--nprime", nprime,
+                       "--epsilon", 1, *(["--force-primal-dual"] if force else []),
+                       "--output", output)
+    assert code == 2
+    assert err == f"error: {message}\n"
+    assert not output.exists()
+
+
 def test_plot_data_lists_every_point(tmp_path, capsys):
     data, output, plot = tmp_path / "data.csv", tmp_path / "out.txt", tmp_path / "plot.csv"
     assert run(capsys, "gen", "--family", "box", "--seed", 3, "--n", 12, "--output", data)[0] == 0
@@ -232,6 +310,13 @@ def test_edited_cost_fails_the_audit(solved, tmp_path, capsys):
     code, out, _ = verify(capsys, solved, path)
     assert code == 1
     assert "disagrees with recomputation" in out
+
+
+def test_an_empty_cluster_fails_the_audit(solved, tmp_path, capsys):
+    path = tampered(solved, tmp_path, "outliers", lambda line: f"cluster\n{line}")
+    code, out, _ = verify(capsys, solved, path)
+    assert code == 1
+    assert out.splitlines()[-2:] == ["  cluster 5 is empty", "audit FAIL"]
 
 
 def test_raised_alpha_fails_the_audit(solved, tmp_path, capsys):

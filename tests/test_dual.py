@@ -220,6 +220,13 @@ class TestRunPhase1:
         assert [sorted(c.members) for c in out.clusters] == [[0], [1]]
         assert out.alpha == pytest.approx([0.5, 0.5], abs=1e-7)
 
+    @pytest.mark.parametrize("lam", [-1.0, np.inf, np.nan])
+    def test_lambda_must_be_finite_and_nonnegative(self, lam):
+        inst = line_instance(0.0, 1.0)
+        with pytest.raises(ValueError, match="^opening cost lambda must be finite and "
+                                             f"nonnegative, got {lam!r}$"):
+            run_phase1(inst, lam)
+
     def test_colocated_overflow(self):
         # four coincident points; the first tight set takes all of them,
         # overshooting n' = 3, so it is withheld as overflow

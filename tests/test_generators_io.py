@@ -141,6 +141,17 @@ class TestPointFiles:
         with pytest.raises(FormatError):
             load_points(path)
 
+    def test_comment_and_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "pts.csv"
+        path.write_text("# x, y\n\n0,0\n  \n# the second point\n1,2\n")
+        assert load_points(path).tolist() == [[0.0, 0.0], [1.0, 2.0]]
+
+    def test_a_file_of_comments_holds_no_points(self, tmp_path):
+        path = tmp_path / "pts.csv"
+        path.write_text("# x, y\n\n# nothing else\n")
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: no points found$"):
+            load_points(path)
+
     def test_asymmetric_matrix_rejected_as_metric(self, tmp_path):
         path = tmp_path / "mat.csv"
         path.write_text("0,1\n1.001,0\n")
@@ -186,6 +197,15 @@ class TestResultFiles:
         path = tmp_path / "bad.result"
         path.write_text("something else\n")
         with pytest.raises(FormatError):
+            load_result(path)
+
+    def test_a_missing_field_is_named(self, tmp_path):
+        _, res = self._solve()
+        path = tmp_path / "out.result"
+        save_result(res, path)
+        path.write_text("".join(line for line in path.read_text().splitlines(keepends=True)
+                                if not line.startswith("rho1 ")))
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: missing field 'rho1'$"):
             load_result(path)
 
     def test_plot_data_dump(self, tmp_path):

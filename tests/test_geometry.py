@@ -1,6 +1,7 @@
 """Distance models, cluster costs, and scale arithmetic."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -219,6 +220,36 @@ class TestInstanceValidation:
                 mode="sqeuclid", k=1, n_prime=1, epsilon=1.0,
                 points=np.zeros((1, 1)), dist_matrix=np.zeros((1, 1)),
             )
+
+    def test_one_dimensional_points_become_a_column(self):
+        inst = Instance(mode="sqeuclid", k=1, n_prime=3, epsilon=1.0, points=[0.0, 1.0, 3.0])
+        assert inst.points.shape == (3, 1) and inst.n == 3
+
+    @pytest.mark.parametrize("mode, payload, message", [
+        ("sqeuclid", np.zeros((0, 2)), "points must be a nonempty n x d array"),
+        ("sqeuclid", np.zeros((2, 2, 2)), "points must be a nonempty n x d array"),
+        ("sqeuclid", [[0.0], [np.nan]], "points contain non-finite values"),
+        ("metric", np.zeros((2, 3)), "distance matrix must be square and nonempty"),
+        ("metric", np.zeros((0, 0)), "distance matrix must be square and nonempty"),
+        ("metric", [[0.0, np.inf], [np.inf, 0.0]], "distance matrix contains non-finite values"),
+        ("metric", [[0.0, -1.0], [-1.0, 0.0]], "distance matrix has negative entries"),
+    ], ids=["no-points", "three-dims", "nan-point", "not-square", "empty-matrix",
+            "inf-entry", "negative-entry"])
+    def test_malformed_payloads_are_named(self, mode, payload, message):
+        key = "points" if mode == "sqeuclid" else "dist_matrix"
+        with pytest.raises(InstanceError, match=f"^{re.escape(message)}$"):
+            Instance(mode=mode, k=1, n_prime=1, epsilon=1.0, **{key: payload})
+
+    def test_metric_mode_takes_no_points(self):
+        with pytest.raises(InstanceError, match="^metric mode takes a matrix and no points$"):
+            Instance(mode="metric", k=1, n_prime=1, epsilon=1.0, points=np.zeros((1, 1)))
+
+    def test_an_overflowing_squared_distance_is_rejected(self):
+        # every coordinate is finite, but 1e160**2 is not
+        inst = line_instance(0.0, 1e160, 3.0)
+        with pytest.raises(InstanceError, match="^points too far apart: a squared distance "
+                                                "overflows a float$"):
+            inst.distances()
 
     def test_metric_rejects_asymmetry(self):
         mat = np.array([[0.0, 1.0], [1.001, 0.0]])

@@ -229,6 +229,15 @@ class TestVerifyDualFeasible:
         assert worst <= want + 1e-3 * tau
 
 
+def merge_into_an_empty_cluster(inst, res):
+    res.clusters = [res.clusters[0] | res.clusters[1], set()]
+    res.total_cost = cluster_cost(inst, res.clusters[0])
+
+
+def cluster_one_point(inst, res):
+    res.clusters, res.outliers, res.total_cost = [{0}], set(range(1, inst.n)), 0.0
+
+
 class TestAudit:
     def test_degenerate_instance_passes_with_unit_ratio(self):
         inst = line_instance(1.0, 1.0, 1.0, k=2)
@@ -399,6 +408,26 @@ class TestAudit:
         report = audit(inst, res)
         assert not report.ok
         assert report.invariant_failures == [f"result states {message}"]
+
+    @pytest.mark.parametrize("edit, ratio, message, size_bound", [
+        (merge_into_an_empty_cluster, None, "cluster 1 is empty", False),
+        (lambda inst, res: res.outliers.clear(), None,
+         "outlier set is not the complement of the clustered points", False),
+        # at eps 0.5 at least 2 of n' = 4 points must be clustered
+        (cluster_one_point, None, "clustered 1 points outside [2.00, 4]", True),
+        (None, 1e4, "cost ratio 1e+04 exceeds the guarantee 3904", False),
+    ], ids=["empty-cluster", "outliers", "clustered-count", "cost-ratio"])
+    def test_each_failure_lands_in_its_list(self, edit, ratio, message, size_bound):
+        inst = line_instance(0.0, 0.1, 5.0, 5.1, 9.0, k=2, n_prime=4, eps=0.5)
+        res = min_sum_clustering(inst)
+        assert audit(inst, res).ok and res.outliers == {4}
+        if edit is not None:
+            edit(inst, res)
+        report = audit(inst, res, oracle_opt=None if ratio is None else res.total_cost / ratio)
+        assert not report.ok
+        failures = report.size_bound_violations if size_bound else report.invariant_failures
+        others = report.invariant_failures if size_bound else report.size_bound_violations
+        assert (failures, others) == ([message], [])
 
     def test_report_lines_render(self):
         inst = line_instance(0.0, 0.1, 5.0, 5.1, k=2)
