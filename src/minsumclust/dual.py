@@ -25,7 +25,12 @@ the next pause: its margin bound falls short of lam - tau, C(y, j) holds
 fewer than base**j points, or y is inactive and C(y, j) holds no active
 point.  While no raised dual exceeds the last screen's, the screen only
 refilters that screen's pass list.  The screen only rules pairs out; the
-exact, sorted scan decides every pair it passes.
+exact, sorted scan decides every pair it passes.  An ascent's first event,
+with every dual zero and every point active, takes no screen: one
+vectorized pass over the instance's sorted distance rows gives every pair
+a lower bound on the increment at which it can fire, widened for rounding,
+and only the pairs whose bound is at most the probe, and at most the
+running best when their turn comes, are scanned.
 """
 
 from __future__ import annotations
@@ -312,6 +317,50 @@ def worst_slack(state: DualState) -> float:
     return best - state.lam
 
 
+def _opening_times(state: DualState) -> np.ndarray:
+    """Per (y, exp), a lower bound on the increment at which the pair can
+    first fire in the opening state: every dual zero, every point active.
+
+    There the scan at shift s sums the M = min(count, cap) smallest scaled
+    distances S_1 <= ... <= S_M of row y as the margins s - S_i (y's own,
+    s, is the largest), count = #{S_i <= s} and cap = base**(exp + 1) - 1.
+    Firing needs M >= base**exp, so S_M <= s, and a sum M s - P_M that
+    reaches thr = lam - tau, P_M = S_1 + ... + S_M.  So the pair cannot fire
+    before T = min over M in [base**exp, min(cap, n)] of max(S_M,
+    (thr + P_M) / M).  At thr <= 0 every admissible set reaches thr, and T
+    is S_M at M = base**exp exactly.  The rows are the instance's sorted
+    distances, scaled like ``scaled_dists``, so S holds the same floats.
+
+    For thr > 0 the float thr / M + P_M / M is lowered by the factor
+    1 - 2 m u, m = M + 2, u the unit roundoff, so that T stays at or below
+    the smallest float shift at which ``_pair_scan`` fires.  The rounding
+    argument, as in ``_margin_bounds``: each of the M margins, at most
+    s - S_i, rounds up by at most a factor 1 + u, and the left-to-right sum
+    of M nonnegative floats by at most 1 + g(M - 1), g(j) = j u / (1 - j u);
+    so a firing float sum puts M s at or above (thr + P_M) / (1 + g(M)).
+    The prefix sum P_M, a cumsum of nonnegative floats, exceeds its real
+    value by at most the same factor, and thr / M + P_M / M adds two
+    roundings, so s >= q / (1 + g(M + 2)) for the float quotient q.  The
+    lowered float, with its own rounding, is at most q (1 - (M + 3) u),
+    which is 1 / (1 + g(M + 3)) of q.
+    """
+    inst = state.inst
+    rows = inst.sorted_distances()
+    threshold = state.lam - state.tau
+    times = np.empty((inst.n, inst.top_exp + 1))
+    for exp in range(inst.top_exp + 1):
+        lo, hi = inst.base**exp, min(inst.base ** (exp + 1) - 1, inst.n)
+        scaled = float(inst.base**exp) * rows[:, :hi]  # the floats of scaled_dists
+        if threshold <= 0.0:
+            times[:, exp] = scaled[:, lo - 1]
+            continue
+        sizes = np.arange(lo, hi + 1)
+        sums = np.cumsum(scaled, axis=1)[:, lo - 1 :]
+        need = (threshold / sizes + sums / sizes) * (1.0 - 2 * (sizes + 2) * UNIT_ROUNDOFF)
+        times[:, exp] = np.maximum(scaled[:, lo - 1 :], need).min(axis=1)
+    return times
+
+
 def _fire_time(state: DualState, y: int, exp: int, hi: float) -> float | None:
     """Smallest uniform increment in [0, hi] at which (y, exp) fires, on the
     bisection grid, or None when the pair does not fire by ``hi``.
@@ -407,8 +456,18 @@ def next_event(state: DualState) -> tuple[float, JoinExisting | ScaledCluster]:
     # Some active singleton constraint fires once its dual reaches lam, so
     # the next tight time is at most max(0, lam - current).
     probe = min(join_t, max(0.0, state.lam - current))
+    # In the opening state a fire-time bound per pair replaces the screen,
+    # and rules out the pairs that cannot fire by the running best.
+    opening = state.active.all() and not state.alpha.any()
+    if opening:
+        times = _opening_times(state)
+        pairs = np.argwhere(times <= probe).tolist()  # ascending y, then exp
+    else:
+        pairs = _screen(state, probe)
     best_t: float | None = None
-    for y, exp in _screen(state, probe):
+    for y, exp in pairs:
+        if opening and best_t is not None and times[y, exp] > best_t:
+            continue
         t = _fire_time(state, y, exp, probe if best_t is None else best_t)
         if t is not None and (best_t is None or t < best_t):
             best_t, winner = t, (y, exp)

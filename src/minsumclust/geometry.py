@@ -159,6 +159,14 @@ class Instance:
             self._cache["dmat"] = dmat
         return dmat
 
+    def sorted_distances(self) -> np.ndarray:
+        """Each row of the distance matrix in ascending order (cached).
+        Scaling by base**exp keeps the order, so it serves every scale."""
+        rows = self._cache.get("sorted")
+        if rows is None:
+            rows = self._cache["sorted"] = np.sort(self.distances(), axis=1)
+        return rows
+
     def max_distance(self) -> float:
         d = self._cache.get("maxd")
         if d is None:
@@ -179,13 +187,14 @@ def _validated_metric(mat: np.ndarray) -> np.ndarray:
         raise InstanceError("distance matrix has a nonzero diagonal")
     if mat.min() < -tol:
         raise InstanceError("distance matrix has negative entries")
-    mat = np.maximum((mat + mat.T) / 2.0, 0.0)
+    mat = np.maximum(mat / 2.0 + mat.T / 2.0, 0.0)  # no overflow near the largest float
     np.fill_diagonal(mat, 0.0)
     n = mat.shape[0]
-    for j in range(n):
-        # d(i, l) <= d(i, j) + d(j, l) for all i, l
-        if (mat - (mat[:, j][:, None] + mat[j, :][None, :])).max() > tol:
-            raise InstanceError("distance matrix violates the triangle inequality")
+    with np.errstate(over="ignore"):  # a sum that overflows bounds any entry
+        for j in range(n):
+            # d(i, l) <= d(i, j) + d(j, l) for all i, l
+            if (mat - (mat[:, j][:, None] + mat[j, :][None, :])).max() > tol:
+                raise InstanceError("distance matrix violates the triangle inequality")
     return mat
 
 

@@ -28,7 +28,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dual import DualState, worst_slack
-from .geometry import REL_TOL, Instance, cluster_cost, cost_constant, tightness_tolerance
+from .geometry import (
+    REL_TOL, Instance, InstanceError, cluster_cost, cost_constant, tightness_tolerance,
+)
 from .search import Branch, ClusteringResult, approx_bound
 
 # Step budget of the exact oracle's subset DP; it caps n at 15.
@@ -54,7 +56,8 @@ def brute_force_opt(inst: Instance) -> tuple[list[set[int]], float]:
     Clustering more than n' points never helps (removing a point from a
     cluster cannot increase its cost), so restricting to exactly n' is
     lossless.  Returns one optimal clustering, empty clusters omitted, and
-    the optimal cost.
+    the optimal cost.  Distances whose total cost overflows a float raise
+    ``InstanceError``.
     """
     if not enumeration_tractable(inst):
         raise OracleError(
@@ -62,7 +65,13 @@ def brute_force_opt(inst: Instance) -> tuple[list[set[int]], float]:
         )
     n, k = inst.n, inst.k
     full = 1 << n
-    cost = _subset_costs(inst.distances())
+    with np.errstate(over="ignore"):  # an infinite cost is rejected below
+        cost = _subset_costs(inst.distances())
+    if not math.isfinite(cost[-1]):  # the largest subset cost
+        raise InstanceError(
+            f"distances too large for the subset DP: the cost of all {n} points "
+            "overflows a float"
+        )
     popcounts = _popcounts(n)
 
     layer = np.full(full, np.inf)

@@ -266,6 +266,7 @@ def small_k_solver(inst: Instance, seed: int = 0) -> ClusteringResult:
     return _result(inst, _local_search(inst, seed=seed), Branch.SMALL_K)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a cost that overflows is rejected below
 def _local_search(inst: Instance, seed: int) -> list[set[int]]:
     """Randomized first-improvement search over point moves and swaps.
 
@@ -285,7 +286,8 @@ def _local_search(inst: Instance, seed: int) -> list[set[int]]:
     step tests a point in every restart still running and updates those
     that accept.  Each decision reads the same floats as a loop over one
     restart and one point at a time, so the clusters are the same bit for
-    bit.
+    bit.  When no restart ends with a finite cost, the distances' sums
+    overflow a float and ``InstanceError`` is raised.
     """
     dmat = inst.distances()
     n, k, n_prime = inst.n, inst.k, inst.n_prime
@@ -356,6 +358,11 @@ def _local_search(inst: Instance, seed: int) -> list[set[int]]:
         if cost[r] < best_cost - tol:
             best_cost = cost[r]
             best_labels = labels[r]
+    if best_labels is None:
+        raise InstanceError(
+            "distances too large for the local search: every restart's cost "
+            "overflows a float"
+        )
 
     return [
         set(np.flatnonzero(best_labels == c).tolist())

@@ -258,25 +258,39 @@ def test_too_small_epsilon_exits_two(solved, sub, epsilon, tmp_path, capsys):
 
 # Each instance overflows a float somewhere: a squared distance (1e160**2,
 # and (2e200)**2 on the small-k branch), the total pairwise cost (every
-# distance finite, the largest 1.69e308), or only the tightness tolerance at
-# that total (127 points in [0, 1] and one at 3.2e152, k = 20, n' = 120).
-@pytest.mark.parametrize("points, k, nprime, force, message", [
-    ([0, 1e160, 3, 4], 2, 4, True, "points too far apart: a squared distance overflows a float"),
-    ([0, 1e200, 2e200, 5], 2, 4, False,
+# distance finite, the largest 1.69e308), only the tightness tolerance at
+# that total (127 points in [0, 1] and one at 3.2e152, k = 20, n' = 120),
+# or, on the small-k branch, the cost of every clustering the local search
+# tries (those points again, 42 of them) and the subset DP's cost of all
+# three points of a metric at 1e308.
+def column(values):
+    return np.reshape(values, (-1, 1))
+
+
+@pytest.mark.parametrize("mode, data, k, nprime, force, message", [
+    ("sqeuclid", column([0, 1e160, 3, 4]), 2, 4, True,
      "points too far apart: a squared distance overflows a float"),
-    ([0, 1e154, -3e153, 3, 4, 5], 2, 5, True,
+    ("sqeuclid", column([0, 1e200, 2e200, 5]), 2, 4, False,
+     "points too far apart: a squared distance overflows a float"),
+    ("sqeuclid", column([0, 1e154, -3e153, 3, 4, 5]), 2, 5, True,
      "distances too large for the primal-dual search: the tightness tolerance at the "
      "total pairwise cost inf overflows a float"),
-    ([*np.random.default_rng(0).uniform(0, 1, 127), 3.2e152], 20, 120, True,
+    ("sqeuclid", column([*np.random.default_rng(0).uniform(0, 1, 127), 3.2e152]), 20, 120, True,
      "distances too large for the primal-dual search: the tightness tolerance at the "
      "total pairwise cost 2.60096e+307 overflows a float"),
-], ids=["squared-distance", "squared-distance-small-k", "total-cost", "tolerance"])
-def test_overflowing_distances_exit_two(points, k, nprime, force, message, tmp_path, capsys):
-    data, output = tmp_path / "data.csv", tmp_path / "out.txt"
-    save_points(np.reshape(points, (-1, 1)), data)
-    code, _, err = run(capsys, "cluster", "--input", data, "--k", k, "--nprime", nprime,
-                       "--epsilon", 1, *(["--force-primal-dual"] if force else []),
-                       "--output", output)
+    ("sqeuclid", column([0, 1e154, -3e153, 3, 4, 5] * 7), 2, 40, False,
+     "distances too large for the local search: every restart's cost overflows a float"),
+    ("metric", 1e308 * (1.0 - np.eye(3)), 2, 3, False,
+     "distances too large for the subset DP: the cost of all 3 points overflows a float"),
+], ids=["squared-distance", "squared-distance-small-k", "total-cost", "tolerance",
+        "local-search-cost", "subset-dp-cost"])
+def test_overflowing_distances_exit_two(mode, data, k, nprime, force, message, tmp_path,
+                                        capsys):
+    path, output = tmp_path / "data.csv", tmp_path / "out.txt"
+    save_points(data, path)
+    code, _, err = run(capsys, "cluster", "--input", path, "--mode", mode, "--k", k,
+                       "--nprime", nprime, "--epsilon", 1,
+                       *(["--force-primal-dual"] if force else []), "--output", output)
     assert code == 2
     assert err == f"error: {message}\n"
     assert not output.exists()

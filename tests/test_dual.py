@@ -7,7 +7,9 @@ exact pair scan, on states recorded mid-ascent, and tightness and the worst
 slack against the exhaustive reference in ``instances``.  The value scan is
 checked bit for bit against the sorted prefix scan it replaced, and the
 bracketed event-time search against the plain bisection it replaced, both
-written out here.
+written out here.  The first event's fire-time bounds are checked against
+the exact scan on fresh states, and its event against the screen path
+every later event takes.
 """
 
 import itertools
@@ -34,7 +36,9 @@ from minsumclust.geometry import (
     REL_TOL, Instance, ScaledCluster, scale_exponent, tightness_tolerance,
 )
 
-from instances import EPS_OF_BASE, exhaustive_worst_slack, grid_instance, line_instance
+from instances import (
+    EPS_OF_BASE, exhaustive_worst_slack, grid_instance, line_instance, untied_instance,
+)
 
 
 def state_for(inst, lam, alpha=None, active=None):
@@ -306,6 +310,28 @@ class TestRunPhase1:
         with pytest.raises(RuntimeError, match="point 2 underpays its cluster"):
             _check_phase1(state)
 
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["sqeuclid", "metric"]),
+           st.sampled_from([2, 3]))
+    @settings(max_examples=60, deadline=None)
+    def test_zero_lambda_opens_singletons_that_coincident_points_join(self, seed, mode, base):
+        # at lambda 0 every event comes at increment 0: the lowest active
+        # point opens a scale-0 cluster, and the active points coincident
+        # with it join, lowest first, until n - n' points are active
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 21))
+        inst = grid_instance(rng, mode, base, n, n_prime=int(rng.integers(1, n + 1)))
+        out = run_phase1(inst, 0.0)
+        active, want = list(range(n)), []
+        while len(active) > n - inst.n_prime:
+            center = active[0]
+            same = [x for x in active if inst.distances()[center, x] == 0.0]
+            want.append((set(same[: len(active) - (n - inst.n_prime)]), 0, center))
+            active = [x for x in active if x not in want[-1][0]]
+        assert [(c.members, c.scale_exp, c.center) for c in out.clusters] == want
+        assert out.overflow is None
+        assert not out.alpha.any()
+        assert np.flatnonzero(out.active).tolist() == active
+
     def test_feasibility_after_run(self):
         rng = np.random.default_rng(21)
         inst = Instance(
@@ -511,6 +537,84 @@ class TestMarginBound:
             at = None if line is None else at_threshold(state, line[0])
             if at is not None:
                 assert (y, exp) in _screen(at, 0.0)
+
+
+def fresh_state(rng, mode, base):
+    """The opening state of an ascent on a grid instance (coincident
+    points, equal distances); lam is 0 one time in four."""
+    inst = grid_instance(rng, mode, base, int(rng.integers(2, 21)))
+    lam = 0.0 if rng.uniform() < 0.25 else rng.uniform(0.0, inst.n * inst.max_distance() + 1.0)
+    return DualState(inst, lam)
+
+
+def fires(state, y, exp, shift):
+    line = _pair_scan(state, y, exp, True, shift)
+    return line is not None and line[0] >= state.lam - state.tau
+
+
+def screened_event(state):
+    """Reference for the opening event: the path of every later event, the
+    pairs the screen passes at the probe, each timed against the running
+    best."""
+    probe = state.lam  # every dual is 0 and no cluster has opened
+    best_t = None
+    for y, exp in _screen(state, probe):
+        t = dual._fire_time(state, y, exp, probe if best_t is None else best_t)
+        if t is not None and (best_t is None or t < best_t):
+            best_t, winner = t, (y, exp)
+            if best_t == 0.0:
+                break
+    y, exp = winner
+    return best_t, ScaledCluster(set(_tight_set(state, y, exp, best_t)), exp, y)
+
+
+class TestOpeningTimes:
+    # Every dual zero and every point active: a pair's bound T is at most
+    # the smallest shift at which its exact scan reaches lam - tau.  Firing
+    # is monotone in the shift, so it suffices that the pair does not fire
+    # at the float below T.
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["sqeuclid", "metric"]),
+           st.sampled_from([2, 3]))
+    @settings(max_examples=60, deadline=None)
+    def test_no_pair_fires_below_its_bound(self, seed, mode, base):
+        rng = np.random.default_rng(seed)
+        state = fresh_state(rng, mode, base)
+        times = dual._opening_times(state)
+        pairs = list(itertools.product(range(state.inst.n), range(state.inst.top_exp + 1)))
+        for y, exp in pairs:
+            below = float(np.nextafter(times[y, exp], -np.inf))
+            assert below < 0.0 or not fires(state, y, exp, below)
+        # with lam - tau at a pair's exact value at some shift, the pair
+        # fires there, so its bound is no larger
+        for y, exp in pairs:
+            row = state.scaled_dists(exp)[y]
+            shift = float(rng.uniform(0.0, 1.5)) * row.max() + float(rng.uniform(0.0, 1.0))
+            line = _pair_scan(state, y, exp, True, shift)
+            at = None if line is None else at_threshold(state, line[0])
+            if at is None:
+                continue
+            bound = dual._opening_times(at)[y, exp]
+            assert bound <= shift
+            assert not fires(at, y, exp, float(np.nextafter(bound, -np.inf)))
+
+    @pytest.mark.parametrize("family", ["grid", "untied", "plane"])
+    @pytest.mark.parametrize("mode", ["sqeuclid", "metric"])
+    @pytest.mark.parametrize("base", [2, 3])
+    def test_the_opening_event_is_the_screen_paths(self, family, mode, base):
+        for seed in range(5):
+            rng = np.random.default_rng([seed, base])
+            n = int(rng.integers(2, 31))
+            if family == "plane":
+                inst, lam = plane_instance(rng, mode, base, max(n, 3))
+            else:
+                make = grid_instance if family == "grid" else untied_instance
+                inst = make(rng, mode, base, n)
+                lam = [0.0, 0.5, 4.0][seed % 3] * float(np.median(inst.distances()))
+            t, event = next_event(state := DualState(inst, lam))
+            want_t, want = screened_event(DualState(inst, lam))
+            assert (t.hex(), event) == (want_t.hex(), want)
+            assert state.last_screen is None
 
 
 class TestPairScan:

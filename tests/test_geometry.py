@@ -251,6 +251,18 @@ class TestInstanceValidation:
                                                 "overflows a float$"):
             inst.distances()
 
+    def test_a_metric_near_the_largest_float_stays_finite(self):
+        # halving before the symmetrizing sum keeps 1e308 + 1e308 out
+        mat = 1e308 * (1.0 - np.eye(3))
+        inst = Instance(mode="metric", k=2, n_prime=3, epsilon=1.0, dist_matrix=mat)
+        assert np.array_equal(inst.distances(), mat)
+
+    def test_sorted_distances_sort_each_row(self):
+        inst = line_instance(3.0, 0.0, 1.0, 3.0)
+        assert inst.sorted_distances().tolist() == [
+            [0.0, 0.0, 4.0, 9.0], [0.0, 1.0, 9.0, 9.0], [0.0, 1.0, 4.0, 4.0], [0.0, 0.0, 4.0, 9.0],
+        ]
+
     def test_metric_rejects_asymmetry(self):
         mat = np.array([[0.0, 1.0], [1.001, 0.0]])
         with pytest.raises(InstanceError):
