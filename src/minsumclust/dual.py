@@ -20,17 +20,17 @@ to where they end usually leave none.  ``next_event`` returns the pause and
 what happens there: a ``JoinExisting``, or the new tight set as a
 ``ScaledCluster``, which ``_tight_set`` builds once, for the winning pair at
 the returned increment, from the same floats the scan read.  Before any
-exact scan, a vectorized screen drops every (y, j) pair that cannot fire by
-the next pause: its margin bound falls short of lam - tau, C(y, j) holds
-fewer than base**j points, or y is inactive and C(y, j) holds no active
-point.  While no raised dual exceeds the last screen's, the screen only
-refilters that screen's pass list.  The screen only rules pairs out; the
-exact, sorted scan decides every pair it passes.  An ascent's first event,
-with every dual zero and every point active, takes no screen: one
-vectorized pass over the instance's sorted distance rows gives every pair
-a lower bound on the increment at which it can fire, widened for rounding,
-and only the pairs whose bound is at most the probe, and at most the
-running best when their turn comes, are scanned.
+exact scan, each (y, j) pair gets a floor on its fire time, and only pairs
+whose floor is at most the probe, and at most the running best when their
+turn comes, are scanned.  In an ascent's opening state (every dual zero,
+every point active) the floors are lower bounds, widened for rounding, from
+one vectorized pass over the sorted distance rows.  Later, a vectorized
+screen gives floor 0 to each pair it passes and inf to each it drops: its
+margin bound falls short of lam - tau, C(y, j) holds fewer than base**j
+points, or y is inactive and C(y, j) holds no active point.  While no
+raised dual exceeds the last event's and no point has become active, the
+screen only refilters the pairs that event kept.  Floors only rule pairs
+out; the exact, sorted scan decides every pair they keep.
 """
 
 from __future__ import annotations
@@ -54,12 +54,13 @@ NEWTON_STEPS = 4
 
 @dataclass
 class Screen:
-    """One screen's raised duals and active set, and per scale exponent the
-    rows that passed it, ascending."""
+    """One event's raised duals at its probe, its active set, and the mask of
+    the (y, exp) pairs it kept, ``kept[y, exp]``: no pair outside it can fire
+    while no raised dual is higher and no point has become active."""
 
     alpha: np.ndarray
     active: np.ndarray
-    rows: list[np.ndarray]
+    kept: np.ndarray
 
 
 @dataclass
@@ -77,8 +78,8 @@ class DualState:
     were the next cluster; None when no set was withheld.  The join arrays
     hold, per point, the cheapest scaled connection to any candidate cluster
     and that cluster's number (-1 for none); ties keep the earliest cluster.
-    ``last_screen`` is what ``_screen`` last saw and passed; a copy made with
-    ``dataclasses.replace`` starts without it, its clusters and overflow.
+    ``last_screen`` is what the last ``next_event`` saw and kept; a copy made
+    with ``dataclasses.replace`` starts without it, its clusters and overflow.
     """
 
     inst: Instance
@@ -221,7 +222,7 @@ def _tight_set(state: DualState, y: int, exp: int, shift: float) -> list[int]:
 
 
 def _margin_bounds(
-    state: DualState, shift: float, rows: list[np.ndarray] | None = None
+    state: DualState, shift: float, kept: np.ndarray | None = None
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Per scale exponent, in order, the candidate-list mask of every row and
     an upper bound on each row's best margin sum, at the given shift.
@@ -240,14 +241,14 @@ def _margin_bounds(
     unwidened float; the widening, with its own rounding, exceeds that while
     4 m**2 u < 1.  A row with fewer than base**exp candidates admits no set
     at all and gets the bound -inf; ``_pair_scan`` reads the same floats and
-    returns None for it.  With ``rows``, one index array per exponent, only
-    those rows are computed, in that order.
+    returns None for it.  With ``kept``, a (y, exp) mask, only the rows it
+    holds in the exponent's column are computed, ascending.
     """
     alpha = state.raised_alpha(shift)
     n = alpha.size
     for exp in range(state.inst.top_exp + 1):
         scaled = state.scaled_dists(exp)
-        margins = alpha[None, :] - (scaled if rows is None else scaled[rows[exp]])
+        margins = alpha[None, :] - (scaled if kept is None else scaled[kept[:, exp]])
         in_list = margins >= 0.0
         pos = np.clip(margins, 0.0, None)
         cap = state.inst.base ** (exp + 1) - 1
@@ -260,9 +261,8 @@ def _margin_bounds(
         yield in_list, bound
 
 
-def _screen(state: DualState, shift: float) -> list[tuple[int, int]]:
-    """The (y, exp) pairs that may fire by the given shift, in scan order
-    (ascending y, then exp).
+def _screen(state: DualState, shift: float) -> np.ndarray:
+    """The mask of the (y, exp) pairs that may fire by the given shift.
 
     A pair passes when its margin bound reaches lam - tau, its candidate list
     holds at least base**exp points, and, if y is inactive, the list holds an
@@ -271,27 +271,25 @@ def _screen(state: DualState, shift: float) -> list[tuple[int, int]]:
     necessary, not sufficient: a passed pair may fire only after another
     pair does, or not at all.
 
-    The state remembers each screen's raised duals, active set and pass
-    list.  When no raised dual is higher now and no point has become active,
-    every margin is no larger and every candidate list no longer, so each
-    pair that passes now passed then: only the remembered rows are
-    recomputed, and the narrower list is remembered.  Otherwise every row
-    is.
+    When no raised dual is higher than at the state's ``last_screen`` and no
+    point has become active since, every margin is no larger and every
+    candidate list no longer, so no pair outside that event's kept mask can
+    fire: only its pairs' rows are computed.  Otherwise every row is.
     """
     threshold = state.lam - state.tau
     alpha = state.raised_alpha(shift)
     last = state.last_screen
-    rows = None
+    kept = None
     if (last is not None and (alpha <= last.alpha).all()
             and not (state.active & ~last.active).any()):
-        rows = last.rows
-    passed = []
-    for exp, (in_list, bound) in enumerate(_margin_bounds(state, shift, rows)):
-        ys = np.arange(state.inst.n) if rows is None else rows[exp]
+        kept = last.kept
+    passed = np.zeros((state.inst.n, state.inst.top_exp + 1), dtype=bool)
+    for exp, (in_list, bound) in enumerate(_margin_bounds(state, shift, kept)):
+        ys = slice(None) if kept is None else kept[:, exp]
         reaches_active = in_list[:, state.active].any(axis=1)
-        passed.append(ys[(bound >= threshold) & (state.active[ys] | reaches_active)])
-    state.last_screen = Screen(alpha.copy(), state.active.copy(), passed)
-    return sorted((y, exp) for exp, ys in enumerate(passed) for y in ys.tolist())
+        # written through the column's view: a mixed (mask, int) index costs more
+        passed[:, exp][ys] = (bound >= threshold) & (state.active[ys] | reaches_active)
+    return passed
 
 
 def worst_slack(state: DualState) -> float:
@@ -456,17 +454,16 @@ def next_event(state: DualState) -> tuple[float, JoinExisting | ScaledCluster]:
     # Some active singleton constraint fires once its dual reaches lam, so
     # the next tight time is at most max(0, lam - current).
     probe = min(join_t, max(0.0, state.lam - current))
-    # In the opening state a fire-time bound per pair replaces the screen,
-    # and rules out the pairs that cannot fire by the running best.
-    opening = state.active.all() and not state.alpha.any()
-    if opening:
-        times = _opening_times(state)
-        pairs = np.argwhere(times <= probe).tolist()  # ascending y, then exp
-    else:
-        pairs = _screen(state, probe)
+    # Per pair a floor on the increment at which it can fire: the opening
+    # state's fire-time bound, else 0 for a pair the screen passes.
+    floor = (_opening_times(state) if state.active.all() and not state.alpha.any()
+             else np.where(_screen(state, probe), 0.0, np.inf))
+    kept = floor <= probe
+    state.last_screen = Screen(state.raised_alpha(probe).copy(), state.active.copy(), kept)
     best_t: float | None = None
-    for y, exp in pairs:
-        if opening and best_t is not None and times[y, exp] > best_t:
+    ys, exps = np.nonzero(kept)  # ascending y, then exp
+    for y, exp, low in zip(ys.tolist(), exps.tolist(), floor[kept].tolist()):
+        if best_t is not None and low > best_t:
             continue
         t = _fire_time(state, y, exp, probe if best_t is None else best_t)
         if t is not None and (best_t is None or t < best_t):

@@ -181,8 +181,9 @@ def _validated_metric(mat: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(mat)):
         raise InstanceError("distance matrix contains non-finite values")
     tol = MATRIX_REL_TOL * float(np.abs(mat).max())
-    if np.abs(mat - mat.T).max() > tol:
-        raise InstanceError("distance matrix is not symmetric")
+    with np.errstate(over="ignore"):  # an infinite difference is still rejected
+        if np.abs(mat - mat.T).max() > tol:
+            raise InstanceError("distance matrix is not symmetric")
     if np.abs(np.diagonal(mat)).max() > tol:
         raise InstanceError("distance matrix has a nonzero diagonal")
     if mat.min() < -tol:
@@ -218,7 +219,7 @@ def cluster_cost(inst: Instance, members) -> float:
     """Exact min-sum cost of a cluster: half the sum over ordered pairs."""
     idx = _member_index(inst, members)
     sub = inst.distances()[np.ix_(idx, idx)]
-    return float(sub.sum() / 2.0)
+    return float((sub / 2.0).sum())  # halved first: both orders' sum may overflow
 
 
 def scale_base(epsilon: float) -> int:

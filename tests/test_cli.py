@@ -262,7 +262,8 @@ def test_too_small_epsilon_exits_two(solved, sub, epsilon, tmp_path, capsys):
 # that total (127 points in [0, 1] and one at 3.2e152, k = 20, n' = 120),
 # or, on the small-k branch, the cost of every clustering the local search
 # tries (those points again, 42 of them) and the subset DP's cost of all
-# three points of a metric at 1e308.
+# three points of a metric at 1e308.  The last row is an asymmetric metric
+# whose symmetry check subtracts -1e308 from 1e308.
 def column(values):
     return np.reshape(values, (-1, 1))
 
@@ -282,8 +283,10 @@ def column(values):
      "distances too large for the local search: every restart's cost overflows a float"),
     ("metric", 1e308 * (1.0 - np.eye(3)), 2, 3, False,
      "distances too large for the subset DP: the cost of all 3 points overflows a float"),
+    ("metric", np.array([[0.0, 1e308], [-1e308, 0.0]]), 1, 2, False,
+     "distance matrix is not symmetric"),
 ], ids=["squared-distance", "squared-distance-small-k", "total-cost", "tolerance",
-        "local-search-cost", "subset-dp-cost"])
+        "local-search-cost", "subset-dp-cost", "asymmetric"])
 def test_overflowing_distances_exit_two(mode, data, k, nprime, force, message, tmp_path,
                                         capsys):
     path, output = tmp_path / "data.csv", tmp_path / "out.txt"
@@ -294,6 +297,19 @@ def test_overflowing_distances_exit_two(mode, data, k, nprime, force, message, t
     assert code == 2
     assert err == f"error: {message}\n"
     assert not output.exists()
+
+
+def test_a_cost_near_the_largest_float_passes_the_audit(tmp_path, capsys):
+    # two points 1e308 apart: the subset DP's cost of both fits a float, and
+    # so does the reported cost, which halves each ordered pair before summing
+    path, output = tmp_path / "data.csv", tmp_path / "out.txt"
+    save_points(1e308 * (1.0 - np.eye(2)), path)
+    code, out, err = run(capsys, "cluster", "--input", path, "--mode", "metric", "--k", 1,
+                         "--nprime", 2, "--epsilon", 1, "--output", output)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[0].endswith(" cost 1e+308")
+    assert "cost_ratio 1" in lines and lines[-1] == "audit PASS"
 
 
 def test_plot_data_lists_every_point(tmp_path, capsys):

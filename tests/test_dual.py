@@ -385,8 +385,8 @@ def plane_instance(rng, mode, base, n):
 
 def mid_ascent_states(inst, lam):
     """(state, probe, screened) at every screen of ``run_phase1``: a copy of
-    the state, which remembers no screen, the increment ``next_event``
-    screens at, and the list the ascent's own screen returned."""
+    the state, which remembers no event, the increment ``next_event``
+    screens at, and the mask the ascent's own screen returned."""
     snapshots = []
 
     def recording(state, shift):
@@ -416,7 +416,7 @@ class TestScreen:
         assert any(not state.active.all() for state, _, _ in snapshots)
         for state, probe, _ in snapshots[::3]:
             for shift in (0.0, probe):
-                screened = set(_screen(state, shift))
+                screened = set(map(tuple, np.argwhere(_screen(state, shift)).tolist()))
                 alpha = state.raised_alpha(shift)
                 for y, exp in itertools.product(range(n), range(inst.top_exp + 1)):
                     line = _pair_scan(state, y, exp, True, shift)
@@ -434,18 +434,22 @@ class TestScreen:
     @pytest.mark.parametrize("base", [2, 3])
     @pytest.mark.parametrize("seed", range(3))
     def test_a_refiltered_list_equals_a_full_screen(self, mode, base, seed, monkeypatch):
-        # the ascent's screens refilter their last pass list whenever no
-        # raised dual rose; a copy of the state remembers nothing, so its
-        # screen computes every row
+        # each screen refilters the pairs the last event kept while no
+        # raised dual rose; the second event's are those the opening bound
+        # kept.  A copy of the state remembers nothing, so its screen
+        # computes every row.  At lam = 0 every increment is 0 and every
+        # screen refilters.
         rng = np.random.default_rng([seed, base])
         inst, lam = plane_instance(rng, mode, base, int(rng.integers(20, 41)))
         calls = record_calls(monkeypatch, "_margin_bounds")
-        snapshots = mid_ascent_states(inst, lam)
-        screens = [call[2] for call in calls if len(call) == 3]  # worst_slack passes no rows
-        refilters = sum(rows is not None for rows in screens)
-        assert 0 < refilters < len(snapshots) == len(screens)
-        for state, probe, screened in snapshots:
-            assert _screen(state, probe) == screened
+        for lam in (lam, 0.0):
+            calls.clear()
+            snapshots = mid_ascent_states(inst, lam)
+            masks = [call[2] for call in calls if len(call) == 3]  # worst_slack passes none
+            assert len(masks) == len(snapshots) and masks[0] is not None
+            assert any(mask is None for mask in masks) == (lam > 0.0)
+            for state, probe, screened in snapshots:
+                assert np.array_equal(_screen(state, probe), screened)
 
 
 def sorted_prefix_scan(state, y, exp, require_active, shift):
@@ -536,7 +540,7 @@ class TestMarginBound:
             line = _pair_scan(state, y, exp, True, 0.0)
             at = None if line is None else at_threshold(state, line[0])
             if at is not None:
-                assert (y, exp) in _screen(at, 0.0)
+                assert _screen(at, 0.0)[y, exp]
 
 
 def fresh_state(rng, mode, base):
@@ -558,7 +562,7 @@ def screened_event(state):
     best."""
     probe = state.lam  # every dual is 0 and no cluster has opened
     best_t = None
-    for y, exp in _screen(state, probe):
+    for y, exp in np.argwhere(_screen(state, probe)).tolist():
         t = dual._fire_time(state, y, exp, probe if best_t is None else best_t)
         if t is not None and (best_t is None or t < best_t):
             best_t, winner = t, (y, exp)
@@ -614,7 +618,8 @@ class TestOpeningTimes:
             t, event = next_event(state := DualState(inst, lam))
             want_t, want = screened_event(DualState(inst, lam))
             assert (t.hex(), event) == (want_t.hex(), want)
-            assert state.last_screen is None
+            # the event remembers the pairs its bound keeps at the probe, lam
+            assert np.array_equal(state.last_screen.kept, dual._opening_times(state) <= lam)
 
 
 class TestPairScan:
@@ -681,8 +686,10 @@ class TestFireTime:
         rng = np.random.default_rng(seed)
         if mid_ascent:
             inst, lam = plane_instance(rng, mode, base, int(rng.integers(6, 16)))
-            snapshots = mid_ascent_states(inst, lam)
-            state = snapshots[rng.integers(len(snapshots))][0]
+            # an ascent that its first event ends takes no screen
+            states = [state for state, _, _ in mid_ascent_states(inst, lam)]
+            states = states or [DualState(inst, lam)]
+            state = states[rng.integers(len(states))]
         else:
             state = tied_state(rng, mode, base)
         threshold = state.lam - state.tau

@@ -72,6 +72,12 @@ class TestClusterCost:
     def test_singleton(self):
         assert cluster_cost(line_instance(0.0, 1.0), {0}) == 0.0
 
+    def test_a_cost_near_the_largest_float_stays_finite(self):
+        # both ordered pairs at 1e308 sum past the largest float; their halves do not
+        inst = Instance(mode="metric", k=1, n_prime=2, epsilon=1.0,
+                        dist_matrix=1e308 * (1.0 - np.eye(2)))
+        assert cluster_cost(inst, {0, 1}) == 1e308
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             cluster_cost(line_instance(0.0), set())
