@@ -20,17 +20,19 @@ to where they end usually leave none.  ``next_event`` returns the pause and
 what happens there: a ``JoinExisting``, or the new tight set as a
 ``ScaledCluster``, which ``_tight_set`` builds once, for the winning pair at
 the returned increment, from the same floats the scan read.  Before any
-exact scan, each (y, j) pair gets a floor on its fire time, and only pairs
-whose floor is at most the probe, and at most the running best when their
-turn comes, are scanned.  In an ascent's opening state (every dual zero,
-every point active) the floors are lower bounds, widened for rounding, from
-one vectorized pass over the sorted distance rows.  Later, a vectorized
-screen gives floor 0 to each pair it passes and inf to each it drops: its
-margin bound falls short of lam - tau, C(y, j) holds fewer than base**j
-points, or y is inactive and C(y, j) holds no active point.  While no
-raised dual exceeds the last event's and no point has become active, the
-screen only refilters the pairs that event kept.  Floors only rule pairs
-out; the exact, sorted scan decides every pair they keep.
+exact scan, each (y, j) pair has a floor T(y, j) on the largest raised dual
+at which it can fire, at any duals: one vectorized pass over the sorted
+distance rows, lowered for rounding, computes it once per ascent.  Every
+event keeps only pairs whose T is at most the largest raised dual at the
+probe, and scans a kept pair only while its T is at most the largest dual
+that the running best raises to.  In an ascent's opening state (every dual
+zero, every point active) that is the whole selection.  Later events also
+screen the rows T keeps, vectorized, and drop a pair whose margin bound
+falls short of lam - tau, whose C(y, j) holds fewer than base**j points, or
+whose y is inactive while C(y, j) holds no active point.  While no raised
+dual exceeds the last event's and no point has become active, the screen
+only refilters the pairs that event kept.  Floors and screens only rule
+pairs out; the exact, sorted scan decides every pair they keep.
 """
 
 from __future__ import annotations
@@ -55,8 +57,10 @@ NEWTON_STEPS = 4
 @dataclass
 class Screen:
     """One event's raised duals at its probe, its active set, and the mask of
-    the (y, exp) pairs it kept, ``kept[y, exp]``: no pair outside it can fire
-    while no raised dual is higher and no point has become active."""
+    the (y, exp) pairs it kept, ``kept[y, exp]``: pairs whose floor T is at
+    most the event's largest raised dual and, after the opening event, that
+    its screen passed.  No pair outside it can fire while no raised dual is
+    higher and no point has become active."""
 
     alpha: np.ndarray
     active: np.ndarray
@@ -80,6 +84,8 @@ class DualState:
     and that cluster's number (-1 for none); ties keep the earliest cluster.
     ``last_screen`` is what the last ``next_event`` saw and kept; a copy made
     with ``dataclasses.replace`` starts without it, its clusters and overflow.
+    ``fire_floors`` holds the pairs' floors T, which depend on (inst, lam)
+    only.
     """
 
     inst: Instance
@@ -92,6 +98,7 @@ class DualState:
     join_threshold: np.ndarray = field(init=False, repr=False)
     join_cluster: np.ndarray = field(init=False, repr=False)
     _scaled: dict[int, np.ndarray] = field(init=False, default_factory=dict, repr=False)
+    _floors: np.ndarray | None = field(init=False, default=None, repr=False)
     last_screen: Screen | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self) -> None:
@@ -111,6 +118,14 @@ class DualState:
         if mat is None:
             mat = self._scaled[exp] = float(self.inst.base**exp) * self.inst.distances()
         return mat
+
+    def fire_floors(self) -> np.ndarray:
+        """``_opening_times`` of (inst, lam), computed on first use: per
+        (y, exp), a floor on the largest raised dual at which the pair can
+        fire, at any duals."""
+        if self._floors is None:
+            self._floors = _opening_times(self)
+        return self._floors
 
     def raised_alpha(self, shift: float) -> np.ndarray:
         """Dual values after raising every active point by ``shift``."""
@@ -223,9 +238,10 @@ def _tight_set(state: DualState, y: int, exp: int, shift: float) -> list[int]:
 
 def _margin_bounds(
     state: DualState, shift: float, kept: np.ndarray | None = None
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Per scale exponent, in order, the candidate-list mask of every row and
-    an upper bound on each row's best margin sum, at the given shift.
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Per scale exponent, in order, the exponent, the candidate-list mask of
+    every row and an upper bound on each row's best margin sum, at the given
+    shift.
 
     ``in_list[y, x]`` says x is in C(y, exp), that is its margin is
     nonnegative.  The bound sums the largest m = min(cap, n) nonnegative
@@ -242,11 +258,14 @@ def _margin_bounds(
     4 m**2 u < 1.  A row with fewer than base**exp candidates admits no set
     at all and gets the bound -inf; ``_pair_scan`` reads the same floats and
     returns None for it.  With ``kept``, a (y, exp) mask, only the rows it
-    holds in the exponent's column are computed, ascending.
+    holds in the exponent's column are computed, ascending, and an exponent
+    whose column holds none is skipped.
     """
     alpha = state.raised_alpha(shift)
     n = alpha.size
-    for exp in range(state.inst.top_exp + 1):
+    exps = (range(state.inst.top_exp + 1) if kept is None
+            else np.flatnonzero(kept.any(axis=0)).tolist())
+    for exp in exps:
         scaled = state.scaled_dists(exp)
         margins = alpha[None, :] - (scaled if kept is None else scaled[kept[:, exp]])
         in_list = margins >= 0.0
@@ -258,7 +277,7 @@ def _margin_bounds(
             bound = np.partition(pos, n - cap, axis=1)[:, n - cap :].sum(axis=1)
         bound *= 1.0 + 2 * min(cap, n) * UNIT_ROUNDOFF
         bound[np.count_nonzero(in_list, axis=1) < state.inst.base**exp] = -np.inf
-        yield in_list, bound
+        yield exp, in_list, bound
 
 
 def _screen(state: DualState, shift: float) -> np.ndarray:
@@ -271,21 +290,24 @@ def _screen(state: DualState, shift: float) -> np.ndarray:
     necessary, not sufficient: a passed pair may fire only after another
     pair does, or not at all.
 
-    When no raised dual is higher than at the state's ``last_screen`` and no
-    point has become active since, every margin is no larger and every
-    candidate list no longer, so no pair outside that event's kept mask can
-    fire: only its pairs' rows are computed.  Otherwise every row is.
+    Only the rows whose floor T (``DualState.fire_floors``) is at most L,
+    the largest raised dual at the shift, are computed: no other pair can
+    fire there (``_opening_times``).  When, moreover, no raised dual is
+    higher than at the state's ``last_screen`` and no point has become
+    active since, every margin is no larger and every candidate list no
+    longer, so no pair outside that event's kept mask can fire: only the
+    rows in both are computed.
     """
     threshold = state.lam - state.tau
     alpha = state.raised_alpha(shift)
+    rows = state.fire_floors() <= alpha.max()
     last = state.last_screen
-    kept = None
     if (last is not None and (alpha <= last.alpha).all()
             and not (state.active & ~last.active).any()):
-        kept = last.kept
-    passed = np.zeros((state.inst.n, state.inst.top_exp + 1), dtype=bool)
-    for exp, (in_list, bound) in enumerate(_margin_bounds(state, shift, kept)):
-        ys = slice(None) if kept is None else kept[:, exp]
+        rows &= last.kept
+    passed = np.zeros_like(rows)
+    for exp, in_list, bound in _margin_bounds(state, shift, rows):
+        ys = rows[:, exp]
         reaches_active = in_list[:, state.active].any(axis=1)
         # written through the column's view: a mixed (mask, int) index costs more
         passed[:, exp][ys] = (bound >= threshold) & (state.active[ys] | reaches_active)
@@ -299,7 +321,7 @@ def worst_slack(state: DualState) -> float:
     tightness tolerance mean a genuine violation.  The screen bounds are
     refined in decreasing order until the running maximum is certified.
     """
-    bounds = [bound for _, bound in _margin_bounds(state, 0.0)]
+    bounds = [bound for _, _, bound in _margin_bounds(state, 0.0)]
     flat_bound = np.concatenate(bounds)
     n = state.inst.n
     ys = np.tile(np.arange(n), len(bounds))
@@ -316,31 +338,35 @@ def worst_slack(state: DualState) -> float:
 
 
 def _opening_times(state: DualState) -> np.ndarray:
-    """Per (y, exp), a lower bound on the increment at which the pair can
-    first fire in the opening state: every dual zero, every point active.
+    """Per (y, exp), a lower bound T on L, the largest raised dual at which
+    the pair can fire, at any duals.  In the opening state (every dual zero,
+    every point active) L is the increment, so T bounds the fire time.
 
-    There the scan at shift s sums the M = min(count, cap) smallest scaled
-    distances S_1 <= ... <= S_M of row y as the margins s - S_i (y's own,
-    s, is the largest), count = #{S_i <= s} and cap = base**(exp + 1) - 1.
-    Firing needs M >= base**exp, so S_M <= s, and a sum M s - P_M that
-    reaches thr = lam - tau, P_M = S_1 + ... + S_M.  So the pair cannot fire
-    before T = min over M in [base**exp, min(cap, n)] of max(S_M,
-    (thr + P_M) / M).  At thr <= 0 every admissible set reaches thr, and T
-    is S_M at M = base**exp exactly.  The rows are the instance's sorted
-    distances, scaled like ``scaled_dists``, so S holds the same floats.
+    Let S_1 <= S_2 <= ... be the scaled distances of row y, sorted, and
+    P_M = S_1 + ... + S_M.  A scan that fires sums the margins of M points,
+    base**exp <= M <= min(cap, n), cap = base**(exp + 1) - 1.  In the
+    program's domain alpha >= 0 every summed margin alpha_x - d_x is
+    nonnegative, so d_x <= alpha_x <= L, and the M distances d_x are
+    distinct entries of the row: S_M <= L, and the margin sum is at most
+    M L - P_M, which must reach thr = lam - tau.  So the pair cannot fire
+    while L < T = min over M of max(S_M, (thr + P_M) / M).  At thr <= 0
+    every admissible set reaches thr, and T is S_M at M = base**exp exactly.
+    The rows are the instance's sorted distances, scaled like
+    ``scaled_dists``, so S holds the same floats.  T depends on (inst, lam)
+    only; ``DualState.fire_floors`` keeps it for the whole ascent.
 
     For thr > 0 the float thr / M + P_M / M is lowered by the factor
     1 - 2 m u, m = M + 2, u the unit roundoff, so that T stays at or below
-    the smallest float shift at which ``_pair_scan`` fires.  The rounding
+    the smallest float L at which ``_pair_scan`` fires.  The rounding
     argument, as in ``_margin_bounds``: each of the M margins, at most
-    s - S_i, rounds up by at most a factor 1 + u, and the left-to-right sum
-    of M nonnegative floats by at most 1 + g(M - 1), g(j) = j u / (1 - j u);
-    so a firing float sum puts M s at or above (thr + P_M) / (1 + g(M)).
-    The prefix sum P_M, a cumsum of nonnegative floats, exceeds its real
-    value by at most the same factor, and thr / M + P_M / M adds two
-    roundings, so s >= q / (1 + g(M + 2)) for the float quotient q.  The
-    lowered float, with its own rounding, is at most q (1 - (M + 3) u),
-    which is 1 / (1 + g(M + 3)) of q.
+    L - d_x in reals, rounds up by at most a factor 1 + u, and the
+    left-to-right sum of M nonnegative floats by at most 1 + g(M - 1),
+    g(j) = j u / (1 - j u); so a firing float sum puts M L at or above
+    (thr + P_M) / (1 + g(M)).  The prefix sum P_M, a cumsum of nonnegative
+    floats, exceeds its real value by at most the same factor, and
+    thr / M + P_M / M adds two roundings, so L >= q / (1 + g(M + 2)) for the
+    float quotient q.  The lowered float, with its own rounding, is at most
+    q (1 - (M + 3) u), which is 1 / (1 + g(M + 3)) of q.
     """
     inst = state.inst
     rows = inst.sorted_distances()
@@ -454,20 +480,24 @@ def next_event(state: DualState) -> tuple[float, JoinExisting | ScaledCluster]:
     # Some active singleton constraint fires once its dual reaches lam, so
     # the next tight time is at most max(0, lam - current).
     probe = min(join_t, max(0.0, state.lam - current))
-    # Per pair a floor on the increment at which it can fire: the opening
-    # state's fire-time bound, else 0 for a pair the screen passes.
-    floor = (_opening_times(state) if state.active.all() and not state.alpha.any()
-             else np.where(_screen(state, probe), 0.0, np.inf))
-    kept = floor <= probe
+    # Per pair a floor on the largest raised dual at which it can fire.  In
+    # the opening state that dual is the increment and the floors select
+    # alone; later events screen the rows they keep.
+    floors = state.fire_floors()
+    kept = (floors <= probe if state.active.all() and not state.alpha.any()
+            else _screen(state, probe))
     state.last_screen = Screen(state.raised_alpha(probe).copy(), state.active.copy(), kept)
+    top = float(state.alpha.max())
     best_t: float | None = None
     ys, exps = np.nonzero(kept)  # ascending y, then exp
-    for y, exp, low in zip(ys.tolist(), exps.tolist(), floor[kept].tolist()):
-        if best_t is not None and low > best_t:
+    for y, exp, floor in zip(ys.tolist(), exps.tolist(), floors[kept].tolist()):
+        # up to best_t no raised dual exceeds fl(top + best_t), fl monotone
+        if best_t is not None and floor > level:
             continue
         t = _fire_time(state, y, exp, probe if best_t is None else best_t)
         if t is not None and (best_t is None or t < best_t):
             best_t, winner = t, (y, exp)
+            level = top + best_t
             if best_t == 0.0:
                 break  # increments are nonnegative and ties keep the earlier pair
 

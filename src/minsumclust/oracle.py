@@ -221,9 +221,15 @@ class AuditReport:
         )
 
     def lines(self) -> list[str]:
+        # a checked certificate has a finite worst slack (its singletons are
+        # admissible), so a feasible report at -inf checked none
+        if self.dual_feasible and self.worst_constraint_slack == -np.inf:
+            dual = "dual_feasible n/a (no certificate)"
+        else:
+            dual = (f"dual_feasible {'yes' if self.dual_feasible else 'NO'}"
+                    f" (worst slack {self.worst_constraint_slack:.3e})")
         out = [
-            f"dual_feasible {'yes' if self.dual_feasible else 'NO'}"
-            f" (worst slack {self.worst_constraint_slack:.3e})",
+            dual,
             f"size_bounds {'ok' if not self.size_bound_violations else 'VIOLATED'}",
         ]
         if self.cost_ratio is not None:

@@ -111,6 +111,11 @@ def test_flow(family, gen_flags, mode, k, nprime, branch, tmp_path, capsys):
     head, *audit_lines = printed[0]
     assert head.startswith(f"branch {branch} ")
     assert audit_lines[-1] == "audit PASS"
+    # only the bipoint branches carry dual certificates
+    if branch.startswith("bipoint"):
+        assert audit_lines[0].startswith("dual_feasible yes (worst slack ")
+    else:
+        assert audit_lines[0] == "dual_feasible n/a (no certificate)"
     # scored against the oracle wherever it is tractable
     assert any(line.startswith("cost_ratio ") for line in audit_lines) == tractable
 

@@ -384,15 +384,17 @@ def plane_instance(rng, mode, base, n):
 
 
 def mid_ascent_states(inst, lam):
-    """(state, probe, screened) at every screen of ``run_phase1``: a copy of
-    the state, which remembers no event, the increment ``next_event``
-    screens at, and the mask the ascent's own screen returned."""
+    """(state, probe, screened, memory) at every screen of ``run_phase1``: a
+    copy of the state, which remembers no event, the increment
+    ``next_event`` screens at, the mask the ascent's own screen returned,
+    and the last event's ``Screen`` it may refilter."""
     snapshots = []
 
     def recording(state, shift):
         copy = replace(state, alpha=state.alpha.copy(), active=state.active.copy())
+        memory = state.last_screen
         screened = _screen(state, shift)
-        snapshots.append((copy, shift, screened))
+        snapshots.append((copy, shift, screened, memory))
         return screened
 
     with pytest.MonkeyPatch.context() as m:
@@ -413,8 +415,8 @@ class TestScreen:
         n = int(rng.integers(20, 41))
         inst, lam = plane_instance(rng, mode, base, n)
         snapshots = mid_ascent_states(inst, lam)
-        assert any(not state.active.all() for state, _, _ in snapshots)
-        for state, probe, _ in snapshots[::3]:
+        assert any(not state.active.all() for state, *_ in snapshots)
+        for state, probe, *_ in snapshots[::3]:
             for shift in (0.0, probe):
                 screened = set(map(tuple, np.argwhere(_screen(state, shift)).tolist()))
                 alpha = state.raised_alpha(shift)
@@ -434,22 +436,37 @@ class TestScreen:
     @pytest.mark.parametrize("base", [2, 3])
     @pytest.mark.parametrize("seed", range(3))
     def test_a_refiltered_list_equals_a_full_screen(self, mode, base, seed, monkeypatch):
-        # each screen refilters the pairs the last event kept while no
-        # raised dual rose; the second event's are those the opening bound
-        # kept.  A copy of the state remembers nothing, so its screen
-        # computes every row.  At lam = 0 every increment is 0 and every
-        # screen refilters.
+        # every screen computes only the rows whose floor T is at most the
+        # largest raised dual L, and refilters the pairs the last event kept
+        # while no raised dual rose; the second event's are those the opening
+        # bound kept.  A copy of the state remembers nothing, so its screen
+        # computes every row with T <= L.  At lam = 0 every increment is 0 and
+        # every screen refilters.
         rng = np.random.default_rng([seed, base])
         inst, lam = plane_instance(rng, mode, base, int(rng.integers(20, 41)))
         calls = record_calls(monkeypatch, "_margin_bounds")
+
+        def screen_rows(state, shift):
+            """(passed mask, rows computed) of one screen."""
+            calls.clear()
+            passed = _screen(state, shift)
+            return passed, calls[0][2]
+
         for lam in (lam, 0.0):
             calls.clear()
             snapshots = mid_ascent_states(inst, lam)
-            masks = [call[2] for call in calls if len(call) == 3]  # worst_slack passes none
-            assert len(masks) == len(snapshots) and masks[0] is not None
-            assert any(mask is None for mask in masks) == (lam > 0.0)
-            for state, probe, screened in snapshots:
-                assert np.array_equal(_screen(state, probe), screened)
+            rows = [call[2] for call in calls if len(call) == 3]  # worst_slack passes none
+            assert len(rows) == len(snapshots)
+            refiltered = []
+            for (state, probe, screened, memory), computed in zip(snapshots, rows):
+                floored = state.fire_floors() <= state.raised_alpha(probe).max()
+                assert floored.any() and not (computed & ~floored).any()
+                passed, copy_rows = screen_rows(state, probe)
+                assert np.array_equal(passed, screened) and np.array_equal(copy_rows, floored)
+                # given the memory with nothing kept, a refilter computes no row
+                state.last_screen = replace(memory, kept=np.zeros_like(memory.kept))
+                refiltered.append(not screen_rows(state, probe)[1].any())
+            assert refiltered[0] and all(refiltered) == (lam == 0.0)
 
 
 def sorted_prefix_scan(state, y, exp, require_active, shift):
@@ -530,7 +547,7 @@ class TestMarginBound:
         state = replace(state, alpha=np.maximum(state.alpha, 0.0))
         pairs = list(itertools.product(range(state.inst.n), range(state.inst.top_exp + 1)))
         for shift in (0.0, rng.uniform(0.0, 3.0)):
-            bounds = [bound for _, bound in dual._margin_bounds(state, shift)]
+            bounds = [bound for _, _, bound in dual._margin_bounds(state, shift)]
             for (y, exp), require_active in itertools.product(pairs, (True, False)):
                 line = _pair_scan(state, y, exp, require_active, shift)
                 if line is not None:
@@ -572,11 +589,30 @@ def screened_event(state):
     return best_t, ScaledCluster(set(_tight_set(state, y, exp, best_t)), exp, y)
 
 
+def last_shift_below(state, level):
+    """The largest shift at which every raised dual is below ``level``, or
+    None when none is or no dual rises; the largest raised dual is
+    nondecreasing in the shift, so bisection over the floats finds it."""
+    def below(shift):
+        return state.raised_alpha(shift).max() < level
+
+    if not below(0.0) or not state.active.any():  # no dual rises: no pair fires
+        return None
+    lo, hi = 0.0, max(level - float(state.alpha[state.active].max()), 0.0)
+    step = float(np.spacing(max(level, hi)))
+    while below(hi):
+        lo, hi, step = hi, hi + step, 2.0 * step
+    while (mid := lo + (hi - lo) / 2.0) not in (lo, hi):
+        lo, hi = (mid, hi) if below(mid) else (lo, mid)
+    return lo
+
+
 class TestOpeningTimes:
     # Every dual zero and every point active: a pair's bound T is at most
     # the smallest shift at which its exact scan reaches lam - tau.  Firing
     # is monotone in the shift, so it suffices that the pair does not fire
-    # at the float below T.
+    # at the float below T.  At any other duals T bounds the largest raised
+    # dual instead: no pair fires while every raised dual is below its T.
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from(["sqeuclid", "metric"]),
            st.sampled_from([2, 3]))
@@ -601,6 +637,34 @@ class TestOpeningTimes:
             bound = dual._opening_times(at)[y, exp]
             assert bound <= shift
             assert not fires(at, y, exp, float(np.nextafter(bound, -np.inf)))
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["sqeuclid", "metric"]),
+           st.sampled_from([2, 3]), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_no_pair_fires_while_every_raised_dual_is_below_its_bound(
+        self, seed, mode, base, mid_ascent
+    ):
+        rng = np.random.default_rng(seed)
+        if mid_ascent:  # the states TestFireTime draws
+            inst, lam = plane_instance(rng, mode, base, int(rng.integers(6, 16)))
+            states = [state for state, *_ in mid_ascent_states(inst, lam)]
+            states = states or [DualState(inst, lam)]
+            state = states[rng.integers(len(states))]
+        else:
+            state = tied_state(rng, mode, base)
+        for y, exp in itertools.product(range(state.inst.n), range(state.inst.top_exp + 1)):
+            # the state as drawn, and a copy whose lam - tau is the pair's
+            # exact value at a random shift, where the pair fires
+            row = state.scaled_dists(exp)[y]
+            shift = float(rng.uniform(0.0, 1.5)) * row.max() + float(rng.uniform(0.0, 1.0))
+            line = _pair_scan(state, y, exp, True, shift)
+            at = None if line is None else at_threshold(state, line[0])
+            for case in (state,) if at is None else (state, at):
+                floor = case.fire_floors()[y, exp]
+                below = last_shift_below(case, floor)
+                assert below is None or not fires(case, y, exp, below)
+            if at is not None:
+                assert at.fire_floors()[y, exp] <= at.raised_alpha(shift).max()
 
     @pytest.mark.parametrize("family", ["grid", "untied", "plane"])
     @pytest.mark.parametrize("mode", ["sqeuclid", "metric"])
@@ -687,7 +751,7 @@ class TestFireTime:
         if mid_ascent:
             inst, lam = plane_instance(rng, mode, base, int(rng.integers(6, 16)))
             # an ascent that its first event ends takes no screen
-            states = [state for state, _, _ in mid_ascent_states(inst, lam)]
+            states = [state for state, *_ in mid_ascent_states(inst, lam)]
             states = states or [DualState(inst, lam)]
             state = states[rng.integers(len(states))]
         else:
@@ -735,7 +799,7 @@ class TestTightSet:
         inst, lam = plane_instance(rng, mode, base, int(rng.integers(20, 31)))
         snapshots = mid_ascent_states(inst, lam)
         assert len(snapshots) > 1
-        for state, _, _ in snapshots:
+        for state, *_ in snapshots:
             t, event = next_event(state)
             assert isinstance(event, ScaledCluster)
             tight = _tight_set(state, event.center, event.scale_exp, t)

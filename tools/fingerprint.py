@@ -19,6 +19,9 @@ line, so two fingerprints can be compared with ``diff``:
   A solve that raises is recorded as its error.
 - ``pair_scans``: calls of ``dual._pair_scan`` made by the solves (not by
   the audits), per workload and seed.  Reported, not compared.
+- ``screen_rows``: the (y, exp) rows ``dual._margin_bounds`` computes for
+  ``dual._screen`` during the solves, counted the same way.  Reported, not
+  compared.
 - ``tight_sets``: calls of ``dual._tight_set`` made by the solves, counted
   the same way.  Reported, not compared.
 - ``probes``: calls of ``search.probe`` (one pipeline run at one lambda)
@@ -29,9 +32,9 @@ It takes about 20 s on one core of a shared 2-core host.
 ``--compare A.json B.json`` reads two fingerprints and classifies each case
 as identical or moved.  For every moved case it lists the fields that
 differ, the change in ``total_cost`` and a change of audit verdict
-(``audit PASS -> FAIL``), then prints both files' ``pair_scans`` and then
-their ``probes`` (each count only if a file has it).  It exits 1 when a case
-moved, or is in one file only.
+(``audit PASS -> FAIL``), then prints both files' ``pair_scans``,
+``screen_rows`` and ``probes`` (each count only if a file has it).  It
+exits 1 when a case moved, or is in one file only.
 """
 
 from __future__ import annotations
@@ -62,15 +65,29 @@ def main(tree: Path) -> None:
     from minsumclust.oracle import audit, brute_force_opt
     from minsumclust.search import min_sum_clustering
 
-    # the output key of each counted function; min_sum_clustering looks each
-    # one up as a module global, so patching the module counts its calls
-    counted = {(dual, "_pair_scan"): "pair_scans", (dual, "_tight_set"): "tight_sets",
-               (search, "probe"): "probes"}
+    def rows(state, shift, *mask):
+        """Rows one ``_margin_bounds`` call computes for a screen: none for
+        ``worst_slack``, which passes no mask, and every row for an older
+        tree's full screen, which passes None."""
+        if not mask:
+            return 0
+        if mask[0] is None:
+            return state.inst.n * (state.inst.top_exp + 1)
+        return int(mask[0].sum())
+
+    # the output key of each counted function and what one call adds;
+    # min_sum_clustering looks each one up as a module global, so patching
+    # the module counts its calls
+    counted = {(dual, "_pair_scan"): "pair_scans", (dual, "_margin_bounds"): "screen_rows",
+               (dual, "_tight_set"): "tight_sets", (search, "probe"): "probes"}
+    weight = {(dual, "_margin_bounds"): rows}
     calls = dict.fromkeys(counted, 0)
 
     def counting(name, func):
+        add = weight.get(name, lambda *args: 1)
+
         def wrapper(*args):
-            calls[name] += 1
+            calls[name] += add(*args)
             return func(*args)
         return wrapper
 
@@ -165,7 +182,7 @@ def compare(path_a: Path, path_b: Path) -> int:
     print(f"identical {len(keys) - len(moved)} of {len(keys)}, moved {len(moved)}")
     for line in moved:
         print(f"moved {line}")
-    for key in ("pair_scans", "probes"):
+    for key in ("pair_scans", "screen_rows", "probes"):
         if key in a or key in b:
             for name, data in (("A", a), ("B", b)):
                 print(f"{key} {name}: {json.dumps(data.get(key))}")
