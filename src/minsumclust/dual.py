@@ -33,6 +33,12 @@ whose y is inactive while C(y, j) holds no active point.  While no raised
 dual exceeds the last event's and no point has become active, the screen
 only refilters the pairs that event kept.  Floors and screens only rule
 pairs out; the exact, sorted scan decides every pair they keep.
+
+At lam = 0 every event comes at increment 0 and every candidate list holds
+only coincident points, so ``run_phase1`` builds that ascent's state
+directly, without events, wherever distance 0 is transitive.  The check
+after every ascent, ``worst_slack``, also ranks first only the pairs the
+floors keep at the largest dual.
 """
 
 from __future__ import annotations
@@ -318,23 +324,39 @@ def worst_slack(state: DualState) -> float:
     """Exact maximum of (margin sum - lam) over the scan family.
 
     Nonpositive values mean every dual constraint holds; values above the
-    tightness tolerance mean a genuine violation.  The screen bounds are
-    refined in decreasing order until the running maximum is certified.
+    tightness tolerance mean a genuine violation.  The pairs whose floor T
+    (``DualState.fire_floors``) is at most the largest dual are ranked
+    first.  In the program's domain alpha >= 0, T bounds every admissible
+    set of the family, y's own margin alpha_y included, so a pair with a
+    higher floor sums to less than lam - tau; once the maximum over the
+    kept pairs reaches lam - tau it is the maximum over all of them, bit
+    for bit.  Otherwise every pair is ranked.
     """
-    bounds = [bound for _, _, bound in _margin_bounds(state, 0.0)]
-    flat_bound = np.concatenate(bounds)
-    n = state.inst.n
-    ys = np.tile(np.arange(n), len(bounds))
-    exps = np.repeat(np.arange(len(bounds)), n)
-    order = np.lexsort((exps, ys, -flat_bound))
+    kept = state.fire_floors() <= state.alpha.max()
+    best = _ranked_maximum(state, kept)
+    if best < state.lam - state.tau:
+        best = _ranked_maximum(state, np.ones_like(kept))
+    return best - state.lam
+
+
+def _ranked_maximum(state: DualState, rows: np.ndarray) -> float:
+    """Exact maximum of the value scan (no active member required, shift 0)
+    over the pairs in the (y, exp) mask ``rows``, or -inf when none is
+    admissible.  The margin bounds of those rows are refined in decreasing
+    order until the running maximum is certified."""
+    bounds = np.full(rows.shape, -np.inf)
+    for exp, _, bound in _margin_bounds(state, 0.0, rows):
+        bounds[:, exp][rows[:, exp]] = bound
+    ys, exps = np.nonzero(bounds > -np.inf)
+    flat_bound = bounds[ys, exps]
     best = -np.inf
-    for pos in order:
+    for pos in np.lexsort((exps, ys, -flat_bound)):
         if flat_bound[pos] <= best:
             break
         exact = _pair_scan(state, int(ys[pos]), int(exps[pos]), False, 0.0)
         if exact is not None and exact[0] > best:
             best = exact[0]
-    return best - state.lam
+    return best
 
 
 def _opening_times(state: DualState) -> np.ndarray:
@@ -518,28 +540,61 @@ def run_phase1(inst: Instance, lam: float) -> DualState:
     deactivating a new tight set would drop the active count strictly below
     n - n', the ascent stops and that set is the state's ``overflow``.
     ``lam`` must be finite and nonnegative; otherwise ``ValueError``.
+
+    At lam = 0 the state is built without the event loop when distance 0
+    is transitive (``_coincident_groups``).  Every event then comes at
+    increment 0, and with every dual 0 a margin -base**j * d is
+    nonnegative only at d = 0, so a candidate list holds only points
+    coincident with its y.  Joins win ties, so once a cluster opens, the
+    active points coincident with its center join, lowest first.  After
+    that no inactive point has an active point coincident with it, so the
+    first pair in scan order that fires is the singleton of the lowest
+    active point, at scale 0.  So each group of coincident points, in the
+    order of its lowest point, opens at that point, and the rest of the
+    group joins until n - n' points are active.  alpha stays 0 and no set
+    overflows.
     """
     if not 0.0 <= lam < np.inf:
         raise ValueError(f"opening cost lambda must be finite and nonnegative, got {lam!r}")
     state = DualState(inst, lam)
     target = inst.n - inst.n_prime
+    groups = _coincident_groups(inst) if lam == 0.0 else None
 
-    while (active := np.count_nonzero(state.active)) > target:
-        t, event = next_event(state)
-        if t > 0.0:
-            state.alpha[state.active] += t
-        if isinstance(event, JoinExisting):
-            state.clusters[event.cluster].members.add(event.point)
-            state.active[event.point] = False
-        elif active - np.count_nonzero(state.active[list(event.members)]) < target:
-            event.created = len(state.clusters)
-            state.overflow = event
-            break
-        else:
-            state.add_cluster(event)
+    if groups is not None:
+        for y in np.flatnonzero(groups == np.arange(inst.n)).tolist():
+            left = np.count_nonzero(state.active) - target
+            if left <= 0:
+                break
+            state.add_cluster(ScaledCluster(set(np.flatnonzero(groups == y)[:left].tolist()), 0, y))
+    else:
+        while (active := np.count_nonzero(state.active)) > target:
+            t, event = next_event(state)
+            if t > 0.0:
+                state.alpha[state.active] += t
+            if isinstance(event, JoinExisting):
+                state.clusters[event.cluster].members.add(event.point)
+                state.active[event.point] = False
+            elif active - np.count_nonzero(state.active[list(event.members)]) < target:
+                event.created = len(state.clusters)
+                state.overflow = event
+                break
+            else:
+                state.add_cluster(event)
 
     _check_phase1(state)
     return state
+
+
+def _coincident_groups(inst: Instance) -> np.ndarray | None:
+    """Per point, the lowest point at distance exactly 0 from it, when
+    distance 0 is transitive; else None.  It is not always: a metric matrix
+    passes its triangle inequality within a tolerance, and squared
+    distances of points can underflow to 0."""
+    zero = inst.distances() == 0.0
+    groups = zero.argmax(axis=1)  # the diagonal is 0
+    if not (zero == (groups[:, None] == groups[None, :])).all():
+        return None
+    return groups
 
 
 def _check_phase1(state: DualState) -> None:

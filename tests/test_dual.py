@@ -4,15 +4,18 @@ Candidate lists and tightness are observed through ``next_event``, the one
 entry into the ascent's event engine short of a full phase run.  The screen,
 and the tight sets ``next_event`` returns, are checked directly against the
 exact pair scan, on states recorded mid-ascent, and tightness and the worst
-slack against the exhaustive reference in ``instances``.  The value scan is
-checked bit for bit against the sorted prefix scan it replaced, and the
-bracketed event-time search against the plain bisection it replaced, both
-written out here.  The first event's fire-time bounds are checked against
-the exact scan on fresh states, and its event against the screen path
-every later event takes.
+slack against the exhaustive reference in ``instances``; the worst slack's
+ranking of the pairs its floors keep against every pair's exact scan, and
+the lam = 0 ascent, built without events, against the event loop.  The
+value scan is checked bit for bit against the sorted prefix scan it
+replaced, and the bracketed event-time search against the plain bisection
+it replaced, both written out here.  The first event's fire-time bounds
+are checked against the exact scan on fresh states, and its event against
+the screen path every later event takes.
 """
 
 import itertools
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -216,6 +219,59 @@ class TestNextEvent:
             next_event(state)
 
 
+def event_loop(inst, lam):
+    """Reference for the ascent at any lam: ``next_event`` driven by the
+    update rules of ``run_phase1``."""
+    state = DualState(inst, lam)
+    target = inst.n - inst.n_prime
+    while (active := np.count_nonzero(state.active)) > target:
+        t, event = next_event(state)
+        if t > 0.0:
+            state.alpha[state.active] += t
+        if isinstance(event, JoinExisting):
+            state.clusters[event.cluster].members.add(event.point)
+            state.active[event.point] = False
+        elif active - np.count_nonzero(state.active[list(event.members)]) < target:
+            event.created = len(state.clusters)
+            state.overflow = event
+            break
+        else:
+            state.add_cluster(event)
+    return state
+
+
+def zero_lambda_instance(rng, mode, base, family):
+    """(instance, whether distance 0 is transitive on it), n' drawn.  A
+    ``grid`` instance is full of coincident points.  ``near`` adds to grid
+    points a point at a distance in (0, tau] from one of them, tau the
+    tightness tolerance at lam 0.  ``copy``, a metric matrix, adds a copy of
+    a grid point's row instead, at such a distance from that point: if the
+    point has a coincident partner, the copy is at distance 0 from the
+    partner but not from the point."""
+    n = int(rng.integers(3, 21))
+    params = dict(mode=mode, k=1, n_prime=int(rng.integers(1, n + 1)),
+                  epsilon=EPS_OF_BASE[base])
+    if family == "grid":
+        return grid_instance(rng, mode, base, n, n_prime=params["n_prime"]), True
+    scale = rng.uniform(0.3, 2.0)
+    pts = scale * rng.integers(0, 3, (n - 1, 2))
+    pts[:2] = [[0.0, 0.0], [2.0 * scale, 2.0 * scale]]  # tau at least 1e-9 of the spread
+    at = int(rng.integers(n - 1))
+    if family == "near":
+        # squared distance h**2 of order 1e-10 scale**2, L1 distance 1e-10 scale
+        h = scale * (1e-5 if mode == "sqeuclid" else 1e-10)
+        pts = np.vstack([pts, pts[at] + [h, 0.0]])
+        if mode == "sqeuclid":
+            return Instance(points=pts, **params), True
+        return Instance(dist_matrix=np.abs(pts[:, None] - pts[None]).sum(axis=-1), **params), True
+    dmat = np.abs(pts[:, None] - pts[None]).sum(axis=-1)
+    dmat = np.vstack([dmat, dmat[at]])
+    dmat = np.hstack([dmat, dmat[:, [at]]])
+    dmat[at, -1] = dmat[-1, at] = 1e-10 * scale
+    partner = np.count_nonzero(dmat[at] == 0.0) > 1
+    return Instance(dist_matrix=dmat, **{**params, "mode": "metric"}), not partner
+
+
 class TestRunPhase1:
     def test_two_points_two_singletons(self):
         inst = line_instance(0.0, 1.0)
@@ -332,6 +388,34 @@ class TestRunPhase1:
         assert not out.alpha.any()
         assert np.flatnonzero(out.active).tolist() == active
 
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["sqeuclid", "metric"]),
+           st.sampled_from([2, 3]), st.sampled_from(["grid", "near", "copy"]))
+    @settings(max_examples=60, deadline=None)
+    def test_zero_lambda_state_is_the_event_loops(self, seed, mode, base, family):
+        # at lam 0 the state is built without the event loop where distance
+        # 0 is transitive, and equals the loop's: a point at a distance in
+        # (0, tau] is not coincident and opens a cluster of its own
+        rng = np.random.default_rng(seed)
+        inst, transitive = zero_lambda_instance(rng, mode, base, family)
+        tau = tightness_tolerance(inst, 0.0)
+        last = inst.distances()[-1]
+        assert family == "grid" or ((0.0 < last) & (last <= tau)).any()
+        assert (dual._coincident_groups(inst) is not None) == transitive
+        with recording_screens() as snapshots:
+            want = event_loop(inst, 0.0)
+        got = run_phase1(inst, 0.0)
+        # ScaledCluster compares members, scale_exp, center and created
+        assert got.clusters == want.clusters and got.overflow == want.overflow
+        for name in ("alpha", "active", "join_threshold", "join_cluster"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+        assert not got.alpha.any() and (got.overflow is None or not transitive)
+        # every increment is 0 and no point becomes active again, so every
+        # screen of the loop refilters: given the memory with nothing kept,
+        # it computes no row
+        for state, probe, _, memory in snapshots:
+            state.last_screen = replace(memory, kept=np.zeros_like(memory.kept))
+            assert not screen_rows(state, probe)[1].any()
+
     def test_feasibility_after_run(self):
         rng = np.random.default_rng(21)
         inst = Instance(
@@ -368,6 +452,42 @@ class TestWorstSlack:
             tau = tightness_tolerance(inst, lam)
             assert (fast > tau) == (worst > tau)
 
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["sqeuclid", "metric"]),
+           st.sampled_from([2, 3]), st.sampled_from(["mid", "final", "tied", "high"]))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_full_ranking_bit_for_bit(self, seed, mode, base, kind):
+        # ranking first only the pairs whose floor T is at most the largest
+        # dual gives the full ranking's value: the largest exact scan of any
+        # pair.  Where no pair reaches lam - tau every pair is ranked.
+        rng = np.random.default_rng(seed)
+        if kind in ("mid", "final"):
+            inst, lam = plane_instance(rng, mode, base, int(rng.integers(6, 16)))
+            states = ([run_phase1(inst, lam)] if kind == "final"
+                      else [state for state, *_ in mid_ascent_states(inst, lam)])
+            state = states[rng.integers(len(states))] if states else DualState(inst, lam)
+        else:  # the duals of test_oracle's tied-dual test; "high" raises lam past every sum
+            inst = grid_instance(rng, mode, base, int(rng.integers(1, 9)))
+            level = rng.uniform(0.5, 4.0)
+            alpha = np.where(rng.uniform(size=inst.n) < 0.5, level,
+                             rng.uniform(0.0, level, inst.n))
+            top = inst.n * level
+            lam = rng.uniform(0.0, top) if kind == "tied" else rng.uniform(1.01, 3.0) * top
+            state = DualState(inst, lam, alpha=alpha)
+        lines = [_pair_scan(state, y, exp, False, 0.0)
+                 for y, exp in itertools.product(range(inst.n), range(inst.top_exp + 1))]
+        best = max((line[0] for line in lines if line is not None), default=-np.inf)
+        with recording_masks() as masks:
+            got = worst_slack(state)
+        want = best - state.lam
+        every_row = np.ones((inst.n, inst.top_exp + 1), dtype=bool)
+        assert got.hex() == want.hex() == (dual._ranked_maximum(state, every_row)
+                                           - state.lam).hex()
+        # the first ranking takes the rows T keeps; the second, every row
+        assert np.array_equal(masks[0], state.fire_floors() <= state.alpha.max())
+        ranked_all = [mask.all() for mask in masks[1:]]
+        assert ranked_all == ([True] if best < state.lam - state.tau else [])
+        assert kind != "high" or ranked_all == [True]
+
 
 def plane_instance(rng, mode, base, n):
     """n uniform points in the plane at the epsilon of ``base``, with n' = n - 2,
@@ -383,24 +503,56 @@ def plane_instance(rng, mode, base, n):
     return inst, lam
 
 
-def mid_ascent_states(inst, lam):
-    """(state, probe, screened, memory) at every screen of ``run_phase1``: a
-    copy of the state, which remembers no event, the increment
-    ``next_event`` screens at, the mask the ascent's own screen returned,
-    and the last event's ``Screen`` it may refilter."""
+@contextmanager
+def recording_screens():
+    """Record (state, probe, screened, memory) at every ``_screen`` call made
+    inside the block: a copy of the state, which remembers no event, the
+    increment ``next_event`` screens at, the mask the screen returned, and
+    the last event's ``Screen`` it may refilter."""
     snapshots = []
+    screen = dual._screen
 
     def recording(state, shift):
         copy = replace(state, alpha=state.alpha.copy(), active=state.active.copy())
         memory = state.last_screen
-        screened = _screen(state, shift)
+        screened = screen(state, shift)
         snapshots.append((copy, shift, screened, memory))
         return screened
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(dual, "_screen", recording)
+        yield snapshots
+
+
+def mid_ascent_states(inst, lam):
+    """The screens of ``run_phase1(inst, lam)``, as ``recording_screens``
+    records them."""
+    with recording_screens() as snapshots:
         run_phase1(inst, lam)
     return snapshots
+
+
+@contextmanager
+def recording_masks():
+    """Record the (y, exp) mask of every ``_margin_bounds`` call made inside
+    the block: the rows it computes."""
+    masks = []
+    margin_bounds = dual._margin_bounds
+
+    def recording(state, shift, kept):
+        masks.append(kept)
+        return margin_bounds(state, shift, kept)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(dual, "_margin_bounds", recording)
+        yield masks
+
+
+def screen_rows(state, shift):
+    """(passed mask, rows computed) of one screen of the state."""
+    with recording_masks() as masks:
+        passed = _screen(state, shift)
+    return passed, masks[0]
 
 
 class TestScreen:
@@ -440,33 +592,25 @@ class TestScreen:
         # largest raised dual L, and refilters the pairs the last event kept
         # while no raised dual rose; the second event's are those the opening
         # bound kept.  A copy of the state remembers nothing, so its screen
-        # computes every row with T <= L.  At lam = 0 every increment is 0 and
-        # every screen refilters.
+        # computes every row with T <= L.  (At lam = 0 every screen refilters;
+        # TestRunPhase1 checks that on the event loop.)
         rng = np.random.default_rng([seed, base])
         inst, lam = plane_instance(rng, mode, base, int(rng.integers(20, 41)))
-        calls = record_calls(monkeypatch, "_margin_bounds")
-
-        def screen_rows(state, shift):
-            """(passed mask, rows computed) of one screen."""
-            calls.clear()
-            passed = _screen(state, shift)
-            return passed, calls[0][2]
-
-        for lam in (lam, 0.0):
-            calls.clear()
-            snapshots = mid_ascent_states(inst, lam)
-            rows = [call[2] for call in calls if len(call) == 3]  # worst_slack passes none
-            assert len(rows) == len(snapshots)
-            refiltered = []
-            for (state, probe, screened, memory), computed in zip(snapshots, rows):
-                floored = state.fire_floors() <= state.raised_alpha(probe).max()
-                assert floored.any() and not (computed & ~floored).any()
-                passed, copy_rows = screen_rows(state, probe)
-                assert np.array_equal(passed, screened) and np.array_equal(copy_rows, floored)
-                # given the memory with nothing kept, a refilter computes no row
-                state.last_screen = replace(memory, kept=np.zeros_like(memory.kept))
-                refiltered.append(not screen_rows(state, probe)[1].any())
-            assert refiltered[0] and all(refiltered) == (lam == 0.0)
+        calls = record_calls(monkeypatch, "_screen", "_margin_bounds")
+        snapshots = mid_ascent_states(inst, lam)
+        # the rows each screen of the ascent computed: its one _margin_bounds call
+        rows = [after[2] for before, after in zip(calls, calls[1:]) if before[0] == "_screen"]
+        assert len(rows) == len(snapshots)
+        refiltered = []
+        for (state, probe, screened, memory), computed in zip(snapshots, rows):
+            floored = state.fire_floors() <= state.raised_alpha(probe).max()
+            assert floored.any() and not (computed & ~floored).any()
+            passed, copy_rows = screen_rows(state, probe)
+            assert np.array_equal(passed, screened) and np.array_equal(copy_rows, floored)
+            # given the memory with nothing kept, a refilter computes no row
+            state.last_screen = replace(memory, kept=np.zeros_like(memory.kept))
+            refiltered.append(not screen_rows(state, probe)[1].any())
+        assert refiltered[0] and not all(refiltered)
 
 
 def sorted_prefix_scan(state, y, exp, require_active, shift):

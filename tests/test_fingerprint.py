@@ -101,3 +101,26 @@ def test_screen_rows_are_printed_between_pair_scans_and_probes(tmp_path):
         'probes A: {"pd_scale/0": 70}',
         'probes B: {"pd_scale/0": 70}',
     ]
+
+
+def test_slack_rows_are_printed_between_screen_rows_and_probes(tmp_path):
+    cases = {"pd_scale/0/gauss-k8": case(2.5, [[0, 1], [2]])}
+    paths = []
+    for name, rows in (("a", 63232), ("b", 5366)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"cases": cases, "pair_scans": {"pd_scale/0": 100},
+                                    "screen_rows": {"pd_scale/0": 900},
+                                    "slack_rows": {"pd_scale/0": rows},
+                                    "probes": {"pd_scale/0": 70}}))
+        paths.append(str(path))
+    run = subprocess.run([sys.executable, str(TOOL), "--compare", *paths],
+                         capture_output=True, text=True)
+    assert run.returncode == 0  # reported, not compared
+    assert run.stdout.splitlines()[3:] == [
+        'screen_rows A: {"pd_scale/0": 900}',
+        'screen_rows B: {"pd_scale/0": 900}',
+        'slack_rows A: {"pd_scale/0": 63232}',
+        'slack_rows B: {"pd_scale/0": 5366}',
+        'probes A: {"pd_scale/0": 70}',
+        'probes B: {"pd_scale/0": 70}',
+    ]

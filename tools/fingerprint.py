@@ -22,6 +22,8 @@ line, so two fingerprints can be compared with ``diff``:
 - ``screen_rows``: the (y, exp) rows ``dual._margin_bounds`` computes for
   ``dual._screen`` during the solves, counted the same way.  Reported, not
   compared.
+- ``slack_rows``: the rows it computes for ``dual.worst_slack`` (once per
+  ascent, in its check), counted the same way.  Reported, not compared.
 - ``tight_sets``: calls of ``dual._tight_set`` made by the solves, counted
   the same way.  Reported, not compared.
 - ``probes``: calls of ``search.probe`` (one pipeline run at one lambda)
@@ -33,8 +35,8 @@ It takes about 20 s on one core of a shared 2-core host.
 as identical or moved.  For every moved case it lists the fields that
 differ, the change in ``total_cost`` and a change of audit verdict
 (``audit PASS -> FAIL``), then prints both files' ``pair_scans``,
-``screen_rows`` and ``probes`` (each count only if a file has it).  It
-exits 1 when a case moved, or is in one file only.
+``screen_rows``, ``slack_rows`` and ``probes`` (each count only if a file
+has it).  It exits 1 when a case moved, or is in one file only.
 """
 
 from __future__ import annotations
@@ -65,35 +67,43 @@ def main(tree: Path) -> None:
     from minsumclust.oracle import audit, brute_force_opt
     from minsumclust.search import min_sum_clustering
 
-    def rows(state, shift, *mask):
-        """Rows one ``_margin_bounds`` call computes for a screen: none for
-        ``worst_slack``, which passes no mask, and every row for an older
-        tree's full screen, which passes None."""
-        if not mask:
-            return 0
-        if mask[0] is None:
-            return state.inst.n * (state.inst.top_exp + 1)
-        return int(mask[0].sum())
-
-    # the output key of each counted function and what one call adds;
-    # min_sum_clustering looks each one up as a module global, so patching
-    # the module counts its calls
-    counted = {(dual, "_pair_scan"): "pair_scans", (dual, "_margin_bounds"): "screen_rows",
-               (dual, "_tight_set"): "tight_sets", (search, "probe"): "probes"}
-    weight = {(dual, "_margin_bounds"): rows}
+    # the output key of each counted function; min_sum_clustering looks each
+    # one up as a module global, so patching the module counts its calls
+    counted = {(dual, "_pair_scan"): "pair_scans", (dual, "_screen"): "screen_rows",
+               (dual, "worst_slack"): "slack_rows", (dual, "_tight_set"): "tight_sets",
+               (search, "probe"): "probes"}
+    # functions counted by the (y, exp) rows their _margin_bounds calls compute
+    by_rows = {(dual, "_screen"), (dual, "worst_slack")}
     calls = dict.fromkeys(counted, 0)
+    computing = []  # the by_rows function running, if any
 
     def counting(name, func):
-        add = weight.get(name, lambda *args: 1)
-
         def wrapper(*args):
-            calls[name] += add(*args)
-            return func(*args)
+            if name not in by_rows:
+                calls[name] += 1
+                return func(*args)
+            computing.append(name)
+            try:
+                return func(*args)
+            finally:
+                computing.pop()
         return wrapper
 
     for name in counted:
         module, attr = name
         setattr(module, attr, counting(name, getattr(module, attr)))
+
+    margin_bounds = dual._margin_bounds
+
+    def counting_rows(state, shift, *mask):
+        """Every row for no mask or None, else the rows the mask holds."""
+        if computing:
+            full = not mask or mask[0] is None
+            calls[computing[-1]] += int(state.inst.n * (state.inst.top_exp + 1) if full
+                                        else mask[0].sum())
+        return margin_bounds(state, shift, *mask)
+
+    dual._margin_bounds = counting_rows
 
     def fingerprint(inst, force_primal_dual, seed=0, score=False):
         """(fingerprint of one solve and its audit, calls of each counted
@@ -182,7 +192,7 @@ def compare(path_a: Path, path_b: Path) -> int:
     print(f"identical {len(keys) - len(moved)} of {len(keys)}, moved {len(moved)}")
     for line in moved:
         print(f"moved {line}")
-    for key in ("pair_scans", "screen_rows", "probes"):
+    for key in ("pair_scans", "screen_rows", "slack_rows", "probes"):
         if key in a or key in b:
             for name, data in (("A", a), ("B", b)):
                 print(f"{key} {name}: {json.dumps(data.get(key))}")
