@@ -21,18 +21,21 @@ what happens there: a ``JoinExisting``, or the new tight set as a
 ``ScaledCluster``, which ``_tight_set`` builds once, for the winning pair at
 the returned increment, from the same floats the scan read.  Before any
 exact scan, each (y, j) pair has a floor T(y, j) on the largest raised dual
-at which it can fire, at any duals: one vectorized pass over the sorted
-distance rows, lowered for rounding, computes it once per ascent.  Every
-event keeps only pairs whose T is at most the largest raised dual at the
-probe, and scans a kept pair only while its T is at most the largest dual
-that the running best raises to.  In an ascent's opening state (every dual
-zero, every point active) that is the whole selection.  Later events also
-screen the rows T keeps, vectorized, and drop a pair whose margin bound
-falls short of lam - tau, whose C(y, j) holds fewer than base**j points, or
-whose y is inactive while C(y, j) holds no active point.  While no raised
-dual exceeds the last event's and no point has become active, the screen
-only refilters the pairs that event kept.  Floors and screens only rule
-pairs out; the exact, sorted scan decides every pair they keep.
+at which it can fire, at any duals: a few array operations per exponent,
+over sorted-row terms the instance caches and lowered for rounding,
+compute it once per ascent.  Every event keeps only pairs whose T is at
+most the largest raised dual at the probe, and scans a kept pair only while
+its T is at most the largest dual that the running best raises to.  In an
+ascent's opening state (every dual zero, every point active) that is the
+whole selection, and there T is the pair's fire time up to rounding, so it
+seeds the pair's search: the bisection's path to T is predicted, and one
+scan at its top usually confirms it.  Later events also screen the rows T
+keeps, vectorized, and drop a pair whose margin bound falls short of
+lam - tau, whose C(y, j) holds fewer than base**j points, or whose y is
+inactive while C(y, j) holds no active point.  While no raised dual exceeds
+the last event's and no point has become active, the screen only refilters
+the pairs that event kept.  Floors and screens only rule pairs out; the
+exact, sorted scan decides every pair they keep.
 
 At lam = 0 every event comes at increment 0 and every candidate list holds
 only coincident points, so ``run_phase1`` builds that ascent's state
@@ -374,8 +377,11 @@ def _opening_times(state: DualState) -> np.ndarray:
     while L < T = min over M of max(S_M, (thr + P_M) / M).  At thr <= 0
     every admissible set reaches thr, and T is S_M at M = base**exp exactly.
     The rows are the instance's sorted distances, scaled like
-    ``scaled_dists``, so S holds the same floats.  T depends on (inst, lam)
-    only; ``DualState.fire_floors`` keeps it for the whole ascent.
+    ``scaled_dists``, so S holds the same floats.  Every term but thr is
+    the instance's (``Instance.floor_terms``, computed once per instance),
+    so each lam costs a few array operations per exponent.  T depends on
+    (inst, lam) only; ``DualState.fire_floors`` keeps it for the whole
+    ascent.
 
     For thr > 0 the float thr / M + P_M / M is lowered by the factor
     1 - 2 m u, m = M + 2, u the unit roundoff, so that T stays at or below
@@ -389,25 +395,26 @@ def _opening_times(state: DualState) -> np.ndarray:
     thr / M + P_M / M adds two roundings, so L >= q / (1 + g(M + 2)) for the
     float quotient q.  The lowered float, with its own rounding, is at most
     q (1 - (M + 3) u), which is 1 / (1 + g(M + 3)) of q.
+
+    In the opening state T is the fire time up to that lowering: there the
+    best set of M points sums M L - P_M in reals once L >= S_M, so the pair
+    fires at the real min over M of max(S_M, (thr + P_M) / M), and at
+    thr <= 0 exactly at T.  ``_fire_time`` starts from it.
     """
-    inst = state.inst
-    rows = inst.sorted_distances()
     threshold = state.lam - state.tau
-    times = np.empty((inst.n, inst.top_exp + 1))
-    for exp in range(inst.top_exp + 1):
-        lo, hi = inst.base**exp, min(inst.base ** (exp + 1) - 1, inst.n)
-        scaled = float(inst.base**exp) * rows[:, :hi]  # the floats of scaled_dists
+    terms = state.inst.floor_terms()
+    times = np.empty((state.inst.n, len(terms)))
+    for exp, (sizes, dists, means, lowering) in enumerate(terms):
         if threshold <= 0.0:
-            times[:, exp] = scaled[:, lo - 1]
-            continue
-        sizes = np.arange(lo, hi + 1)
-        sums = np.cumsum(scaled, axis=1)[:, lo - 1 :]
-        need = (threshold / sizes + sums / sizes) * (1.0 - 2 * (sizes + 2) * UNIT_ROUNDOFF)
-        times[:, exp] = np.maximum(scaled[:, lo - 1 :], need).min(axis=1)
+            times[:, exp] = dists[:, 0]
+        else:
+            times[:, exp] = np.maximum(dists, (threshold / sizes + means) * lowering).min(axis=1)
     return times
 
 
-def _fire_time(state: DualState, y: int, exp: int, hi: float) -> float | None:
+def _fire_time(
+    state: DualState, y: int, exp: int, hi: float, floor: float = 0.0
+) -> float | None:
     """Smallest uniform increment in [0, hi] at which (y, exp) fires, on the
     bisection grid, or None when the pair does not fire by ``hi``.
 
@@ -416,12 +423,22 @@ def _fire_time(state: DualState, y: int, exp: int, hi: float) -> float | None:
     order statistics of them left to right, its extra terms nonnegative.  So
     every scan narrows a bracket, the largest increment seen not firing and
     the smallest seen firing, and the bisection takes each midpoint outside
-    it as answered.  The scan at ``hi`` comes first, so a pair that does not
-    fire by then costs one scan.  Otherwise Newton steps down the pair's
-    margin-sum line seed the bracket: the sum is convex and piecewise linear
-    in the increment, so the steps approach its root from above, and a step
-    that a scan shows not firing (the size floor or a rounding) bounds the
-    bracket from below instead.  The bisection's path, on the same grid as
+    it as answered.
+
+    ``floor`` is an increment below which the pair does not fire; the
+    caller passes the pair's T in an ascent's opening state, where T is the
+    fire time up to rounding (``_opening_times``).  When 0 < floor <= hi the
+    bisection's path is predicted as if the pair first fired at the floor.
+    Its bottom lies below the floor and does not fire, so one scan at its
+    top, when it fires, confirms the path and returns that grid point.
+
+    Without a floor, or when that scan does not fire, the scan at ``hi``
+    comes next, so a pair that does not fire by then costs one scan more.
+    If it fires, Newton steps down the pair's margin-sum line seed the
+    bracket: the sum is convex and piecewise linear in the increment, so the
+    steps approach its root from above, and a step that a scan shows not
+    firing (the size floor or a rounding) bounds the bracket from below
+    instead.  The bisection's path, on the same grid as
     ever, is then predicted as if the pair first fired where the steps
     ended; one scan at the path's end next to that shift usually confirms
     it.  Otherwise the bisection runs, scanning what the bracket leaves
@@ -457,6 +474,11 @@ def _fire_time(state: DualState, y: int, exp: int, hi: float) -> float | None:
                 lo = mid
         return lo, top
 
+    if 0.0 < floor <= hi:
+        # the path's bottom, below the floor, does not fire: no scan needed
+        top = bisect(lambda mid: mid >= floor)[1]
+        if scan(top) is not None:
+            return top
     shift, line = hi, scan(hi)
     if line is None:
         return None
@@ -503,11 +525,11 @@ def next_event(state: DualState) -> tuple[float, JoinExisting | ScaledCluster]:
     # the next tight time is at most max(0, lam - current).
     probe = min(join_t, max(0.0, state.lam - current))
     # Per pair a floor on the largest raised dual at which it can fire.  In
-    # the opening state that dual is the increment and the floors select
-    # alone; later events screen the rows they keep.
+    # the opening state that dual is the increment: the floors select alone
+    # and seed each pair's search.  Later events screen the rows they keep.
     floors = state.fire_floors()
-    kept = (floors <= probe if state.active.all() and not state.alpha.any()
-            else _screen(state, probe))
+    opening = state.active.all() and not state.alpha.any()
+    kept = floors <= probe if opening else _screen(state, probe)
     state.last_screen = Screen(state.raised_alpha(probe).copy(), state.active.copy(), kept)
     top = float(state.alpha.max())
     best_t: float | None = None
@@ -516,7 +538,8 @@ def next_event(state: DualState) -> tuple[float, JoinExisting | ScaledCluster]:
         # up to best_t no raised dual exceeds fl(top + best_t), fl monotone
         if best_t is not None and floor > level:
             continue
-        t = _fire_time(state, y, exp, probe if best_t is None else best_t)
+        t = _fire_time(state, y, exp, probe if best_t is None else best_t,
+                       floor if opening else 0.0)
         if t is not None and (best_t is None or t < best_t):
             best_t, winner = t, (y, exp)
             level = top + best_t

@@ -167,6 +167,30 @@ class Instance:
             rows = self._cache["sorted"] = np.sort(self.distances(), axis=1)
         return rows
 
+    def floor_terms(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+        """The terms of the dual ascent's fire floors that lambda does not
+        enter (``dual._opening_times``), per scale exponent j (cached).
+
+        Over the admissible sizes M, base**j <= M <= min(base**(j + 1) - 1,
+        n), an exponent holds M as floats, S_M (column M of the sorted rows,
+        scaled by base**j), P_M / M (P_M the left-to-right sum of S_1 ... S_M)
+        and the rounding factor 1 - 2 (M + 2) u, u = UNIT_ROUNDOFF.  The
+        sizes of all exponents together are 1 ... n, so each array family
+        holds n x n floats.
+        """
+        terms = self._cache.get("floor_terms")
+        if terms is None:
+            rows = self.sorted_distances()
+            terms = self._cache["floor_terms"] = []
+            for exp in range(self.top_exp + 1):
+                lo, hi = self.base**exp, min(self.base ** (exp + 1) - 1, self.n)
+                scale = float(self.base**exp)
+                sizes = np.arange(lo, hi + 1, dtype=float)
+                sums = np.cumsum(scale * rows[:, :hi], axis=1)[:, lo - 1 :]
+                terms.append((sizes, scale * rows[:, lo - 1 : hi], sums / sizes,
+                              1.0 - 2 * (sizes + 2) * UNIT_ROUNDOFF))
+        return terms
+
     def max_distance(self) -> float:
         d = self._cache.get("maxd")
         if d is None:

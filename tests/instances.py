@@ -1,13 +1,14 @@
 """Instance recipes shared by the test modules and ``tools/fingerprint.py``,
 and the tests' references: exhaustive ones for the dual constraints and for
-the optimum, the exact oracle's subset DP as a loop over every split, and
-the small-k local search one restart and one point at a time."""
+the optimum, the ascent's fire floors computed whole at each lambda, the
+exact oracle's subset DP as a loop over every split, and the small-k local
+search one restart and one point at a time."""
 
 import itertools
 
 import numpy as np
 
-from minsumclust.geometry import REL_TOL, Instance, scale_exponent
+from minsumclust.geometry import REL_TOL, UNIT_ROUNDOFF, Instance, scale_exponent
 from minsumclust.search import LOCAL_SEARCH_RESTARTS
 
 # An epsilon whose scale base is the key.
@@ -82,6 +83,28 @@ def exhaustive_worst_slack(inst, alpha, lam, active=None):
             cheapest = dmat[np.ix_(members, members)].sum(axis=0).min()
             worst = max(worst, alpha[members].sum() - lam - scale * cheapest)
     return float(worst)
+
+
+def opening_times_reference(state):
+    """``dual._opening_times`` with every term computed at the state's lam,
+    from the instance's sorted rows, as it was before the terms lam does not
+    enter were cached per instance; the cached floors must equal it bit for
+    bit."""
+    inst = state.inst
+    rows = inst.sorted_distances()
+    threshold = state.lam - state.tau
+    times = np.empty((inst.n, inst.top_exp + 1))
+    for exp in range(inst.top_exp + 1):
+        lo, hi = inst.base**exp, min(inst.base ** (exp + 1) - 1, inst.n)
+        scaled = float(inst.base**exp) * rows[:, :hi]  # the floats of scaled_dists
+        if threshold <= 0.0:
+            times[:, exp] = scaled[:, lo - 1]
+            continue
+        sizes = np.arange(lo, hi + 1)
+        sums = np.cumsum(scaled, axis=1)[:, lo - 1 :]
+        need = (threshold / sizes + sums / sizes) * (1.0 - 2 * (sizes + 2) * UNIT_ROUNDOFF)
+        times[:, exp] = np.maximum(scaled[:, lo - 1 :], need).min(axis=1)
+    return times
 
 
 def exhaustive_opt(inst):

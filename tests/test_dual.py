@@ -11,7 +11,9 @@ value scan is checked bit for bit against the sorted prefix scan it
 replaced, and the bracketed event-time search against the plain bisection
 it replaced, both written out here.  The first event's fire-time bounds
 are checked against the exact scan on fresh states, and its event against
-the screen path every later event takes.
+the screen path every later event takes; the floors, from terms cached per
+instance, against their computation at each lam (in ``instances``), and
+the event-time search seeded by a floor against the plain bisection.
 """
 
 import itertools
@@ -40,7 +42,8 @@ from minsumclust.geometry import (
 )
 
 from instances import (
-    EPS_OF_BASE, exhaustive_worst_slack, grid_instance, line_instance, untied_instance,
+    EPS_OF_BASE, exhaustive_worst_slack, grid_instance, line_instance, opening_times_reference,
+    untied_instance,
 )
 
 
@@ -810,6 +813,29 @@ class TestOpeningTimes:
             if at is not None:
                 assert at.fire_floors()[y, exp] <= at.raised_alpha(shift).max()
 
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["sqeuclid", "metric"]),
+           st.sampled_from([2, 3]), st.sampled_from(["grid", "untied"]), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_the_cached_terms_give_the_reference_floors(self, seed, mode, base, family,
+                                                        positive_first):
+        # bit for bit at thr <= 0 (lam 0) and thr > 0, in either order; the
+        # second lam reads only the terms the first one cached
+        rng = np.random.default_rng(seed)
+        inst = (grid_instance if family == "grid" else untied_instance)(
+            rng, mode, base, int(rng.integers(2, 21)))
+        positive = float(rng.uniform(0.1, 1.0)) * (inst.n * inst.max_distance() + 1.0)
+        first, second = (DualState(inst, lam) for lam in
+                         ((positive, 0.0) if positive_first else (0.0, positive)))
+        positives = [state.lam - state.tau > 0.0 for state in (first, second)]
+        assert positives == [positive_first, not positive_first]
+        assert dual._opening_times(first).tobytes() == opening_times_reference(first).tobytes()
+        cached, terms = dict(inst._cache), inst.floor_terms()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Instance, "sorted_distances", lambda _: pytest.fail("terms rebuilt"))
+            times = dual._opening_times(second)
+        assert inst.floor_terms() is terms and inst._cache == cached
+        assert times.tobytes() == opening_times_reference(second).tobytes()
+
     @pytest.mark.parametrize("family", ["grid", "untied", "plane"])
     @pytest.mark.parametrize("mode", ["sqeuclid", "metric"])
     @pytest.mark.parametrize("base", [2, 3])
@@ -919,16 +945,56 @@ class TestFireTime:
                                   for shift in shifts if shift >= 0.0)]
             assert fired == sorted(fired)
 
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["sqeuclid", "metric"]),
+           st.sampled_from([2, 3]))
+    @settings(max_examples=40, deadline=None)
+    def test_the_floor_seeded_time_is_the_plain_bisections(self, seed, mode, base):
+        # in an opening state no pair fires below its floor T, so the search
+        # seeded with it returns the plain bisection's float, at hi = lam,
+        # at a random running best and at some pair's own fire time
+        rng = np.random.default_rng(seed)
+        state = fresh_state(rng, mode, base)
+        floors = state.fire_floors()
+        pairs = list(itertools.product(range(state.inst.n), range(state.inst.top_exp + 1)))
+        times = [plain_fire_time(state, y, exp, state.lam) for y, exp in pairs]
+        fired = [t for t in times if t is not None]
+        his = [state.lam, float(rng.uniform(0.0, state.lam)),
+               *([fired[rng.integers(len(fired))]] if fired else [])]
+        for hi in his:
+            for (y, exp), at_lam in zip(pairs, times):
+                want = at_lam if hi == state.lam else plain_fire_time(state, y, exp, hi)
+                got = dual._fire_time(state, y, exp, hi, float(floors[y, exp]))
+                assert (got is None) == (want is None)
+                if want is not None:
+                    assert got.hex() == want.hex()
+
     def test_a_firing_pair_costs_three_scans(self, monkeypatch):
         # {0, 1} about 0 fires at 2t = 1 + 2 * 0.25: the scan at hi, one
         # Newton step to the root and one scan at the grid point below it;
-        # the plain bisection makes 42 scans
+        # the plain bisection makes 42 scans.  Point 2, frozen at 0, puts
+        # the state past an ascent's opening, where the search takes no
+        # floor; it is no candidate of the pair
         inst = line_instance(0.0, 0.5, 2.0)
-        want = plain_fire_time(state_for(inst, 1.0), 0, 1, 1.0)
+        state = state_for(inst, 1.0, active=[True, True, False])
+        want = plain_fire_time(state, 0, 1, 1.0)
         calls = record_calls(monkeypatch, "_pair_scan")
-        assert dual._fire_time(state_for(inst, 1.0), 0, 1, 1.0) == want
+        assert dual._fire_time(state, 0, 1, 1.0) == want
         assert want == pytest.approx(0.75)
         assert len(calls) == 3
+
+    def test_an_opening_pair_seeded_with_its_floor_costs_one_scan(self, monkeypatch):
+        # the same pair in the opening state: its floor T lies below the
+        # returned grid point by less than the bisection's resolution, so
+        # the path to T is the bisection's, and its top fires
+        inst = line_instance(0.0, 0.5, 2.0)
+        state = state_for(inst, 1.0)
+        want = plain_fire_time(state, 0, 1, 1.0)
+        floor = float(state.fire_floors()[0, 1])
+        calls = record_calls(monkeypatch, "_pair_scan")
+        assert dual._fire_time(state, 0, 1, 1.0, floor) == want
+        assert 0.0 < floor <= want
+        assert want == pytest.approx(0.75)
+        assert len(calls) == 1
 
 
 class TestTightSet:

@@ -124,3 +124,26 @@ def test_slack_rows_are_printed_between_screen_rows_and_probes(tmp_path):
         'probes A: {"pd_scale/0": 70}',
         'probes B: {"pd_scale/0": 70}',
     ]
+
+
+def test_opening_scans_are_printed_after_pair_scans(tmp_path):
+    cases = {"pd_scale/0/gauss-k8": case(2.5, [[0, 1], [2]])}
+    paths = []
+    for name, scans in (("a", 2186), ("b", 716)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"cases": cases, "pair_scans": {"pd_scale/0": 100},
+                                    "opening_scans": {"pd_scale/0": scans},
+                                    "screen_rows": {"pd_scale/0": 900},
+                                    "probes": {"pd_scale/0": 70}}))
+        paths.append(str(path))
+    run = subprocess.run([sys.executable, str(TOOL), "--compare", *paths],
+                         capture_output=True, text=True)
+    assert run.returncode == 0  # reported, not compared
+    assert run.stdout.splitlines()[1:7] == [
+        'pair_scans A: {"pd_scale/0": 100}',
+        'pair_scans B: {"pd_scale/0": 100}',
+        'opening_scans A: {"pd_scale/0": 2186}',
+        'opening_scans B: {"pd_scale/0": 716}',
+        'screen_rows A: {"pd_scale/0": 900}',
+        'screen_rows B: {"pd_scale/0": 900}',
+    ]

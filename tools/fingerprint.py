@@ -19,6 +19,9 @@ line, so two fingerprints can be compared with ``diff``:
   A solve that raises is recorded as its error.
 - ``pair_scans``: calls of ``dual._pair_scan`` made by the solves (not by
   the audits), per workload and seed.  Reported, not compared.
+- ``opening_scans``: those of the ``pair_scans`` made inside an ascent's
+  opening event, the ``dual.next_event`` call whose state has every dual
+  zero and every point active.  Reported, not compared.
 - ``screen_rows``: the (y, exp) rows ``dual._margin_bounds`` computes for
   ``dual._screen`` during the solves, counted the same way.  Reported, not
   compared.
@@ -35,8 +38,9 @@ It takes about 20 s on one core of a shared 2-core host.
 as identical or moved.  For every moved case it lists the fields that
 differ, the change in ``total_cost`` and a change of audit verdict
 (``audit PASS -> FAIL``), then prints both files' ``pair_scans``,
-``screen_rows``, ``slack_rows`` and ``probes`` (each count only if a file
-has it).  It exits 1 when a case moved, or is in one file only.
+``opening_scans``, ``screen_rows``, ``slack_rows`` and ``probes`` (each
+count only if a file has it).  It exits 1 when a case moved, or is in one
+file only.
 """
 
 from __future__ import annotations
@@ -69,9 +73,9 @@ def main(tree: Path) -> None:
 
     # the output key of each counted function; min_sum_clustering looks each
     # one up as a module global, so patching the module counts its calls
-    counted = {(dual, "_pair_scan"): "pair_scans", (dual, "_screen"): "screen_rows",
-               (dual, "worst_slack"): "slack_rows", (dual, "_tight_set"): "tight_sets",
-               (search, "probe"): "probes"}
+    counted = {(dual, "_pair_scan"): "pair_scans", (dual, "next_event"): "opening_scans",
+               (dual, "_screen"): "screen_rows", (dual, "worst_slack"): "slack_rows",
+               (dual, "_tight_set"): "tight_sets", (search, "probe"): "probes"}
     # functions counted by the (y, exp) rows their _margin_bounds calls compute
     by_rows = {(dual, "_screen"), (dual, "worst_slack")}
     calls = dict.fromkeys(counted, 0)
@@ -89,9 +93,23 @@ def main(tree: Path) -> None:
                 computing.pop()
         return wrapper
 
+    def counting_opening_scans(name, func):
+        """next_event, counted by the _pair_scan calls it makes on a state
+        that opens an ascent."""
+        def wrapper(state):
+            opens = state.active.all() and not state.alpha.any()
+            before = calls[dual, "_pair_scan"]
+            try:
+                return func(state)
+            finally:
+                if opens:
+                    calls[name] += calls[dual, "_pair_scan"] - before
+        return wrapper
+
     for name in counted:
         module, attr = name
-        setattr(module, attr, counting(name, getattr(module, attr)))
+        wrap = counting_opening_scans if name == (dual, "next_event") else counting
+        setattr(module, attr, wrap(name, getattr(module, attr)))
 
     margin_bounds = dual._margin_bounds
 
@@ -192,7 +210,7 @@ def compare(path_a: Path, path_b: Path) -> int:
     print(f"identical {len(keys) - len(moved)} of {len(keys)}, moved {len(moved)}")
     for line in moved:
         print(f"moved {line}")
-    for key in ("pair_scans", "screen_rows", "slack_rows", "probes"):
+    for key in ("pair_scans", "opening_scans", "screen_rows", "slack_rows", "probes"):
         if key in a or key in b:
             for name, data in (("A", a), ("B", b)):
                 print(f"{key} {name}: {json.dumps(data.get(key))}")
