@@ -5,11 +5,14 @@ when a shared point strictly overpays both scaled connection costs, i.e. it
 contributed to both opening payments.  Scanning clusters from the largest
 scale down, a cluster either becomes an anchor (no conflict with an earlier
 anchor) or donates its unassigned members to the earliest anchor that
-blocks it.  A donated point must hold at least as much dual value as some
-conflict witness: a point that joined a cluster paid its connection cost
-exactly and can never witness a conflict, so every witness froze no later
-than the cluster's own tight time, and the donation keeps the per-point
-connection guarantee intact while covering every clustered point.  The
+blocks it.  Only an anchor that shares a point with the cluster can block
+it, so each cluster is tested against those anchors alone, found through an
+index of the anchors holding each point.  A donated point must hold at
+least as much dual value as some conflict witness: a point that joined a
+cluster paid its connection cost exactly and can never witness a conflict,
+so every witness froze no later than the cluster's own tight time, and the
+donation keeps the per-point connection guarantee intact while covering
+every clustered point.  The
 result assigns exactly n' points to anchors.  ``check_assignments`` checks
 these guarantees; the search runs it on every probe, and its first failure
 raises ``RuntimeError``.
@@ -70,9 +73,12 @@ def run_phase2(
     order).  An accepted anchor claims all its points, pulling them out of
     previously emitted parts; a rejected cluster donates its unassigned
     members whose dual value reaches the conflict's cheapest witness to the
-    earliest blocking anchor.  Finally, unassigned points from the overflow
-    cluster (lowest indices first) top the total up to exactly n'; when too
-    few remain, ``RuntimeError`` names the shortfall.  The parts' guarantees
+    earliest blocking anchor.  A witness is a shared point, so the anchors
+    sharing no point with the cluster are skipped: the rest are tested in
+    anchor order, and the first blocker is the one a test of every earlier
+    anchor finds.  Finally, unassigned points from the overflow cluster
+    (lowest indices first) top the total up to exactly n'; when too few
+    remain, ``RuntimeError`` names the shortfall.  The parts' guarantees
     are checked by ``check_assignments``, not here.
     """
     dmat = inst.distances()
@@ -80,6 +86,7 @@ def run_phase2(
     order = sorted(range(len(clusters)), key=lambda i: (-clusters[i].scale_exp, i))
 
     anchors: list[ScaledCluster] = []
+    holding: dict[int, list[int]] = {}  # point -> positions of the anchors holding it
     parts: list[MetaAssignment] = []
     assigned: set[int] = set()
 
@@ -87,12 +94,16 @@ def run_phase2(
         cluster = clusters[i]
         blocker = None
         witnesses: list[int] = []
-        for anchor in anchors:
-            witnesses = conflict_witnesses(cluster, anchor, alpha, dmat, inst.base, tau)
+        # an anchor that shares no point has no witness
+        sharing = {pos for x in cluster.members for pos in holding.get(x, ())}
+        for pos in sorted(sharing):
+            witnesses = conflict_witnesses(cluster, anchors[pos], alpha, dmat, inst.base, tau)
             if witnesses:
-                blocker = anchor
+                blocker = anchors[pos]
                 break
         if blocker is None:
+            for x in cluster.members:
+                holding.setdefault(x, []).append(len(anchors))
             for ma in parts:
                 ma.part -= cluster.members
             parts = [ma for ma in parts if ma.part]

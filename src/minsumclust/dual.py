@@ -10,7 +10,9 @@ grid therefore detects tightness exactly.
 The ascent itself is event driven: all active duals rise at unit rate until
 either an active point can afford to join an existing candidate cluster
 (computed exactly from the join arrays ``DualState`` keeps) or some
-constraint goes tight (located by bisection on the uniform increment).  The
+constraint goes tight (located by bisection on the uniform increment).
+``run_phase1`` takes every join that is ready at increment 0 at once, lowest
+point first, in the order ``next_event`` returns them one per call.  The
 value scan ``_pair_scan`` reads a pair's sorted margin values and returns
 its best margin sum and that sum's slope in the increment.  Whether a pair
 fires is nondecreasing in the increment, bit for bit, so the bisection
@@ -24,8 +26,9 @@ exact scan, each (y, j) pair has a floor T(y, j) on the largest raised dual
 at which it can fire, at any duals: a few array operations per exponent,
 over sorted-row terms the instance caches and lowered for rounding,
 compute it once per ascent.  Every event keeps only pairs whose T is at
-most the largest raised dual at the probe, and scans a kept pair only while
-its T is at most the largest dual that the running best raises to.  In an
+most the largest raised dual at the probe, and times a kept pair only while
+its T is at most the largest dual that the running best raises to: one
+array search per new running best finds the pairs left to time.  In an
 ascent's opening state (every dual zero, every point active) that is the
 whole selection, and there T is the pair's fire time up to rounding, so it
 seeds the pair's search: the bisection's path to T is predicted, and one
@@ -255,13 +258,15 @@ def _margin_bounds(
     ``in_list[y, x]`` says x is in C(y, exp), that is its margin is
     nonnegative.  The bound sums the largest m = min(cap, n) nonnegative
     margins in the row, cap the largest admissible size (ignoring the forcing
-    rules), and widens that float by 1 + 2 m u, u the unit roundoff, so it
-    dominates the exact scan's float at this shift.  The rounding argument:
+    rules), taken from the row sorted ascending and summed in whatever order
+    numpy sums, and widens that float by 1 + 2 m u, u the unit roundoff, so
+    it dominates the exact scan's float at this shift.  The rounding argument:
     in the program's domain alpha >= 0, y's own margin is alpha_y, so every
     term ``_pair_scan`` adds is a nonnegative margin of the row, and its at
     most m terms sum to no more than the bound's m largest, in reals.  Any
-    order of summing m nonnegative floats is within a factor 1 +- g of the
-    real sum, g = (m - 1) u / (1 - (m - 1) u), so the exact scan's float is
+    order of summing m nonnegative floats, the scan's and the bound's alike,
+    is within a factor 1 +- g of the real sum, g = (m - 1) u /
+    (1 - (m - 1) u), so the exact scan's float is
     at most (1 + g) / (1 - g) = 1 / (1 - 2 (m - 1) u) times the bound's
     unwidened float; the widening, with its own rounding, exceeds that while
     4 m**2 u < 1.  A row with fewer than base**exp candidates admits no set
@@ -273,19 +278,19 @@ def _margin_bounds(
     alpha = state.raised_alpha(shift)
     n = alpha.size
     exps = (range(state.inst.top_exp + 1) if kept is None
-            else np.flatnonzero(kept.any(axis=0)).tolist())
+            else [exp for exp, some in enumerate(kept.any(axis=0).tolist()) if some])
     for exp in exps:
         scaled = state.scaled_dists(exp)
         margins = alpha[None, :] - (scaled if kept is None else scaled[kept[:, exp]])
         in_list = margins >= 0.0
-        pos = np.clip(margins, 0.0, None)
+        pos = np.maximum(margins, 0.0, out=margins)
         cap = state.inst.base ** (exp + 1) - 1
         if cap >= n:
             bound = pos.sum(axis=1)
         else:
-            bound = np.partition(pos, n - cap, axis=1)[:, n - cap :].sum(axis=1)
+            bound = np.sort(pos, axis=1)[:, n - cap :].sum(axis=1)
         bound *= 1.0 + 2 * min(cap, n) * UNIT_ROUNDOFF
-        bound[np.count_nonzero(in_list, axis=1) < state.inst.base**exp] = -np.inf
+        bound[in_list.sum(axis=1) < state.inst.base**exp] = -np.inf
         yield exp, in_list, bound
 
 
@@ -317,7 +322,7 @@ def _screen(state: DualState, shift: float) -> np.ndarray:
     passed = np.zeros_like(rows)
     for exp, in_list, bound in _margin_bounds(state, shift, rows):
         ys = rows[:, exp]
-        reaches_active = in_list[:, state.active].any(axis=1)
+        reaches_active = in_list @ state.active  # a bool matmul: any over the row
         # written through the column's view: a mixed (mask, int) index costs more
         passed[:, exp][ys] = (bound >= threshold) & (state.active[ys] | reaches_active)
     return passed
@@ -428,7 +433,8 @@ def _fire_time(
     ``floor`` is an increment below which the pair does not fire; the
     caller passes the pair's T in an ascent's opening state, where T is the
     fire time up to rounding (``_opening_times``).  When 0 < floor <= hi the
-    bisection's path is predicted as if the pair first fired at the floor.
+    bisection's path is predicted as if the pair first fired at the floor
+    (``_bisection_path``, one plain loop over the midpoints, no scan).
     Its bottom lies below the floor and does not fire, so one scan at its
     top, when it fires, confirms the path and returns that grid point.
 
@@ -439,10 +445,10 @@ def _fire_time(
     steps approach its root from above, and a step that a scan shows not
     firing (the size floor or a rounding) bounds the bracket from below
     instead.  The bisection's path, on the same grid as
-    ever, is then predicted as if the pair first fired where the steps
-    ended; one scan at the path's end next to that shift usually confirms
-    it.  Otherwise the bisection runs, scanning what the bracket leaves
-    open.  The caller builds the tight set of the pair that wins, at the
+    ever, is then predicted the same way, as if the pair first fired where
+    the steps ended; one scan at the path's end next to that shift usually
+    confirms it.  Otherwise the bisection runs, scanning what the bracket
+    leaves open.  The caller builds the tight set of the pair that wins, at the
     returned increment.
     """
     threshold = state.lam - state.tau
@@ -464,19 +470,9 @@ def _fire_time(
             return False
         return shift >= yes or scan(shift) is not None
 
-    def bisect(answer) -> tuple[float, float]:
-        lo, top = 0.0, hi
-        while top - lo > tol:
-            mid = (lo + top) / 2.0
-            if answer(mid):
-                top = mid
-            else:
-                lo = mid
-        return lo, top
-
     if 0.0 < floor <= hi:
         # the path's bottom, below the floor, does not fire: no scan needed
-        top = bisect(lambda mid: mid >= floor)[1]
+        top = _bisection_path(hi, tol, floor)[1]
         if scan(top) is not None:
             return top
     shift, line = hi, scan(hi)
@@ -492,14 +488,37 @@ def _fire_time(
         shift, line = step, scan(step)
         if line is None:
             break
-    # the bisection's path if the pair first fired where the steps ended; it
-    # is the true path when the pair fires at its top and not at its bottom
-    lo, top = bisect((lambda mid: mid > no) if line is None else (lambda mid: mid >= yes))
+    # the bisection's path if the pair first fired where the steps ended (at
+    # yes, or at the float above no); it is the true path when the pair fires
+    # at its top and not at its bottom
+    first = yes if line is not None else float(np.nextafter(no, np.inf))
+    lo, top = _bisection_path(hi, tol, first)
     if not fires(lo) and fires(top):
         return top
     if hi > 0.0 and fires(0.0):
         return 0.0
-    return bisect(fires)[1]
+    lo, top = 0.0, hi
+    while top - lo > tol:
+        mid = (lo + top) / 2.0
+        if fires(mid):
+            top = mid
+        else:
+            lo = mid
+    return top
+
+
+def _bisection_path(hi: float, tol: float, first: float) -> tuple[float, float]:
+    """The bracket (lo, top) that ``_fire_time``'s bisection on [0, hi] ends
+    with when the pair fires exactly at the increments from ``first`` up:
+    the same midpoints, each answered without a scan."""
+    lo, top = 0.0, hi
+    while top - lo > tol:
+        mid = (lo + top) / 2.0
+        if mid >= first:
+            top = mid
+        else:
+            lo = mid
+    return lo, top
 
 
 def next_event(state: DualState) -> tuple[float, JoinExisting | ScaledCluster]:
@@ -512,14 +531,16 @@ def next_event(state: DualState) -> tuple[float, JoinExisting | ScaledCluster]:
     """
     if not state.active.any():
         raise RuntimeError("no active points")
+    ready = _ready_joins(state)
+    if ready.size:
+        x = int(ready[0])
+        return 0.0, JoinExisting(x, int(state.join_cluster[x]))
     current = float(state.alpha[state.active].max())
-    eligible = state.active & (state.join_cluster >= 0)
-    gaps = np.where(eligible, np.maximum(state.join_threshold - state.alpha, 0.0), np.inf)
+    # every gap is positive now; a point without a cluster has threshold inf
+    gaps = np.where(state.active, state.join_threshold - state.alpha, np.inf)
     x = int(np.argmin(gaps))
     join_t = float(gaps[x])
     join = JoinExisting(x, int(state.join_cluster[x])) if join_t < np.inf else None
-    if join_t <= 0.0:
-        return 0.0, join
 
     # Some active singleton constraint fires once its dual reaches lam, so
     # the next tight time is at most max(0, lam - current).
@@ -534,24 +555,37 @@ def next_event(state: DualState) -> tuple[float, JoinExisting | ScaledCluster]:
     top = float(state.alpha.max())
     best_t: float | None = None
     ys, exps = np.nonzero(kept)  # ascending y, then exp
-    for y, exp, floor in zip(ys.tolist(), exps.tolist(), floors[kept].tolist()):
-        # up to best_t no raised dual exceeds fl(top + best_t), fl monotone
-        if best_t is not None and floor > level:
-            continue
-        t = _fire_time(state, y, exp, probe if best_t is None else best_t,
-                       floor if opening else 0.0)
-        if t is not None and (best_t is None or t < best_t):
-            best_t, winner = t, (y, exp)
-            level = top + best_t
-            if best_t == 0.0:
-                break  # increments are nonnegative and ties keep the earlier pair
+    kept_floors = floors[kept]
+    todo = range(ys.size)  # before the first record, every kept pair
+    while todo:
+        for i in todo:
+            t = _fire_time(state, int(ys[i]), int(exps[i]), probe if best_t is None else best_t,
+                           float(kept_floors[i]) if opening else 0.0)
+            if t is not None and (best_t is None or t < best_t):
+                best_t, winner = t, i
+                break
+        else:
+            break  # no record among them
+        if best_t == 0.0:
+            break  # increments are nonnegative and ties keep the earlier pair
+        # up to best_t no raised dual exceeds fl(top + best_t), fl monotone, so
+        # only the later pairs whose floor is at most that level can do better
+        todo = (np.flatnonzero(kept_floors[i + 1 :] <= top + best_t) + (i + 1)).tolist()
 
     if best_t is None and probe < join_t:
         raise RuntimeError("ascent found no event below its guaranteed cap")
     if join is not None and (best_t is None or join_t <= best_t):
         return join_t, join
-    y, exp = winner
+    y, exp = int(ys[winner]), int(exps[winner])
     return best_t, ScaledCluster(set(_tight_set(state, y, exp, best_t)), exp, y)
+
+
+def _ready_joins(state: DualState) -> np.ndarray:
+    """The active points that join a cluster at increment 0, ascending: those
+    whose join threshold is at most their dual.  ``next_event`` returns the
+    first of them, and ``run_phase1`` takes them together.  A join gap
+    fl(threshold - alpha) is at most 0 exactly when threshold <= alpha."""
+    return np.flatnonzero(state.active & (state.join_threshold <= state.alpha))
 
 
 def run_phase1(inst: Instance, lam: float) -> DualState:
@@ -563,6 +597,12 @@ def run_phase1(inst: Instance, lam: float) -> DualState:
     deactivating a new tight set would drop the active count strictly below
     n - n', the ascent stops and that set is the state's ``overflow``.
     ``lam`` must be finite and nonnegative; otherwise ``ValueError``.
+
+    The joins ready at increment 0 (``_ready_joins``) are taken together,
+    lowest point first and cut at the n - n' budget, without a
+    ``next_event`` call: that call would return the lowest of them, and a
+    join moves no dual and no join threshold, so the next call would return
+    the next of them, until none is left.
 
     At lam = 0 the state is built without the event loop when distance 0
     is transitive (``_coincident_groups``).  Every event then comes at
@@ -591,6 +631,13 @@ def run_phase1(inst: Instance, lam: float) -> DualState:
             state.add_cluster(ScaledCluster(set(np.flatnonzero(groups == y)[:left].tolist()), 0, y))
     else:
         while (active := np.count_nonzero(state.active)) > target:
+            ready = _ready_joins(state)[: active - target]
+            if ready.size:
+                # the joins next_event would return one per call, in this order
+                for x in ready.tolist():
+                    state.clusters[state.join_cluster[x]].members.add(x)
+                state.active[ready] = False
+                continue
             t, event = next_event(state)
             if t > 0.0:
                 state.alpha[state.active] += t

@@ -1,14 +1,18 @@
 """Instance recipes shared by the test modules and ``tools/fingerprint.py``,
 and the tests' references: exhaustive ones for the dual constraints and for
-the optimum, the ascent's fire floors computed whole at each lambda, the
-exact oracle's subset DP as a loop over every split, and the small-k local
-search one restart and one point at a time."""
+the optimum, the ascent's fire floors computed whole at each lambda,
+conflict resolution testing every earlier anchor, the exact oracle's subset
+DP as a loop over every split, and the small-k local search one restart and
+one point at a time."""
 
 import itertools
 
 import numpy as np
 
-from minsumclust.geometry import REL_TOL, UNIT_ROUNDOFF, Instance, scale_exponent
+from minsumclust.conflicts import MetaAssignment, conflict_witnesses
+from minsumclust.geometry import (
+    REL_TOL, UNIT_ROUNDOFF, Instance, resolution_tolerance, scale_exponent,
+)
 from minsumclust.search import LOCAL_SEARCH_RESTARTS
 
 # An epsilon whose scale base is the key.
@@ -105,6 +109,49 @@ def opening_times_reference(state):
         need = (threshold / sizes + sums / sizes) * (1.0 - 2 * (sizes + 2) * UNIT_ROUNDOFF)
         times[:, exp] = np.maximum(scaled[:, lo - 1 :], need).min(axis=1)
     return times
+
+
+def phase2_reference(inst, alpha, clusters, overflow):
+    """``conflicts.run_phase2`` as it was before it kept an index of the
+    anchors holding each point: every cluster is tested against every
+    earlier anchor, in order, and the first with a witness blocks it.  The
+    indexed version must return the same assignments, anchors included."""
+    dmat = inst.distances()
+    tau = resolution_tolerance(inst, alpha)
+    order = sorted(range(len(clusters)), key=lambda i: (-clusters[i].scale_exp, i))
+    anchors, parts, assigned = [], [], set()
+    for i in order:
+        cluster = clusters[i]
+        blocker, witnesses = None, []
+        for anchor in anchors:
+            witnesses = conflict_witnesses(cluster, anchor, alpha, dmat, inst.base, tau)
+            if witnesses:
+                blocker = anchor
+                break
+        if blocker is None:
+            for ma in parts:
+                ma.part -= cluster.members
+            parts = [ma for ma in parts if ma.part]
+            parts.append(MetaAssignment(cluster, set(cluster.members), cluster.scale_exp))
+            anchors.append(cluster)
+            assigned |= cluster.members
+        else:
+            floor = float(alpha[witnesses].min())
+            part = {x for x in cluster.members - assigned if alpha[x] >= floor - tau}
+            if part:
+                parts.append(MetaAssignment(blocker, part, cluster.scale_exp))
+                assigned |= part
+    missing = inst.n_prime - len(assigned)
+    if missing > 0:
+        if overflow is None:
+            raise RuntimeError(
+                f"{missing} points short of n' and no overflow cluster to draw from")
+        pool = sorted(overflow.members - assigned)
+        if len(pool) < missing:
+            raise RuntimeError(f"{missing} points short of n' but only {len(pool)} available")
+        parts.append(MetaAssignment(overflow, set(pool[:missing]), overflow.scale_exp,
+                                    anchor_is_overflow=True))
+    return parts
 
 
 def exhaustive_opt(inst):

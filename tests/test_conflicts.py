@@ -1,8 +1,12 @@
-"""Conflict graph, anchor selection, and part assignment."""
+"""Conflict graph, anchor selection, and part assignment; the resolution,
+which tests only the anchors sharing a point, against the reference that
+tests every earlier anchor (in ``instances``)."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from minsumclust import conflicts
 from minsumclust.conflicts import (
     MetaAssignment,
     check_assignments,
@@ -12,7 +16,10 @@ from minsumclust.conflicts import (
 from minsumclust.dual import run_phase1
 from minsumclust.geometry import Instance, ScaledCluster, resolution_tolerance
 
-from instances import EPS_OF_BASE, line_instance
+from instances import (
+    EPS_OF_BASE, grid_instance, line_instance, phase2_reference, simplex_recipe,
+    untied_instance,
+)
 
 
 class TestConflictEdge:
@@ -135,6 +142,83 @@ class TestRunPhase2:
         for i, a in enumerate(anchors):
             for b in anchors[i + 1 :]:
                 assert not conflict_witnesses(a, b, p1.alpha, inst.distances(), base, tau)
+
+
+def resolved(resolve, inst, alpha, clusters, overflow):
+    """The assignments as (anchor id, part, part scale, overflow flag) rows,
+    or the ``RuntimeError`` message on a shortfall."""
+    try:
+        out = resolve(inst, alpha, clusters, overflow)
+    except RuntimeError as exc:
+        return str(exc)
+    return [(id(ma.anchor), ma.part, ma.part_scale, ma.anchor_is_overflow) for ma in out]
+
+
+def random_clusters(rng, n):
+    """Overlapping clusters of random members, centers and scales, and an
+    overflow cluster or none."""
+    def cluster():
+        size = int(rng.integers(1, max(n // 2, 1) + 1))
+        members = set(rng.choice(n, size, replace=False).tolist())
+        return ScaledCluster(members, int(rng.integers(0, 4)), int(rng.choice(sorted(members))))
+
+    clusters = [cluster() for _ in range(int(rng.integers(1, 13)))]
+    return clusters, cluster() if rng.uniform() < 0.5 else None
+
+
+class TestSharingAnchors:
+    # Only an anchor that shares a point with the cluster can hold a witness,
+    # so testing those alone, in anchor order, finds the same first blocker.
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["sqeuclid", "metric"]),
+           st.sampled_from([2, 3]), st.sampled_from(["grid", "untied", "simplex", "random"]))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_all_anchors_scan(self, seed, mode, base, family):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 25))
+        n_prime = int(rng.integers(1, n + 1))
+        if family == "simplex":  # its own mode and base
+            inst = simplex_recipe(int(rng.integers(200)))
+        else:
+            make = grid_instance if family == "grid" else untied_instance
+            inst = make(rng, mode, base, n, n_prime=n_prime)
+        if family == "random":  # hand-made overlaps, duals around the distances
+            alpha = rng.uniform(0.0, 2.0, inst.n) * rng.choice([0.5, 3.0, 20.0])
+            runs = [(alpha, *random_clusters(rng, inst.n)) for _ in range(4)]
+        else:  # the candidate clusters of probes at lam from 0 to the top of the search
+            lam_top = float(inst.distances().sum())
+            lams = [0.0, *(lam_top * 0.5 ** rng.uniform(0.0, 20.0, 3))]
+            runs = [(state.alpha, state.clusters, state.overflow)
+                    for state in (run_phase1(inst, float(lam)) for lam in lams)]
+        for alpha, clusters, overflow in runs:
+            want = resolved(phase2_reference, inst, alpha, clusters, overflow)
+            assert resolved(run_phase2, inst, alpha, clusters, overflow) == want
+
+    def test_a_shared_point_that_does_not_witness_does_not_block(self, monkeypatch):
+        # anchors a = {0, 1} and b = {3, 4}; c shares point 1 with a, who pays
+        # no more than its scaled distances, and point 4 with b, a witness, so
+        # b blocks c and takes point 5; d shares a witness with both, and the
+        # earlier, a, blocks it and takes point 2
+        inst = line_instance(0.0, 0.5, 1.0, 5.0, 5.5, 6.0, n_prime=6)
+        a, b = ScaledCluster({0, 1}, 1, 0), ScaledCluster({3, 4}, 1, 3)
+        c, d = ScaledCluster({1, 4, 5}, 0, 5), ScaledCluster({0, 2, 3}, 0, 2)
+        alpha = np.array([50.0, 0.0, 60.0, 50.0, 30.0, 40.0])
+        clusters = [a, b, c, d]
+        assert resolved(run_phase2, inst, alpha, clusters, None) == resolved(
+            phase2_reference, inst, alpha, clusters, None)
+        calls = []
+
+        def counting(*args):
+            calls.append((args[0], args[1]))
+            return conflict_witnesses(*args)
+
+        monkeypatch.setattr(conflicts, "conflict_witnesses", counting)
+        out = run_phase2(inst, alpha, clusters, None)
+        assert [(id(ma.anchor), sorted(ma.part)) for ma in out] == [
+            (id(a), [0, 1]), (id(b), [3, 4]), (id(b), [5]), (id(a), [2])]
+        # c is tested against a, which shares point 1, then b; d against a only
+        assert [(id(x), id(y)) for x, y in calls] == [
+            (id(c), id(a)), (id(c), id(b)), (id(d), id(a))]
 
 
 class TestCheckAssignments:

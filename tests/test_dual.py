@@ -6,7 +6,9 @@ and the tight sets ``next_event`` returns, are checked directly against the
 exact pair scan, on states recorded mid-ascent, and tightness and the worst
 slack against the exhaustive reference in ``instances``; the worst slack's
 ranking of the pairs its floors keep against every pair's exact scan, and
-the lam = 0 ascent, built without events, against the event loop.  The
+the lam = 0 ascent, built without events, and the joins ready at increment
+0, taken together, against the event loop.  The screen is also checked at
+n = 256-512, above every fingerprint case.  The
 value scan is checked bit for bit against the sorted prefix scan it
 replaced, and the bracketed event-time search against the plain bisection
 it replaced, both written out here.  The first event's fire-time bounds
@@ -22,7 +24,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, assume, given, settings, strategies as st
 
 from minsumclust import dual
 from minsumclust.dual import (
@@ -222,12 +224,16 @@ class TestNextEvent:
             next_event(state)
 
 
-def event_loop(inst, lam):
+def event_loop(inst, lam, until=None):
     """Reference for the ascent at any lam: ``next_event`` driven by the
-    update rules of ``run_phase1``."""
+    update rules of ``run_phase1``, one call per event, joins at increment 0
+    included; with ``until``, stopped before the first event at which it
+    returns true."""
     state = DualState(inst, lam)
     target = inst.n - inst.n_prime
     while (active := np.count_nonzero(state.active)) > target:
+        if until is not None and until():
+            break
         t, event = next_event(state)
         if t > 0.0:
             state.alpha[state.active] += t
@@ -418,6 +424,43 @@ class TestRunPhase1:
         for state, probe, _, memory in snapshots:
             state.last_screen = replace(memory, kept=np.zeros_like(memory.kept))
             assert not screen_rows(state, probe)[1].any()
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["sqeuclid", "metric"]),
+           st.sampled_from([2, 3]), st.sampled_from(["grid", "untied"]))
+    @settings(max_examples=60, deadline=None)
+    def test_joins_ready_at_once_are_the_event_loops(self, seed, mode, base, family):
+        # run_phase1 takes the joins ready at increment 0 together, lowest
+        # point first and cut at the n - n' budget, where the loop takes one
+        # per next_event call; grid instances tie many of them
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 25))
+        make = grid_instance if family == "grid" else untied_instance
+        inst = make(rng, mode, base, n)
+        # a lam of the search's range, (0, the sum of all distances]
+        lam = float(inst.distances().sum()) * 0.5 ** rng.uniform(0.0, 12.0)
+        # n - n' at random, or strictly inside a batch of ready joins of the
+        # ascent at n' = n, which runs the same events until it stops
+        cuts = []
+        ready_joins = dual._ready_joins
+
+        def recording(state):
+            ready = ready_joins(state)
+            active = np.count_nonzero(state.active)
+            cuts.extend(range(active - ready.size + 1, active))
+            return ready
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(dual, "_ready_joins", recording)
+            run_phase1(inst, lam)
+        target = (int(rng.choice(cuts)) if cuts and rng.uniform() < 0.75
+                  else int(rng.integers(0, n)))
+        inst = replace(inst, n_prime=n - target)
+        want = event_loop(inst, lam)
+        got = run_phase1(inst, lam)
+        # ScaledCluster compares members, scale_exp, center and created
+        assert got.clusters == want.clusters and got.overflow == want.overflow
+        for name in ("alpha", "active", "join_threshold", "join_cluster"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
     def test_feasibility_after_run(self):
         rng = np.random.default_rng(21)
@@ -614,6 +657,35 @@ class TestScreen:
             state.last_screen = replace(memory, kept=np.zeros_like(memory.kept))
             refiltered.append(not screen_rows(state, probe)[1].any())
         assert refiltered[0] and not all(refiltered)
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["sqeuclid", "metric"]),
+           st.sampled_from([2, 3]), st.sampled_from(["grid", "untied"]))
+    @settings(max_examples=4, deadline=None,
+              phases=[Phase.explicit, Phase.reuse, Phase.generate])
+    def test_passes_every_firing_pair_at_large_n(self, seed, mode, base, family):
+        # n = 256-512, above every fingerprint case: a screen some events into
+        # the ascent passes every pair that fires at its probe, and so does a
+        # screen at a lam whose lam - tau is a pair's exact value there.  A
+        # seed does not shrink, and each example takes about a second
+        rng = np.random.default_rng(seed)
+        make = grid_instance if family == "grid" else untied_instance
+        inst = make(rng, mode, base, int(rng.integers(256, 513)))
+        lam = float(np.median(inst.distances())) * rng.uniform(0.5, 8.0)
+        screens = int(rng.integers(1, 30))
+        with recording_screens() as snapshots:
+            event_loop(inst, lam, until=lambda: len(snapshots) == screens)
+        assume(snapshots)  # the opening event ended the ascent
+        state, probe, screened, _ = snapshots[-1]
+        threshold = state.lam - state.tau
+        lines = {}
+        for y, exp in itertools.product(range(inst.n), range(inst.top_exp + 1)):
+            line = _pair_scan(state, y, exp, True, probe)
+            if line is not None:
+                lines[y, exp] = line[0]
+                assert line[0] < threshold or screened[y, exp]
+        for at_pair in rng.permutation(list(lines))[:8].tolist():
+            at = at_threshold(state, lines[tuple(at_pair)])
+            assert at is None or _screen(at, probe)[tuple(at_pair)]
 
 
 def sorted_prefix_scan(state, y, exp, require_active, shift):

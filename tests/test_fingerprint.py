@@ -147,3 +147,26 @@ def test_opening_scans_are_printed_after_pair_scans(tmp_path):
         'screen_rows A: {"pd_scale/0": 900}',
         'screen_rows B: {"pd_scale/0": 900}',
     ]
+
+
+def test_events_and_witness_calls_are_printed_after_probes(tmp_path):
+    cases = {"pd_scale/0/gauss-k8": case(2.5, [[0, 1], [2]])}
+    paths = []
+    for name, events, witnesses in (("a", 2114, 28218), ("b", 895, 233)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"cases": cases, "pair_scans": {"pd_scale/0": 100},
+                                    "probes": {"pd_scale/0": 70},
+                                    "events": {"pd_scale/0": events},
+                                    "witness_calls": {"pd_scale/0": witnesses}}))
+        paths.append(str(path))
+    run = subprocess.run([sys.executable, str(TOOL), "--compare", *paths],
+                         capture_output=True, text=True)
+    assert run.returncode == 0  # reported, not compared
+    assert run.stdout.splitlines()[3:] == [
+        'probes A: {"pd_scale/0": 70}',
+        'probes B: {"pd_scale/0": 70}',
+        'events A: {"pd_scale/0": 2114}',
+        'events B: {"pd_scale/0": 895}',
+        'witness_calls A: {"pd_scale/0": 28218}',
+        'witness_calls B: {"pd_scale/0": 233}',
+    ]

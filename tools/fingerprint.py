@@ -31,6 +31,11 @@ line, so two fingerprints can be compared with ``diff``:
   the same way.  Reported, not compared.
 - ``probes``: calls of ``search.probe`` (one pipeline run at one lambda)
   made by the solves, counted the same way.  Reported, not compared.
+- ``events``: calls of ``dual.next_event`` made by the solves, counted the
+  same way.  ``dual.run_phase1`` takes the joins ready at increment 0
+  itself, so they make no call.  Reported, not compared.
+- ``witness_calls``: calls of ``conflicts.conflict_witnesses`` made by the
+  solves, counted the same way.  Reported, not compared.
 
 It takes about 20 s on one core of a shared 2-core host.
 
@@ -38,9 +43,9 @@ It takes about 20 s on one core of a shared 2-core host.
 as identical or moved.  For every moved case it lists the fields that
 differ, the change in ``total_cost`` and a change of audit verdict
 (``audit PASS -> FAIL``), then prints both files' ``pair_scans``,
-``opening_scans``, ``screen_rows``, ``slack_rows`` and ``probes`` (each
-count only if a file has it).  It exits 1 when a case moved, or is in one
-file only.
+``opening_scans``, ``screen_rows``, ``slack_rows``, ``probes``, ``events``
+and ``witness_calls`` (each count only if a file has it).  It exits 1 when
+a case moved, or is in one file only.
 """
 
 from __future__ import annotations
@@ -67,49 +72,53 @@ def main(tree: Path) -> None:
     import numpy as np
     import workloads
     from instances import simplex_recipe
-    from minsumclust import dual, search
+    from minsumclust import conflicts, dual, search
     from minsumclust.oracle import audit, brute_force_opt
     from minsumclust.search import min_sum_clustering
 
-    # the output key of each counted function; min_sum_clustering looks each
+    # the counted function of each output key; min_sum_clustering looks each
     # one up as a module global, so patching the module counts its calls
-    counted = {(dual, "_pair_scan"): "pair_scans", (dual, "next_event"): "opening_scans",
-               (dual, "_screen"): "screen_rows", (dual, "worst_slack"): "slack_rows",
-               (dual, "_tight_set"): "tight_sets", (search, "probe"): "probes"}
-    # functions counted by the (y, exp) rows their _margin_bounds calls compute
-    by_rows = {(dual, "_screen"), (dual, "worst_slack")}
+    counted = {"pair_scans": (dual, "_pair_scan"), "opening_scans": (dual, "next_event"),
+               "screen_rows": (dual, "_screen"), "slack_rows": (dual, "worst_slack"),
+               "tight_sets": (dual, "_tight_set"), "probes": (search, "probe"),
+               "events": (dual, "next_event"),
+               "witness_calls": (conflicts, "conflict_witnesses")}
+    # keys counted by the (y, exp) rows their function's _margin_bounds calls compute
+    by_rows = {"screen_rows", "slack_rows"}
     calls = dict.fromkeys(counted, 0)
-    computing = []  # the by_rows function running, if any
+    computing = []  # the by_rows key whose function is running, if any
 
-    def counting(name, func):
+    def counting(key, func):
         def wrapper(*args):
-            if name not in by_rows:
-                calls[name] += 1
+            if key not in by_rows:
+                calls[key] += 1
                 return func(*args)
-            computing.append(name)
+            computing.append(key)
             try:
                 return func(*args)
             finally:
                 computing.pop()
         return wrapper
 
-    def counting_opening_scans(name, func):
-        """next_event, counted by the _pair_scan calls it makes on a state
-        that opens an ascent."""
+    def counting_events(func):
+        """next_event, counted by its calls and, on a state that opens an
+        ascent, by the _pair_scan calls it makes."""
         def wrapper(state):
+            calls["events"] += 1
             opens = state.active.all() and not state.alpha.any()
-            before = calls[dual, "_pair_scan"]
+            before = calls["pair_scans"]
             try:
                 return func(state)
             finally:
                 if opens:
-                    calls[name] += calls[dual, "_pair_scan"] - before
+                    calls["opening_scans"] += calls["pair_scans"] - before
         return wrapper
 
-    for name in counted:
-        module, attr = name
-        wrap = counting_opening_scans if name == (dual, "next_event") else counting
-        setattr(module, attr, wrap(name, getattr(module, attr)))
+    for key, (module, attr) in counted.items():
+        if key != "opening_scans":  # the events wrapper counts it
+            func = getattr(module, attr)
+            wrapped = counting_events(func) if key == "events" else counting(key, func)
+            setattr(module, attr, wrapped)
 
     margin_bounds = dual._margin_bounds
 
@@ -129,7 +138,7 @@ def main(tree: Path) -> None:
         before = dict(calls)
 
         def used():
-            return {name: calls[name] - before[name] for name in counted}
+            return {key: calls[key] - before[key] for key in counted}
 
         try:
             res = min_sum_clustering(inst, force_primal_dual=force_primal_dual, seed=seed)
@@ -158,12 +167,12 @@ def main(tree: Path) -> None:
         }, solve_calls
 
     cases = {}
-    totals = {name: {} for name in counted}
+    totals = {key: {} for key in counted}
 
     def record(group, label, *args):
         cases[f"{group}/{label}"], solve_calls = fingerprint(*args)
-        for name in counted:
-            totals[name][group] = totals[name].get(group, 0) + solve_calls[name]
+        for key in counted:
+            totals[key][group] = totals[key].get(group, 0) + solve_calls[key]
 
     for seed in SEEDS:
         for name in WORKLOADS:
@@ -176,7 +185,7 @@ def main(tree: Path) -> None:
 
     body = ",\n".join(f"{json.dumps(key)}: {json.dumps(value, sort_keys=True)}"
                       for key, value in cases.items())
-    counts = "".join(f',\n"{key}": {json.dumps(totals[name])}' for name, key in counted.items())
+    counts = "".join(f',\n"{key}": {json.dumps(totals[key])}' for key in counted)
     print(f'{{"cases": {{\n{body}\n}}{counts}}}')
 
 
@@ -210,7 +219,8 @@ def compare(path_a: Path, path_b: Path) -> int:
     print(f"identical {len(keys) - len(moved)} of {len(keys)}, moved {len(moved)}")
     for line in moved:
         print(f"moved {line}")
-    for key in ("pair_scans", "opening_scans", "screen_rows", "slack_rows", "probes"):
+    for key in ("pair_scans", "opening_scans", "screen_rows", "slack_rows", "probes",
+                "events", "witness_calls"):
         if key in a or key in b:
             for name, data in (("A", a), ("B", b)):
                 print(f"{key} {name}: {json.dumps(data.get(key))}")
