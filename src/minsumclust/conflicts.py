@@ -70,10 +70,12 @@ def run_phase2(
     """Group the clustered points around a greedy independent set of anchors.
 
     Clusters are visited by nonincreasing scale exponent (ties by creation
-    order).  An accepted anchor claims all its points, pulling them out of
-    previously emitted parts; a rejected cluster donates its unassigned
-    members whose dual value reaches the conflict's cheapest witness to the
-    earliest blocking anchor.  A witness is a shared point, so the anchors
+    order).  An accepted anchor claims all its points, pulling each out of
+    the one earlier part that holds it, found through an index of the part
+    holding each point; a part left empty is dropped, and the rest keep
+    their order.  A rejected cluster donates its unassigned members whose
+    dual value reaches the conflict's cheapest witness to the earliest
+    blocking anchor.  A witness is a shared point, so the anchors
     sharing no point with the cluster are skipped: the rest are tested in
     anchor order, and the first blocker is the one a test of every earlier
     anchor finds.  Finally, unassigned points from the overflow cluster
@@ -88,6 +90,7 @@ def run_phase2(
     anchors: list[ScaledCluster] = []
     holding: dict[int, list[int]] = {}  # point -> positions of the anchors holding it
     parts: list[MetaAssignment] = []
+    owner: dict[int, MetaAssignment] = {}  # point -> the one part holding it
     assigned: set[int] = set()
 
     for i in order:
@@ -104,16 +107,20 @@ def run_phase2(
         if blocker is None:
             for x in cluster.members:
                 holding.setdefault(x, []).append(len(anchors))
-            for ma in parts:
-                ma.part -= cluster.members
-            parts = [ma for ma in parts if ma.part]
-            parts.append(
-                MetaAssignment(
-                    anchor=cluster,
-                    part=set(cluster.members),
-                    part_scale=cluster.scale_exp,
-                )
+            emptied = False
+            for x in cluster.members:
+                if (ma := owner.get(x)) is not None:
+                    ma.part.discard(x)
+                    emptied |= not ma.part
+            if emptied:
+                parts = [ma for ma in parts if ma.part]
+            claimed = MetaAssignment(
+                anchor=cluster,
+                part=set(cluster.members),
+                part_scale=cluster.scale_exp,
             )
+            parts.append(claimed)
+            owner.update(dict.fromkeys(cluster.members, claimed))
             anchors.append(cluster)
             assigned |= cluster.members
         else:
@@ -122,13 +129,13 @@ def run_phase2(
                 x for x in cluster.members - assigned if alpha[x] >= floor - tau
             }
             if part:
-                parts.append(
-                    MetaAssignment(
-                        anchor=blocker,
-                        part=part,
-                        part_scale=cluster.scale_exp,
-                    )
+                donated = MetaAssignment(
+                    anchor=blocker,
+                    part=part,
+                    part_scale=cluster.scale_exp,
                 )
+                parts.append(donated)
+                owner.update(dict.fromkeys(part, donated))
                 assigned |= part
 
     missing = inst.n_prime - len(assigned)

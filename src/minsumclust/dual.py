@@ -11,8 +11,9 @@ The ascent itself is event driven: all active duals rise at unit rate until
 either an active point can afford to join an existing candidate cluster
 (computed exactly from the join arrays ``DualState`` keeps) or some
 constraint goes tight (located by bisection on the uniform increment).
-``run_phase1`` takes every join that is ready at increment 0 at once, lowest
-point first, in the order ``next_event`` returns them one per call.  The
+When ``next_event`` returns a join at increment 0, ``run_phase1`` takes
+every join that is ready then at once, lowest point first, in the order
+``next_event`` would return them one per call.  The
 value scan ``_pair_scan`` reads a pair's sorted margin values and returns
 its best margin sum and that sum's slope in the increment.  Whether a pair
 fires is nondecreasing in the increment, bit for bit, so the bisection
@@ -598,11 +599,13 @@ def run_phase1(inst: Instance, lam: float) -> DualState:
     n - n', the ascent stops and that set is the state's ``overflow``.
     ``lam`` must be finite and nonnegative; otherwise ``ValueError``.
 
-    The joins ready at increment 0 (``_ready_joins``) are taken together,
-    lowest point first and cut at the n - n' budget, without a
-    ``next_event`` call: that call would return the lowest of them, and a
-    join moves no dual and no join threshold, so the next call would return
-    the next of them, until none is left.
+    Each pass calls ``next_event`` once.  It returns a join at increment 0
+    exactly when a join is ready (``_ready_joins``): otherwise every join
+    gap is the positive difference of two distinct floats.  Then the ready
+    joins are taken together, lowest point first and cut at the n - n'
+    budget: the call returned the lowest of them, and a join moves no dual
+    and no join threshold, so the next calls would return the next of them,
+    until none is left.
 
     At lam = 0 the state is built without the event loop when distance 0
     is transitive (``_coincident_groups``).  Every event then comes at
@@ -631,14 +634,15 @@ def run_phase1(inst: Instance, lam: float) -> DualState:
             state.add_cluster(ScaledCluster(set(np.flatnonzero(groups == y)[:left].tolist()), 0, y))
     else:
         while (active := np.count_nonzero(state.active)) > target:
-            ready = _ready_joins(state)[: active - target]
-            if ready.size:
-                # the joins next_event would return one per call, in this order
+            t, event = next_event(state)
+            if t == 0.0 and isinstance(event, JoinExisting):
+                # a join is ready: take them all, in the order next_event
+                # would return them one per call
+                ready = _ready_joins(state)[: active - target]
                 for x in ready.tolist():
                     state.clusters[state.join_cluster[x]].members.add(x)
                 state.active[ready] = False
                 continue
-            t, event = next_event(state)
             if t > 0.0:
                 state.alpha[state.active] += t
             if isinstance(event, JoinExisting):

@@ -281,13 +281,23 @@ def _local_search(inst: Instance, seed: int) -> list[set[int]]:
     that improves nothing, or after 1000 sweeps.  The cheapest restart wins;
     a later one must be cheaper by more than the tolerance.
 
-    The restarts run in lockstep: their labels, distance sums, costs and
-    outlier lists are stacked along a leading restart axis, and one numpy
-    step tests a point in every restart still running and updates those
-    that accept.  Each decision reads the same floats as a loop over one
-    restart and one point at a time, so the clusters are the same bit for
-    bit.  When no restart ends with a finite cost, the distances' sums
-    overflow a float and ``InstanceError`` is raised.
+    The restarts run in lockstep: their labels, distance sums (stored as
+    (restart, cluster, point), so an accept updates whole rows), costs and
+    outlier lists are stacked along a leading restart axis.  Each restart
+    keeps its own cursor into its sweep.  One numpy step tests, in every
+    restart still running, a window of the next points at the cursor on
+    that restart's current state, then applies each restart's first accept
+    (a move before a swap) and moves its cursor just past that point, or
+    past the window when nothing in it accepts.  Until the first accept the
+    state a window reads is the one a point-by-point loop would read, so
+    every decision reads the same floats as a loop over one restart and one
+    point at a time, and the clusters are the same bit for bit.  The
+    distance matrix is exactly symmetric, so its rows stand in for its
+    columns.  The window width is shared: it doubles, up to 64, after a step
+    in which fewer than half of the running restarts accepted, and halves,
+    down to 1, otherwise; it changes only how many steps the search takes.
+    When no restart ends with a finite cost, the distances' sums overflow a
+    float and ``InstanceError`` is raised.
     """
     dmat = inst.distances()
     n, k, n_prime = inst.n, inst.k, inst.n_prime
@@ -296,61 +306,93 @@ def _local_search(inst: Instance, seed: int) -> list[set[int]]:
     restarts = LOCAL_SEARCH_RESTARTS
 
     labels = np.full((restarts, n), -1, dtype=int)
-    # conn[r, x, c] = total distance from x to cluster c in restart r
-    conn = np.zeros((restarts, n, k))
+    # conn[r, c, x] = total distance from x to cluster c in restart r
+    conn = np.zeros((restarts, k, n))
     cost = np.zeros(restarts)
     for r in range(restarts):
         labels[r, rng.permutation(n)[:n_prime]] = np.arange(n_prime) % k
         for c in range(k):
-            conn[r, :, c] = dmat[:, labels[r] == c].sum(axis=1)
-        cost[r] = 0.5 * sum(conn[r, labels[r] == c, c].sum() for c in range(k))
+            conn[r, c] = dmat[:, labels[r] == c].sum(axis=1)
+        cost[r] = 0.5 * sum(conn[r, c, labels[r] == c].sum() for c in range(k))
     # ascending per restart, so argmin picks the lowest-numbered of tied
     # outliers; only an accepted swap changes a row
     outliers = np.nonzero(labels < 0)[1].reshape(restarts, n - n_prime)
 
+    # flat views for np.take; dmat is exactly symmetric, so row x is column x
+    flat_labels, flat_conn, flat_dmat = labels.reshape(-1), conn.reshape(-1), dmat.reshape(-1)
+    cluster_rows = np.arange(k) * n
+    cursor = np.zeros(restarts, dtype=int)  # the next point each restart visits
+    sweeps = np.zeros(restarts, dtype=int)
+    improved = np.zeros(restarts, dtype=bool)
     running = np.arange(restarts)
-    for _sweep in range(1000):
-        improved = np.zeros(restarts, dtype=bool)
-        for x in range(n):
-            rows, c0 = running, labels[running, x]
-            if n_prime < n:  # x may be an outlier in some restarts
-                clustered = c0 >= 0
-                rows, c0 = rows[clustered], c0[clustered]
-            own = conn[rows, x, c0]
-            # relocate x to a cheaper cluster; a row's minimum is the float at
-            # its first argmin, so the cost adds the same value
-            deltas = conn[rows, x] - own[:, None]
-            gain = deltas.min(axis=1)
-            moved = gain < -tol
-            if np.count_nonzero(moved):
-                r, c_from = rows[moved], c0[moved]
-                c_to = deltas[moved].argmin(axis=1)
-                labels[r, x] = c_to
-                conn[r, :, c_from] -= dmat[:, x]
-                conn[r, :, c_to] += dmat[:, x]
-                cost[r] += gain[moved]
-                improved[r] = True
-                stay = ~moved
-                rows, c0, own = rows[stay], c0[stay], own[stay]
+    width = 1
+    while running.size:
+        rows, start = np.arange(running.size), cursor[running]
+        visit = start[:, None] + np.arange(width)
+        xs = np.minimum(visit, n - 1)
+        c0 = flat_labels.take(running[:, None] * n + xs)
+        clustered = (c0 >= 0) & (visit < n)
+        c0 = np.maximum(c0, 0)  # an outlier's gains are computed, then masked
+        blocks = running[:, None] * (k * n)
+        home = blocks + c0 * n  # where conn[r, c0] starts
+        own = flat_conn.take(home + xs)
+        # relocate x to a cheaper cluster; a row's minimum is the float at
+        # its first argmin, so the cost adds the same value
+        deltas = flat_conn.take((blocks + xs)[..., None] + cluster_rows) - own[..., None]
+        move_gain = deltas.min(axis=2)
+        moves = clustered & (move_gain < -tol)
+        accept = moves
+        if n_prime < n:
             # swap x with an outlier staying in the same cluster
-            if n_prime < n:
-                out = outliers[rows]
-                swap = conn[rows[:, None], out, c0[:, None]] - dmat[:, x][out] - own[:, None]
-                gain = swap.min(axis=1)
-                swapped = gain < -tol
-                if np.count_nonzero(swapped):
-                    r, c_in, out = rows[swapped], c0[swapped], out[swapped]
-                    o = out[np.arange(r.size), swap[swapped].argmin(axis=1)]
-                    labels[r, x] = -1
-                    labels[r, o] = c_in
-                    conn[r, :, c_in] -= dmat[:, x]
-                    conn[r, :, c_in] += dmat[:, o].T
-                    cost[r] += gain[swapped]
-                    outliers[r] = np.sort(np.where(out == o[:, None], x, out), axis=1)
-                    improved[r] = True
-        running = np.flatnonzero(improved)
-        if not running.size:
-            break
+            out = outliers[running][:, None, :]
+            # in place, sparing two temporaries, in the reference's order
+            swap = flat_conn.take(home[..., None] + out)
+            swap -= flat_dmat.take(xs[..., None] * n + out)
+            swap -= own[..., None]
+            swap_gain = swap.min(axis=2)
+            accept = moves | clustered & (swap_gain < -tol)
+        first = accept.argmax(axis=1)
+        hit = accept[rows, first]
+        x = xs[rows, first]
+
+        moved = np.flatnonzero(hit & moves[rows, first])
+        if moved.size:
+            at = first[moved]
+            r, pt, c_from = running[moved], x[moved], c0[moved, at]
+            c_to = deltas[moved, at].argmin(axis=1)
+            labels[r, pt] = c_to
+            conn[r, c_from] -= dmat[pt]
+            conn[r, c_to] += dmat[pt]
+            cost[r] += move_gain[moved, at]
+        swapped = np.flatnonzero(hit & ~moves[rows, first])
+        if swapped.size:
+            at = first[swapped]
+            r, pt, c_in = running[swapped], x[swapped], c0[swapped, at]
+            held = outliers[r]
+            o = held[np.arange(r.size), swap[swapped, at].argmin(axis=1)]
+            labels[r, pt] = -1
+            labels[r, o] = c_in
+            conn[r, c_in] -= dmat[pt]
+            conn[r, c_in] += dmat[o]
+            cost[r] += swap_gain[swapped, at]
+            outliers[r] = np.sort(np.where(held == o[:, None], pt[:, None], held), axis=1)
+        improved[running[hit]] = True
+
+        nxt = np.where(hit, x + 1, start + width)
+        cursor[running] = nxt
+        if 2 * np.count_nonzero(hit) < running.size:
+            width = min(2 * width, 64)
+        else:
+            width = max(width // 2, 1)
+        # a finished sweep starts the next one, unless it improved nothing
+        # or was the restart's 1000th
+        ended = running[nxt >= n]
+        if ended.size:
+            sweeps[ended] += 1
+            cursor[ended] = 0
+            stop = ended[~improved[ended] | (sweeps[ended] >= 1000)]
+            improved[ended] = False
+            running = np.setdiff1d(running, stop, assume_unique=True)
 
     best_cost = np.inf
     best_labels: np.ndarray | None = None

@@ -12,6 +12,7 @@ from minsumclust.geometry import (
     REL_TOL,
     Instance,
     InstanceError,
+    MATRIX_REL_TOL,
     cluster_cost,
     cost_constant,
     scale_base,
@@ -48,15 +49,23 @@ class TestPairDistance:
         with pytest.raises(IndexError):
             cluster_cost(line_instance(0.0, 2.0), {0, 5})
 
-    @given(st.integers(0, 5), st.integers(0, 5), st.integers(0, 2**31))
+    @given(st.sampled_from(["sqeuclid", "metric"]), st.integers(0, 5), st.integers(0, 5),
+           st.integers(0, 2**31))
     @settings(max_examples=50)
-    def test_symmetry_and_sign(self, i, j, seed):
+    def test_symmetry_and_sign(self, mode, i, j, seed):
+        # exact symmetry in both modes: the local search reads rows for
+        # columns.  A metric input may be asymmetric within MATRIX_REL_TOL.
         rng = np.random.default_rng(seed)
-        inst = Instance(
-            mode="sqeuclid", k=1, n_prime=6, epsilon=1.0,
-            points=rng.normal(size=(6, 3)),
-        )
+        pts = rng.normal(size=(6, 3))
+        if mode == "sqeuclid":
+            inst = Instance(mode=mode, k=1, n_prime=6, epsilon=1.0, points=pts)
+        else:
+            mat = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(axis=-1))
+            mat *= 1.0 + 0.5 * MATRIX_REL_TOL * np.triu(rng.random((6, 6)), 1)
+            assert (mat != mat.T).any()
+            inst = Instance(mode=mode, k=1, n_prime=6, epsilon=1.0, dist_matrix=mat)
         d = inst.distances()
+        assert (d == d.T).all()
         assert d[i, j] == d[j, i]
         assert d[i, j] >= 0.0
 

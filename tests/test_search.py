@@ -269,20 +269,26 @@ class TestSmallK:
         assert all(50.0 not in {inst.points[i, 0] for i in c} for c in clusters)
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from(["sqeuclid", "metric"]),
-           st.integers(1, 4), st.integers(0, 3), st.booleans(), st.integers(1, 2**32 - 1))
+           st.integers(1, 5), st.integers(0, 3), st.booleans(), st.integers(1, 2**32 - 1),
+           st.booleans())
     @settings(max_examples=60, deadline=None)
     # tied outliers, where only an ascending outlier list picks the reference's
-    @example(2661941425, "sqeuclid", 2, 3, True, 735850878)
-    @example(4153481458, "metric", 4, 2, True, 2799751284)
+    @example(2661941425, "sqeuclid", 2, 3, True, 735850878, False)
+    @example(4153481458, "metric", 4, 2, True, 2799751284, False)
     def test_local_search_matches_the_sequential_reference(
-        self, data_seed, mode, k, dropped, tied, seed
+        self, data_seed, mode, k, dropped, tied, seed, wide
     ):
         # the lockstep restarts give the clusters of one restart and one
         # point at a time, and small_k_solver their cost bit for bit wherever
         # the subset DP is out of budget; n' = n never swaps, and the grid's
-        # coincident points tie argmin
+        # coincident points tie argmin.  A wide instance (n = 40-160, up to
+        # 12 outliers) spans many windows per sweep, so the window width
+        # reaches its cap and accepts fall inside windows
         rng = np.random.default_rng(data_seed)
-        n = int(rng.integers(k + dropped + 1, 25))
+        if wide:
+            n, dropped = int(rng.integers(40, 161)), 4 * dropped
+        else:
+            n = int(rng.integers(k + dropped + 1, 25))
         make = grid_instance if tied else untied_instance
         inst = make(rng, mode, 2, n, k=k, n_prime=n - dropped)
         want = local_search_reference(inst, seed)

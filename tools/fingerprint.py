@@ -33,7 +33,7 @@ line, so two fingerprints can be compared with ``diff``:
   made by the solves, counted the same way.  Reported, not compared.
 - ``events``: calls of ``dual.next_event`` made by the solves, counted the
   same way.  ``dual.run_phase1`` takes the joins ready at increment 0
-  itself, so they make no call.  Reported, not compared.
+  together, so a batch of them makes one call.  Reported, not compared.
 - ``witness_calls``: calls of ``conflicts.conflict_witnesses`` made by the
   solves, counted the same way.  Reported, not compared.
 
