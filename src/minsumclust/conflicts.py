@@ -90,8 +90,8 @@ def run_phase2(
     anchors: list[ScaledCluster] = []
     holding: dict[int, list[int]] = {}  # point -> positions of the anchors holding it
     parts: list[MetaAssignment] = []
-    owner: dict[int, MetaAssignment] = {}  # point -> the one part holding it
-    assigned: set[int] = set()
+    # point -> the one part holding it; its keys are the assigned points
+    owner: dict[int, MetaAssignment] = {}
 
     for i in order:
         cluster = clusters[i]
@@ -122,11 +122,10 @@ def run_phase2(
             parts.append(claimed)
             owner.update(dict.fromkeys(cluster.members, claimed))
             anchors.append(cluster)
-            assigned |= cluster.members
         else:
             floor = float(alpha[witnesses].min())
             part = {
-                x for x in cluster.members - assigned if alpha[x] >= floor - tau
+                x for x in cluster.members - owner.keys() if alpha[x] >= floor - tau
             }
             if part:
                 donated = MetaAssignment(
@@ -136,29 +135,26 @@ def run_phase2(
                 )
                 parts.append(donated)
                 owner.update(dict.fromkeys(part, donated))
-                assigned |= part
 
-    missing = inst.n_prime - len(assigned)
+    missing = inst.n_prime - len(owner)
     if missing > 0:
         if overflow is None:
             raise RuntimeError(
                 f"{missing} points short of n' and no overflow cluster to draw from"
             )
-        pool = sorted(overflow.members - assigned)
+        pool = sorted(overflow.members - owner.keys())
         if len(pool) < missing:
             raise RuntimeError(
                 f"{missing} points short of n' but only {len(pool)} available"
             )
-        top_up = set(pool[:missing])
         parts.append(
             MetaAssignment(
                 anchor=overflow,
-                part=top_up,
+                part=set(pool[:missing]),
                 part_scale=overflow.scale_exp,
                 anchor_is_overflow=True,
             )
         )
-        assigned |= top_up
     return parts
 
 

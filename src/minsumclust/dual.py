@@ -98,7 +98,8 @@ class DualState:
     ``last_screen`` is what the last ``next_event`` saw and kept; a copy made
     with ``dataclasses.replace`` starts without it, its clusters and overflow.
     ``fire_floors`` holds the pairs' floors T, which depend on (inst, lam)
-    only.
+    only.  The state holds no scaled distances: each read forms base**j * d
+    for the entries it needs, through ``scaled_dists``.
     """
 
     inst: Instance
@@ -110,7 +111,6 @@ class DualState:
     overflow: ScaledCluster | None = field(init=False, default=None, repr=False)
     join_threshold: np.ndarray = field(init=False, repr=False)
     join_cluster: np.ndarray = field(init=False, repr=False)
-    _scaled: dict[int, np.ndarray] = field(init=False, default_factory=dict, repr=False)
     _floors: np.ndarray | None = field(init=False, default=None, repr=False)
     last_screen: Screen | None = field(init=False, default=None, repr=False)
 
@@ -125,12 +125,11 @@ class DualState:
         self.join_threshold = np.full(n, np.inf)
         self.join_cluster = np.full(n, -1, dtype=int)
 
-    def scaled_dists(self, exp: int) -> np.ndarray:
-        """base**exp times the distance matrix, computed once per state."""
-        mat = self._scaled.get(exp)
-        if mat is None:
-            mat = self._scaled[exp] = float(self.inst.base**exp) * self.inst.distances()
-        return mat
+    def scaled_dists(self, exp: int, index) -> np.ndarray:
+        """base**exp times the entries ``index`` picks from the distance
+        matrix, built per call for those entries only: a row, the rows of a
+        mask, or (rows, column)."""
+        return float(self.inst.base**exp) * self.inst.distances()[index]
 
     def fire_floors(self) -> np.ndarray:
         """``_opening_times`` of (inst, lam), computed on first use: per
@@ -152,7 +151,7 @@ class DualState:
         cluster.created = len(self.clusters)
         self.clusters.append(cluster)
         self.active[list(cluster.members)] = False
-        vals = self.scaled_dists(cluster.scale_exp)[cluster.center]
+        vals = self.scaled_dists(cluster.scale_exp, cluster.center)
         better = vals < self.join_threshold
         self.join_threshold[better] = vals[better]
         self.join_cluster[better] = cluster.created
@@ -181,7 +180,7 @@ def _admission(
     admissible set exists at all.
     """
     base = state.inst.base
-    margins = state.raised_alpha(shift) - state.scaled_dists(exp)[y]
+    margins = state.raised_alpha(shift) - state.scaled_dists(exp, y)
     count = np.count_nonzero(margins >= 0.0)
     if count < base**exp:
         return None
@@ -250,11 +249,12 @@ def _tight_set(state: DualState, y: int, exp: int, shift: float) -> list[int]:
 
 
 def _margin_bounds(
-    state: DualState, shift: float, kept: np.ndarray | None = None
+    state: DualState, shift: float, kept: np.ndarray
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Per scale exponent, in order, the exponent, the candidate-list mask of
-    every row and an upper bound on each row's best margin sum, at the given
-    shift.
+    """Per scale exponent whose column of ``kept``, a (y, exp) mask, holds a
+    row, in order: the exponent, the candidate-list mask of each row it
+    holds, ascending, and an upper bound on each such row's best margin sum,
+    at the given shift.
 
     ``in_list[y, x]`` says x is in C(y, exp), that is its margin is
     nonnegative.  The bound sums the largest m = min(cap, n) nonnegative
@@ -272,17 +272,12 @@ def _margin_bounds(
     unwidened float; the widening, with its own rounding, exceeds that while
     4 m**2 u < 1.  A row with fewer than base**exp candidates admits no set
     at all and gets the bound -inf; ``_pair_scan`` reads the same floats and
-    returns None for it.  With ``kept``, a (y, exp) mask, only the rows it
-    holds in the exponent's column are computed, ascending, and an exponent
-    whose column holds none is skipped.
+    returns None for it.
     """
     alpha = state.raised_alpha(shift)
     n = alpha.size
-    exps = (range(state.inst.top_exp + 1) if kept is None
-            else [exp for exp, some in enumerate(kept.any(axis=0).tolist()) if some])
-    for exp in exps:
-        scaled = state.scaled_dists(exp)
-        margins = alpha[None, :] - (scaled if kept is None else scaled[kept[:, exp]])
+    for exp in np.flatnonzero(kept.any(axis=0)).tolist():
+        margins = alpha[None, :] - state.scaled_dists(exp, kept[:, exp])
         in_list = margins >= 0.0
         pos = np.maximum(margins, 0.0, out=margins)
         cap = state.inst.base ** (exp + 1) - 1
@@ -383,9 +378,10 @@ def _opening_times(state: DualState) -> np.ndarray:
     while L < T = min over M of max(S_M, (thr + P_M) / M).  At thr <= 0
     every admissible set reaches thr, and T is S_M at M = base**exp exactly.
     The rows are the instance's sorted distances, scaled like
-    ``scaled_dists``, so S holds the same floats.  Every term but thr is
-    the instance's (``Instance.floor_terms``, computed once per instance),
-    so each lam costs a few array operations per exponent.  T depends on
+    ``scaled_dists`` (one float multiply by base**exp), so S holds the same
+    floats.  Every term but thr is the instance's (``Instance.floor_terms``,
+    computed once per instance), so each lam costs a few array operations
+    per exponent.  T depends on
     (inst, lam) only; ``DualState.fire_floors`` keeps it for the whole
     ascent.
 
@@ -687,7 +683,7 @@ def _check_phase1(state: DualState) -> None:
         raise RuntimeError(f"dual constraint violated by {slack:.3e} after ascent")
     for c in state.clusters:
         members = sorted(c.members)
-        need = state.scaled_dists(c.scale_exp)[members, c.center]
+        need = state.scaled_dists(c.scale_exp, (members, c.center))
         bad = np.flatnonzero(state.alpha[members] < need - state.tau)
         if bad.size:
             x = members[bad[0]]

@@ -16,9 +16,11 @@ are checked against the exact scan on fresh states, and its event against
 the screen path every later event takes; the floors, from terms cached per
 instance, against their computation at each lam (in ``instances``), and
 the event-time search seeded by a floor against the plain bisection.
+The ascent's traced memory peak is bounded at n = 128 and 256.
 """
 
 import itertools
+import tracemalloc
 from contextlib import contextmanager
 from dataclasses import replace
 
@@ -39,6 +41,7 @@ from minsumclust.dual import (
     run_phase1,
     worst_slack,
 )
+from minsumclust.generators import GeneratorSpec, generate
 from minsumclust.geometry import (
     REL_TOL, Instance, ScaledCluster, scale_exponent, tightness_tolerance,
 )
@@ -473,6 +476,29 @@ class TestRunPhase1:
         state = DualState(inst, lam, alpha=out.alpha)
         assert worst_slack(state) <= state.tau
 
+    @pytest.mark.parametrize("n", [128, 256])
+    def test_memory_peak_is_a_few_distance_matrices(self, n):
+        # the ascent forms scaled distances per read, for the rows it reads,
+        # and keeps none: past the instance's own caches, built first, its
+        # peak stays below 5 n**2 floats
+        rng = np.random.default_rng(n)
+        grid = np.array([(i % 3, i // 3) for i in range(8)], dtype=float)
+        centers = 3.0 * grid + rng.uniform(-0.6, 0.6, (8, 2))
+        counts = [part.size for part in np.array_split(np.arange(n), 8)]
+        inst = generate(GeneratorSpec(
+            "gauss", n, {"centers": centers.tolist(), "spreads": [0.5] * 8, "counts": counts},
+            k=8, n_prime=int(0.9 * n)))
+        inst.distances()
+        inst.floor_terms()
+        for lam in (0.05 * inst.max_distance(), 2.0 * inst.max_distance()):
+            tracemalloc.start()
+            try:
+                run_phase1(inst, lam)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 5 * n * n * 8
+
 
 class TestWorstSlack:
     def test_zero_state_slack_is_minus_lambda_at_most(self):
@@ -626,7 +652,7 @@ class TestScreen:
                         assert tight[0] == y and state.active[tight].any()
                         assert base**exp <= len(tight) < base ** (exp + 1)
                     if (y, exp) in screened:
-                        in_list = alpha - state.scaled_dists(exp)[y] >= 0.0
+                        in_list = alpha - state.scaled_dists(exp, y) >= 0.0
                         assert in_list.sum() >= base**exp
                         assert state.active[y] or (in_list & state.active).any()
 
@@ -695,7 +721,7 @@ def sorted_prefix_scan(state, y, exp, require_active, shift):
     active points summed, and the active ones left out that tie with the
     smallest summed margin; minimal is None unless the pair fires."""
     base = state.inst.base
-    margins = state.raised_alpha(shift) - state.scaled_dists(exp)[y]
+    margins = state.raised_alpha(shift) - state.scaled_dists(exp, y)
     members = np.flatnonzero(margins >= 0.0)
     if members.size < base**exp:
         return None, None, None
@@ -765,8 +791,9 @@ class TestMarginBound:
         state = tied_state(rng, mode, base)
         state = replace(state, alpha=np.maximum(state.alpha, 0.0))
         pairs = list(itertools.product(range(state.inst.n), range(state.inst.top_exp + 1)))
+        every_row = np.ones((state.inst.n, state.inst.top_exp + 1), dtype=bool)
         for shift in (0.0, rng.uniform(0.0, 3.0)):
-            bounds = [bound for _, _, bound in dual._margin_bounds(state, shift)]
+            bounds = [bound for _, _, bound in dual._margin_bounds(state, shift, every_row)]
             for (y, exp), require_active in itertools.product(pairs, (True, False)):
                 line = _pair_scan(state, y, exp, require_active, shift)
                 if line is not None:
@@ -847,7 +874,7 @@ class TestOpeningTimes:
         # with lam - tau at a pair's exact value at some shift, the pair
         # fires there, so its bound is no larger
         for y, exp in pairs:
-            row = state.scaled_dists(exp)[y]
+            row = state.scaled_dists(exp, y)
             shift = float(rng.uniform(0.0, 1.5)) * row.max() + float(rng.uniform(0.0, 1.0))
             line = _pair_scan(state, y, exp, True, shift)
             at = None if line is None else at_threshold(state, line[0])
@@ -874,7 +901,7 @@ class TestOpeningTimes:
         for y, exp in itertools.product(range(state.inst.n), range(state.inst.top_exp + 1)):
             # the state as drawn, and a copy whose lam - tau is the pair's
             # exact value at a random shift, where the pair fires
-            row = state.scaled_dists(exp)[y]
+            row = state.scaled_dists(exp, y)
             shift = float(rng.uniform(0.0, 1.5)) * row.max() + float(rng.uniform(0.0, 1.0))
             line = _pair_scan(state, y, exp, True, shift)
             at = None if line is None else at_threshold(state, line[0])
@@ -1088,7 +1115,7 @@ class TestTightSet:
             assert len(tight) == len(event.members)
             assert set(tight) == event.members
             sums = np.cumsum(state.raised_alpha(t)[tight]
-                             - state.scaled_dists(event.scale_exp)[event.center, tight])
+                             - state.scaled_dists(event.scale_exp, (event.center, tight)))
             threshold = lam - state.tau
             assert sums[-1] >= threshold
             size_min = max(base**event.scale_exp, 1 + (not state.active[event.center]))

@@ -61,6 +61,43 @@ def test_a_changed_verdict_is_printed(tmp_path):
     ]
 
 
+def test_every_counter_is_printed_in_file_order(tmp_path):
+    # the eight counters in the order a fingerprint writes them; one that B
+    # lacks is printed as null
+    cases = {"pd_scale/0/gauss-k8": case(2.5, [[0, 1], [2]])}
+    keys = ["pair_scans", "opening_scans", "screen_rows", "slack_rows", "tight_sets",
+            "probes", "events", "witness_calls"]
+    paths = []
+    for name, offset in (("a", 10), ("b", 20)):
+        counts = {key: {"pd_scale/0": offset + i} for i, key in enumerate(keys)
+                  if name == "a" or key != "tight_sets"}
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"cases": cases, **counts}))
+        paths.append(str(path))
+    run = subprocess.run([sys.executable, str(TOOL), "--compare", *paths],
+                         capture_output=True, text=True)
+    assert run.returncode == 0  # reported, not compared
+    assert run.stdout.splitlines() == [
+        "identical 1 of 1, moved 0",
+        'pair_scans A: {"pd_scale/0": 10}',
+        'pair_scans B: {"pd_scale/0": 20}',
+        'opening_scans A: {"pd_scale/0": 11}',
+        'opening_scans B: {"pd_scale/0": 21}',
+        'screen_rows A: {"pd_scale/0": 12}',
+        'screen_rows B: {"pd_scale/0": 22}',
+        'slack_rows A: {"pd_scale/0": 13}',
+        'slack_rows B: {"pd_scale/0": 23}',
+        'tight_sets A: {"pd_scale/0": 14}',
+        "tight_sets B: null",
+        'probes A: {"pd_scale/0": 15}',
+        'probes B: {"pd_scale/0": 25}',
+        'events A: {"pd_scale/0": 16}',
+        'events B: {"pd_scale/0": 26}',
+        'witness_calls A: {"pd_scale/0": 17}',
+        'witness_calls B: {"pd_scale/0": 27}',
+    ]
+
+
 def test_probe_counts_follow_the_pair_scans(tmp_path):
     cases = {"pd_scale/0/gauss-k8": case(2.5, [[0, 1], [2]])}
     paths = []

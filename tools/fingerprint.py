@@ -42,10 +42,9 @@ It takes about 20 s on one core of a shared 2-core host.
 ``--compare A.json B.json`` reads two fingerprints and classifies each case
 as identical or moved.  For every moved case it lists the fields that
 differ, the change in ``total_cost`` and a change of audit verdict
-(``audit PASS -> FAIL``), then prints both files' ``pair_scans``,
-``opening_scans``, ``screen_rows``, ``slack_rows``, ``probes``, ``events``
-and ``witness_calls`` (each count only if a file has it).  It exits 1 when
-a case moved, or is in one file only.
+(``audit PASS -> FAIL``), then prints both files' value of every other
+key, the counters, in A's order, then the keys only B has (null where a
+file lacks one).  It exits 1 when a case moved, or is in one file only.
 """
 
 from __future__ import annotations
@@ -122,13 +121,11 @@ def main(tree: Path) -> None:
 
     margin_bounds = dual._margin_bounds
 
-    def counting_rows(state, shift, *mask):
-        """Every row for no mask or None, else the rows the mask holds."""
+    def counting_rows(state, shift, kept):
+        """The rows the (y, exp) mask holds."""
         if computing:
-            full = not mask or mask[0] is None
-            calls[computing[-1]] += int(state.inst.n * (state.inst.top_exp + 1) if full
-                                        else mask[0].sum())
-        return margin_bounds(state, shift, *mask)
+            calls[computing[-1]] += int(kept.sum())
+        return margin_bounds(state, shift, kept)
 
     dual._margin_bounds = counting_rows
 
@@ -219,11 +216,11 @@ def compare(path_a: Path, path_b: Path) -> int:
     print(f"identical {len(keys) - len(moved)} of {len(keys)}, moved {len(moved)}")
     for line in moved:
         print(f"moved {line}")
-    for key in ("pair_scans", "opening_scans", "screen_rows", "slack_rows", "probes",
-                "events", "witness_calls"):
-        if key in a or key in b:
-            for name, data in (("A", a), ("B", b)):
-                print(f"{key} {name}: {json.dumps(data.get(key))}")
+    for key in {**a, **b}:  # A's order, then the keys only B has
+        if key == "cases":
+            continue
+        for name, data in (("A", a), ("B", b)):
+            print(f"{key} {name}: {json.dumps(data.get(key))}")
     return 1 if moved else 0
 
 
