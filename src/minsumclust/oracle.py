@@ -2,22 +2,31 @@
 
 The exact optimum is computed by dynamic programming over point subsets:
 cluster costs for all 2**n subsets, then a partition layer per allowed
-cluster.  Each layer splits every mask into a cluster holding the mask's
-lowest point and a rest, (3**n - 1) / 2 splits over all masks, so the DP
-takes k (3**n - 1) / 2 steps.  It stays independent of the primal-dual
+cluster.  A layer splits a mask into a cluster holding the mask's lowest
+point and a rest partitioned by the layer before.  Each layer computes only
+the masks that the next layer, or the answer, reads:
+
+- layer 1 is the subset costs, each mask its own cluster;
+- layer ``size``, for 1 < size < k, the masks that avoid the k - size lowest
+  points and hold at most n' - (k - size) points, since the next layer reads
+  it at subsets of a mask without that mask's lowest point;
+- layer k the masks of n' points.
+
+Masks a layer does not compute hold inf.  ``ENUMERATION_BUDGET`` still counts
+the k (3**n - 1) / 2 splits of every layer over all masks, so whether the DP
+runs is a rule on n and k alone.  It stays independent of the primal-dual
 solver it checks.
 
 Both passes are numpy array operations, with no interpreter step per mask
 or split.  The subset costs go one lowest point at a time, over strided
-slices of the masks.  A layer takes the masks by the popcount p of their
+slices of the masks.  A layer takes its masks by the popcount p of their
 rest, and for a block of them builds a table of each rest's 2**p submasks
 in decreasing order, the order of ``sub = (sub - 1) & rest``; ``argmin``
 along a row picks the first cheapest split, as a scan keeping the first
 strict minimum would.  Each cost is the same float addition a scan over the
-splits makes, so costs and clusters do not depend on the vectorization,
-bit for bit.  The tables hold the same k (3**n - 1) / 2 splits that
-``ENUMERATION_BUDGET`` counts, cut into blocks of at most
-``_TABLE_ENTRIES`` entries.
+splits makes, so costs and clusters do not depend on the vectorization or on
+which masks are computed, bit for bit.  The tables are cut into blocks of at
+most ``_TABLE_ENTRIES`` entries.
 """
 
 from __future__ import annotations
@@ -33,7 +42,8 @@ from .geometry import (
 )
 from .search import Branch, ClusteringResult, approx_bound
 
-# Step budget of the exact oracle's subset DP; it caps n at 15.
+# Step budget of the exact oracle's subset DP, counted as k (3**n - 1) / 2
+# splits whatever masks the layers compute; it caps n at 15.
 ENUMERATION_BUDGET = 2e7
 
 # Entries of one submask table of the DP (1 MB of int64), so a table's
@@ -46,7 +56,9 @@ class OracleError(ValueError):
 
 
 def enumeration_tractable(inst: Instance) -> bool:
-    """Whether the subset DP's k (3**n - 1) / 2 steps fit the budget."""
+    """Whether the subset DP's k (3**n - 1) / 2 steps fit the budget.  The
+    count is that of every layer over all masks, more than the DP computes,
+    so the answer depends on n and k alone."""
     return inst.k * (3**inst.n - 1) // 2 <= ENUMERATION_BUDGET
 
 
@@ -55,15 +67,17 @@ def brute_force_opt(inst: Instance) -> tuple[list[set[int]], float]:
 
     Clustering more than n' points never helps (removing a point from a
     cluster cannot increase its cost), so restricting to exactly n' is
-    lossless.  Returns one optimal clustering, empty clusters omitted, and
-    the optimal cost.  Distances whose total cost overflows a float raise
+    lossless.  Only the last layer's n'-point masks are read, and each layer
+    computes only the masks the next one reads (see the module docstring).
+    Returns one optimal clustering, empty clusters omitted, and the optimal
+    cost.  Distances whose total cost overflows a float raise
     ``InstanceError``.
     """
     if not enumeration_tractable(inst):
         raise OracleError(
             f"instance too large for exhaustive search (n={inst.n}, k={inst.k})"
         )
-    n, k = inst.n, inst.k
+    n, k, n_prime = inst.n, inst.k, inst.n_prime
     full = 1 << n
     with np.errstate(over="ignore"):  # an infinite cost is rejected below
         cost = _subset_costs(inst.distances())
@@ -73,15 +87,18 @@ def brute_force_opt(inst: Instance) -> tuple[list[set[int]], float]:
             "overflows a float"
         )
     popcounts = _popcounts(n)
+    eligible = np.flatnonzero(popcounts == n_prime)
 
-    layer = np.full(full, np.inf)
-    layer[0] = 0.0
-    parents = []
-    for _ in range(k):
-        layer, parent = _partition_layer(cost, layer, popcounts)
+    # one cluster: every split but the whole mask meets an infinite rest
+    layer = cost + 0.0
+    parents = [np.arange(full)]
+    for size in range(2, k + 1):
+        skip = k - size  # the lowest points no later layer reads
+        masks = (np.flatnonzero(popcounts[:full >> skip] <= n_prime - skip) << skip
+                 if skip else eligible)
+        layer, parent = _partition_layer(cost, layer, masks, popcounts)
         parents.append(parent)
 
-    eligible = np.flatnonzero(popcounts == inst.n_prime)
     pos = eligible[int(np.argmin(layer[eligible]))]
     best_cost = float(layer[pos])
 
@@ -107,20 +124,22 @@ def _popcounts(n: int) -> np.ndarray:
 
 
 def _partition_layer(
-    cost: np.ndarray, layer: np.ndarray, popcounts: np.ndarray
+    cost: np.ndarray, layer: np.ndarray, masks: np.ndarray, popcounts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One more allowed cluster: the cheapest split of every mask into a
-    cluster holding its lowest point and a rest partitioned by ``layer``,
-    and each mask's cluster (0 for the empty mask)."""
+    """One more allowed cluster: the cheapest split of each of ``masks``
+    into a cluster holding its lowest point and a rest partitioned by
+    ``layer``, and that mask's cluster.  The empty mask costs 0.0, and every
+    other mask outside ``masks`` holds inf and cluster 0."""
     full = layer.size
-    nxt = np.empty(full)
+    nxt = np.full(full, np.inf)
     nxt[0] = 0.0
     parent = np.zeros(full, dtype=np.intp)
-    for bits in range(popcounts[-1]):
-        masks = np.flatnonzero(popcounts == bits + 1)
+    counts = popcounts[masks]
+    for bits in range(counts.max(initial=0)):
+        group = masks[counts == bits + 1]
         rows = max(1, _TABLE_ENTRIES >> bits)
-        for start in range(0, masks.size, rows):
-            m = masks[start:start + rows]
+        for start in range(0, group.size, rows):
+            m = group[start:start + rows]
             lowbit = m & -m
             rest = m ^ lowbit
             sub = _submask_table(rest, bits)

@@ -76,10 +76,12 @@ FLOWS = [
     pytest.param("metric", ["--n", 12], "metric", 5, 11, "bipoint_high", id="readme-metric-12"),
     pytest.param("box", ["--n", 10], "sqeuclid", 5, 9, "bipoint_high", id="readme-sqeuclid-10"),
     pytest.param("metric", ["--n", 10], "metric", 5, 9, "bipoint_high", id="readme-metric-10"),
-    # k <= 4/epsilon: the exact subset DP at n = 13, the local search past
-    # its budget at n = 40
+    # k <= 4/epsilon: the exact subset DP at n = 13 and at the budget's edge,
+    # n = 15 for k = 2; the local search past it at n = 16 and 40
     pytest.param("box", ["--n", 13], "sqeuclid", 2, 12, "small_k", id="subset-dp-sqeuclid"),
     pytest.param("metric", ["--n", 13], "metric", 2, 12, "small_k", id="subset-dp-metric"),
+    pytest.param("box", ["--n", 15], "sqeuclid", 2, 14, "small_k", id="subset-dp-at-the-budget"),
+    pytest.param("box", ["--n", 16], "sqeuclid", 2, 15, "small_k", id="local-search-past-the-budget"),
     pytest.param("box", ["--n", 40], "sqeuclid", 3, 36, "small_k", id="local-search-sqeuclid"),
     pytest.param("metric", ["--n", 40], "metric", 3, 36, "small_k", id="local-search-metric"),
     # the degenerate exit: coincident points, and k >= n'

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from minsumclust.dual import run_phase1
 from minsumclust.geometry import REL_TOL, DistanceMode, Instance, cluster_cost, tightness_tolerance
@@ -111,11 +111,16 @@ class TestBruteForce:
 
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from(["sqeuclid", "metric"]),
-           st.sampled_from([2, 3]), st.integers(1, 3), st.booleans())
+           st.sampled_from([2, 3]), st.integers(1, 4), st.booleans())
     @settings(max_examples=60, deadline=None)
+    # k = 4 with n' = n = 6, untied and tied: the middle layers skip one and
+    # two low points and the last computes only the n'-point masks
+    @example(4, "sqeuclid", 2, 4, False)
+    @example(41, "metric", 2, 4, True)
     def test_agrees_with_the_references(self, seed, mode, base, k, tied):
         # the scalar DP bit for bit, and the exhaustive optimum and the
-        # clusters' own costs up to summation order
+        # clusters' own costs up to summation order; from k = 3 on the DP's
+        # middle layers compute only the masks the next layer reads
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 9))
         n_prime = int(rng.integers(1, n + 1))

@@ -115,10 +115,10 @@ EXPECTED = {
 }
 
 
-def _unit_grid(mode, k, n_prime):
-    """The 3 x 3 grid of unit spacing, numbered row by row; metric mode
-    takes L1 distances.  Many clusterings tie at the optimum."""
-    pts = np.array([(x, y) for y in range(3) for x in range(3)], dtype=float)
+def _unit_grid(mode, k, n_prime, cols=3, rows=3):
+    """The cols x rows grid of unit spacing, numbered row by row; metric
+    mode takes L1 distances.  Many clusterings tie at the optimum."""
+    pts = np.array([(x, y) for y in range(rows) for x in range(cols)], dtype=float)
     if mode == "sqeuclid":
         return Instance(mode=mode, k=k, n_prime=n_prime, epsilon=1.0, points=pts)
     dmat = np.abs(pts[:, None] - pts[None]).sum(axis=-1)
@@ -136,6 +136,16 @@ ORACLE_TIES = {
                      [[0, 3, 6], [1, 2, 5], [4, 7, 8]], 14.0),
     "unit-grid-l1-k3": (lambda: _unit_grid("metric", 3, 9),
                         [[0, 3, 6], [1, 4, 7], [2, 5, 8]], 12.0),
+    # with outliers at k = 4 and n = 14, where the DP's middle layers skip
+    # low points and its last computes only the n'-point masks
+    "unit-grid-4x3-k4": (lambda: _unit_grid("sqeuclid", 4, 10, cols=4),
+                         [[0, 4, 5], [1, 2, 6], [3, 7], [8, 9]], 10.0),
+    "unit-grid-4x3-l1-k4": (lambda: _unit_grid("metric", 4, 10, cols=4),
+                            [[0, 4, 8], [1, 5, 9], [2, 6], [3, 7]], 10.0),
+    "unit-grid-7x2-k3": (lambda: _unit_grid("sqeuclid", 3, 12, cols=7, rows=2),
+                         [[0, 1, 7, 8], [2, 3, 9, 10], [4, 5, 11, 12]], 24.0),
+    "unit-grid-7x2-l1-k2": (lambda: _unit_grid("metric", 2, 13, cols=7, rows=2),
+                            [[0, 1, 2, 7, 8, 9], [3, 4, 5, 6, 10, 11, 12]], 65.0),
 }
 
 
